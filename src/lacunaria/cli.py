@@ -439,14 +439,18 @@ def _first_json_divergence(a, b, path="$"):
 
 
 def verify_manifest(manifest_path: Path) -> tuple[bool, str | None]:
-    """Replay the manifest's run and compare artifacts byte for byte."""
+    """Replay the manifest's run and compare artifacts byte for byte.
+
+    A recorded input that no longer exists raises FileNotFoundError: it is
+    an I/O condition, not a mismatch.
+    """
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     run_dir = manifest_path.parent
     for rel, digest in manifest["inputs"].items():
         p = Path(rel)
         if not p.exists():
-            return False, f"input missing: {rel}"
+            raise FileNotFoundError(f"input missing: {rel}")
         if _sha256(p) != digest:
             return False, f"input changed since the run: {rel}"
     for name, digest in manifest["outputs"].items():

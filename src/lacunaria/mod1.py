@@ -8,9 +8,11 @@ exactly through one of three strategies:
 
 * ``pow2-window`` -- terms 2^k + offset with offset in {0, -1} and power-of-
   two frequencies: the product m << k is a pure bit shift, so the top bits
-  are 64-bit windows of the mantissa plus a fixed addend whose carry into
-  the window is decided by one vectorized big-string comparison (exact; rare
-  ties fall back to big-integer comparison).
+  are 64-bit windows of the mantissa at bit offset k.  The mantissa is read
+  once per sample as big-endian 64-bit words; each window is two gathered
+  words joined by shifts.  Offset -1 adds a fixed addend whose carry into
+  the window is decided by one vectorized comparison of the window at
+  k + 128 (exact; rare ties fall back to big-integer comparison).
 * ``power-chain`` -- terms base^k + offset: z_k = base^k * m mod 2^B marches
   over the needed indices by small multiplications.
 * ``generic`` -- a full modular multiplication per term (gmpy2 when
@@ -31,7 +33,6 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
     _mpz = int
 
 MASK64 = (1 << 64) - 1
-_CHUNK = 1 << 17
 
 
 def required_bits(max_term: int, max_freq: int) -> int:
@@ -46,18 +47,28 @@ def frac_numerator(n: int, mantissa: int, bits: int) -> int:
     return (n * mantissa) & ((1 << bits) - 1)
 
 
-def _window64(buf: np.ndarray, bit_offsets: np.ndarray) -> np.ndarray:
-    """64-bit big-endian windows of a byte buffer at arbitrary bit offsets."""
-    out = np.empty(len(bit_offsets), dtype=np.uint64)
-    for start in range(0, len(bit_offsets), _CHUNK):
-        t = bit_offsets[start:start + _CHUNK]
-        byte_off = (t >> 3).astype(np.int64)
-        rem = (t & 7).astype(np.uint64)
-        gather = byte_off[:, None] + np.arange(9, dtype=np.int64)[None, :]
-        by = buf[gather]
-        hi = by[:, :8].copy().view(">u8")[:, 0].astype(np.uint64)
-        b9 = by[:, 8].astype(np.uint64)
-        out[start:start + _CHUNK] = (hi << rem) | (b9 >> (np.uint64(8) - rem))
+def _window64(words: np.ndarray, w: np.ndarray, r: np.ndarray,
+              rc: np.ndarray) -> np.ndarray:
+    """64-bit windows of a big-endian word array at bit offsets t = 64 w + r.
+
+    ``words[i]`` holds bits 64 i .. 64 i + 63 of the buffer, most significant
+    first, so the window at t is ``words[w]`` shifted up by r joined with
+    ``words[w + 1]`` shifted down by 64 - r.  The down shift is done as
+    ``>> 1`` then ``>> rc`` with rc = 63 - r, so no shift count reaches 64
+    at r = 0 (undefined in C, whatever numpy does with it).  Pass
+    ``words[j:]`` to read the window at t + 64 j.
+
+    The highest word read is (t >> 6) + 1.  The engine reads windows up to
+    t = k_max + 128 (the carry compare), and zero-pads the mantissa's words
+    through ((k_max + 128) >> 6) + 1, so every read stays in the buffer and
+    bits past the mantissa read as zero.
+    """
+    out = words[w]
+    out <<= r
+    low = words[1:][w]
+    low >>= np.uint64(1)
+    low >>= rc
+    out |= low
     return out
 
 
@@ -73,7 +84,8 @@ class FracTopEngine:
                  power_form: tuple[int, int] | None = None):
         if bits < 64:
             raise ValueError("need at least 64 bits")
-        if sorted(set(indices)) != list(indices):
+        ks = np.asarray(indices, dtype=np.int64)
+        if np.any(ks[1:] <= ks[:-1]):
             raise ValueError("indices must be sorted and unique")
         if not freqs or any(j < 1 for j in freqs):
             raise ValueError("frequencies must be positive")
@@ -99,8 +111,13 @@ class FracTopEngine:
             self.strategy = "generic"
 
         if self.strategy == "pow2-window":
-            self._ks = np.asarray(self.indices, dtype=np.int64)
+            self._w = ks >> 6
+            self._r = (ks & 63).astype(np.uint64)
+            self._rc = np.uint64(63) - self._r
             self._shifts = [j.bit_length() - 1 for j in self.freqs]
+            # zero padding through the last word _window64 reads
+            top_word = ((int(ks[-1]) + 128) >> 6) + 1 if len(ks) else 0
+            self._nwords = max(-(-bits // 64), top_word + 1)
         elif self.strategy == "power-chain":
             base = power_form[0]
             mod = 1 << bits
@@ -126,13 +143,17 @@ class FracTopEngine:
 
     def _tops_window(self, m: int) -> np.ndarray:
         B = self.bits
-        buf = np.frombuffer(m.to_bytes(B // 8, "big") + b"\x00" * 32, dtype=np.uint8)
-        ks = self._ks
-        a_hi = _window64(buf, ks)
-        a_lo = _window64(buf, ks + 64)
-
+        raw = m.to_bytes(B // 8, "big") + bytes(8 * self._nwords - B // 8)
+        words = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
+        w, r, rc = self._w, self._r, self._rc
+        shifts = self._shifts
         offset = self.power_form[1]
-        if offset == 0 or m == 0:
+        carry_in = offset != 0 and m != 0
+        a_hi = _window64(words, w, r, rc)
+        # the next 64 bits feed only shifted columns and the carry
+        a_lo = _window64(words[1:], w, r, rc) if carry_in or any(shifts) else None
+
+        if not carry_in:
             s_hi, s_lo = a_hi, a_lo
         else:
             c = (-m) & self._mask  # addend for offset -1: (2^B - m) mod 2^B
@@ -140,17 +161,17 @@ class FracTopEngine:
             c_lo = np.uint64((c >> (B - 128)) & MASK64)
             lowc = c & ((1 << (B - 128)) - 1)
             if lowc == 0:
-                carry = np.zeros(len(ks), dtype=np.uint64)
+                carry = np.zeros(len(w), dtype=np.uint64)
             else:
                 threshold = (1 << (B - 128)) - lowc
                 t64 = np.uint64(threshold >> (B - 192))
-                x64 = _window64(buf, ks + 128)
+                x64 = _window64(words[2:], w, r, rc)
                 carry = (x64 > t64).astype(np.uint64)
                 ties = np.nonzero(x64 == t64)[0]
                 if len(ties):
                     low_mask = (1 << (B - 128)) - 1
                     for i in ties:
-                        x_exact = (m << int(ks[i])) & low_mask
+                        x_exact = (m << self.indices[i]) & low_mask
                         carry[i] = np.uint64(1 if x_exact >= threshold else 0)
             t = a_lo + c_lo
             c1 = t < a_lo
@@ -158,8 +179,8 @@ class FracTopEngine:
             c2 = s_lo < t
             s_hi = a_hi + c_hi + (c1 | c2).astype(np.uint64)
 
-        out = np.empty((len(ks), len(self.freqs)), dtype=np.uint64)
-        for col, sh in enumerate(self._shifts):
+        out = np.empty((len(w), len(shifts)), dtype=np.uint64)
+        for col, sh in enumerate(shifts):
             if sh == 0:
                 out[:, col] = s_hi
             else:

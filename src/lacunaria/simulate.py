@@ -53,9 +53,6 @@ class FixedPointSample:
     def value(self) -> float:
         return self.mantissa / (1 << self.bits)
 
-    def top64(self) -> int:
-        return self.mantissa >> (self.bits - 64)
-
 
 def sample_points(bits: int, count: int, seed: int) -> list[FixedPointSample]:
     """count uniform B-bit mantissas; element i depends only on (seed, i)."""
@@ -83,15 +80,17 @@ class PartialSumEvaluator:
                  perm: PermutationWindow, count: int):
         if not 1 <= count <= len(perm):
             raise ValueError(f"window {count} outside 1..{len(perm)}")
-        images = [perm.apply(s) for s in range(1, count + 1)]
-        if max(images) > len(seq):
+        images = np.asarray(perm.images[:count], dtype=np.int64)
+        if images.max() > len(seq):
             raise ValueError("permutation window exceeds sequence length")
         self.poly = poly
         self.seq = seq
         self.count = count
-        self.indices = sorted(set(images))
-        rank = {k: i for i, k in enumerate(self.indices)}
-        self._rows = np.asarray([rank[k] for k in images], dtype=np.int64)
+        # a window of a bijection has distinct images, so sorting them gives
+        # the unique indices and a binary search gives each slot's row
+        indices = np.sort(images)
+        self.indices = indices.tolist()
+        self._rows = np.searchsorted(indices, images)
 
         terms = poly.terms()
         self.freqs = [j for j, _, _ in terms]
@@ -219,16 +218,22 @@ class EmpiricalDistribution:
         )
 
 
-def _clt_chunk(args) -> np.ndarray:
-    poly, seq, perm, count, bits, seed, start, stop = args
-    evaluator = PartialSumEvaluator(poly, seq, perm, count)
+def _clt_values(evaluator: PartialSumEvaluator, bits: int, seed: int,
+                start: int, stop: int) -> np.ndarray:
+    """Samples start..stop-1 of S_N(x) / sqrt(N)."""
     rng = CounterRng(seed, "x")
-    scale = 1.0 / math.sqrt(count)
+    scale = 1.0 / math.sqrt(evaluator.count)
     out = np.empty(stop - start)
     for i in range(start, stop):
         x = FixedPointSample(rng.bits(i, bits), bits)
         out[i - start] = evaluator.sum(x) * scale
     return out
+
+
+def _clt_chunk(args) -> np.ndarray:
+    """One pool worker's share; builds its own evaluator."""
+    poly, seq, perm, count, bits, seed, start, stop = args
+    return _clt_values(PartialSumEvaluator(poly, seq, perm, count), bits, seed, start, stop)
 
 
 def clt_experiment(
@@ -248,13 +253,13 @@ def clt_experiment(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    probe = PartialSumEvaluator(poly, seq, perm, count)
-    bits = mantissa_bits if mantissa_bits is not None else probe.required
-    if bits < probe.required:
-        raise MantissaWidthError(have=bits, need=probe.required)
+    evaluator = PartialSumEvaluator(poly, seq, perm, count)
+    bits = mantissa_bits if mantissa_bits is not None else evaluator.required
+    if bits < evaluator.required:
+        raise MantissaWidthError(have=bits, need=evaluator.required)
 
     if workers <= 1:
-        values = _clt_chunk((poly, seq, perm, count, bits, seed, 0, samples))
+        values = _clt_values(evaluator, bits, seed, 0, samples)
     else:
         bounds = np.linspace(0, samples, workers + 1, dtype=int)
         jobs = [

@@ -6,6 +6,7 @@ import pytest
 
 from lacunaria.cli import (
     EXIT_DOMAIN,
+    EXIT_IO,
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY_MISMATCH,
@@ -158,6 +159,16 @@ def test_verify_detects_edit(tmp_path):
     path = tmp_path / "sequence.txt"
     path.write_text(path.read_text().replace("1073741824", "1073741825"))
     assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_VERIFY_MISMATCH
+
+
+def test_verify_missing_input_is_io_error(tmp_path):
+    seq_dir, dio_dir = tmp_path / "seq", tmp_path / "dio"
+    assert run(["seq", "--kind", "power", "--base", "2", "--offset", "-1",
+                "--count", "40", "--out-dir", seq_dir]) == EXIT_OK
+    assert run(["dio", "--seq", seq_dir / "sequence.txt", "--ratio", "1", "-2",
+                "--count", "40", "--out-dir", dio_dir]) == EXIT_OK
+    (seq_dir / "sequence.txt").unlink()
+    assert run(["verify", "--manifest", dio_dir / "run.json"]) == EXIT_IO
 
 
 def test_verify_monte_carlo_replay(tmp_path):

@@ -49,6 +49,47 @@ def test_window_strategy_matches_reference(offset):
         assert np.array_equal(got, want), f"offset={offset}, sample {i}"
 
 
+@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("freqs", [[1], [2], [1, 2], [1, 4, 8]])
+def test_window_word_boundaries_and_largest_index(offset, freqs):
+    # freqs [1] is the single-column path; k = 0 mod 64 gives a zero
+    # in-word shift; the largest admissible index puts the carry-compare
+    # window deepest into the zero padding
+    bits = 320
+    top = max(freqs)
+    k_max = max(k for k in range(1, bits) if required_bits(2**k + offset, top) <= bits)
+    seq = gen_power(2, offset, k_max)
+    indices = sorted({1, 63, 64, 65, 127, 128, 129, 191, 192, 255} & set(range(1, k_max))
+                     | {k_max})
+    assert required_bits(seq.term(k_max), top) == bits
+    eng = FracTopEngine(seq.terms, indices, freqs, bits, power_form=(2, offset))
+    assert eng.strategy == "pow2-window"
+    rng = CounterRng(9, "x")
+    patterns = [0, 1, (1 << bits) - 1, int("10" * (bits // 2), 2)]
+    for m in [rng.bits(i, bits) for i in range(20)] + patterns:
+        assert np.array_equal(eng.tops(m),
+                              reference_tops(seq.terms, indices, freqs, bits, m)), f"m={m:#x}"
+
+
+def test_window_long_index_set():
+    # over 2^17 indices; one big-integer reference product per row is too
+    # slow for all of them, so rows spread over the set (and around 2^17)
+    # are checked
+    n = (1 << 17) + 64
+    seq = gen_power(2, -1, n)
+    indices = list(range(1, n + 1))
+    bits = required_bits(seq.term(n), 2)
+    eng = FracTopEngine(seq.terms, indices, [1, 2], bits, power_form=(2, -1))
+    assert eng.strategy == "pow2-window"
+    rows = sorted(set(range(0, n, 8191)) | set(range((1 << 17) - 2, (1 << 17) + 2)) | {n - 1})
+    rng = CounterRng(10, "x")
+    for i in range(2):
+        m = rng.bits(i, bits)
+        got = eng.tops(m)
+        want = reference_tops(seq.terms, [indices[r] for r in rows], [1, 2], bits, m)
+        assert np.array_equal(got[rows], want), f"sample {i}"
+
+
 def test_window_strategy_carry_ties():
     # craft mantissas whose compare-window ties force the exact fallback:
     # with offset -1 the threshold depends on m itself, so build m from a

@@ -6,7 +6,7 @@ import pytest
 
 from lacunaria.errors import MantissaWidthError
 from lacunaria.mod1 import required_bits
-from lacunaria.permute import identity
+from lacunaria.permute import identity, random_perm
 from lacunaria.rng import CounterRng
 from lacunaria.seqgen import External, IntegerSequence, gen_power
 from lacunaria.simulate import (
@@ -135,6 +135,27 @@ def test_partial_sum_mixed_poly_oracle():
                 want += mpmath.cos(2 * mpmath.pi * u) / 2
                 want += mpmath.sin(2 * mpmath.pi * 2 * u)
             assert abs(got - float(want)) < 1e-12
+
+
+def test_evaluator_rows_on_random_subwindow():
+    seq = gen_power(2, 0, 100)
+    perm = random_perm(100, 5)
+    count = 37
+    ev = PartialSumEvaluator(COS1, seq, perm, count)
+    assert ev.indices == sorted(perm.images[:count])
+    assert np.array_equal(np.asarray(ev.indices)[ev._rows], perm.images[:count])
+    x = FixedPointSample(CounterRng(4, "x").bits(0, ev.required), ev.required)
+    whole = PartialSumEvaluator(COS1, seq, identity(100), 100).slot_values(x)
+    assert np.array_equal(ev.slot_values(x), whole[np.asarray(perm.images[:count]) - 1])
+
+
+def test_evaluator_window_errors():
+    seq = gen_power(2, 0, 50)
+    with pytest.raises(ValueError, match="exceeds sequence length"):
+        PartialSumEvaluator(COS1, seq, random_perm(80, 2), 80)
+    for count in (0, 81):
+        with pytest.raises(ValueError, match="outside 1..80"):
+            PartialSumEvaluator(COS1, seq, random_perm(80, 2), count)
 
 
 def test_partial_sum_narrow_mantissa_rejected():
