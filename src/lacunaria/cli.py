@@ -174,14 +174,15 @@ def run_dio(params: dict, out_dir: Path) -> list[Path]:
     seq = resolve_sequence(params["seq"], params.get("count"), params.get("seed"))
     count = params["count"]
     mode = params["mode"]
+    budget = params.get("budget", diophantine.DEFAULT_BUDGET)
     outputs = []
     if mode in ("profile", "star-profile"):
         if mode == "profile":
-            reports = diophantine.d2_profile(seq, params["coeff_bound"], count)
+            reports = diophantine.d2_profile(seq, params["coeff_bound"], count, budget=budget)
         else:
             reports = diophantine.d2star_profile(
                 seq, params["coeff_bound"], count,
-                diagonal=params.get("diagonal", "sum_zero"))
+                diagonal=params.get("diagonal", "sum_zero"), budget=budget)
         jpath = out_dir / "dio_profile.json"
         with open(jpath, "w", encoding="utf-8") as fh:
             fh.write(diophantine.profile_to_json(reports))
@@ -202,7 +203,7 @@ def run_dio(params: dict, out_dir: Path) -> list[Path]:
         n, wits = diophantine.count_multi_term(
             seq, diophantine.MultiTermQuery(
                 p=params["p"], coeff_bound=params["coeff_bound"], count=count,
-                budget=params.get("budget", diophantine.DEFAULT_BUDGET)))
+                budget=budget))
         jpath = out_dir / "dio_multi.json"
         _write_json(jpath, {
             "p": params["p"], "coeff_bound": params["coeff_bound"], "count": n,
@@ -212,9 +213,7 @@ def run_dio(params: dict, out_dir: Path) -> list[Path]:
         })
         outputs.append(jpath)
     elif mode == "signed":
-        n, sols = diophantine.count_signed_nondegenerate(
-            seq, params["p"], count,
-            budget=params.get("budget", diophantine.DEFAULT_BUDGET))
+        n, sols = diophantine.count_signed_nondegenerate(seq, params["p"], count, budget=budget)
         jpath = out_dir / "dio_signed.json"
         _write_json(jpath, {
             "p": params["p"], "count": n,

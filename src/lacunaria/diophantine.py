@@ -10,10 +10,11 @@ explicit work budget: exceeding it is an error, never a truncation.
 from __future__ import annotations
 
 import csv
-import json
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
+from operator import neg
 from typing import Iterable
 
 from .errors import WorkBudgetExceeded
@@ -134,37 +135,68 @@ def _coefficient_pairs(bound: int) -> list[tuple[int, int]]:
     return [(a, b) for a in rng for b in rng]
 
 
+def _growth_prefixes(count: int) -> list[int]:
+    return sorted({max(1, count // 4), max(1, count // 2), count})
+
+
 def _pair_histogram(
     terms: list[int],
     a: int,
     b: int,
+    prefixes: list[int],
     *,
     include_zero: bool,
-    exclude_diagonal_at_zero: bool,
-) -> dict[int, int]:
-    """Counts of a*n_k + b*n_l over ordered pairs, keyed by the value c."""
-    hist: dict[int, int] = {}
+    drop_diagonal: bool,
+) -> tuple[dict[int, int], list[int]]:
+    """Counts of a*n_k + b*n_l over ordered pairs, keyed by the value c.
+
+    Also returns the largest count once each prefix length in ``prefixes``
+    (ascending, the last one ``len(terms)``) is complete: pairs are visited
+    in order of max(k, l), so one pass yields every prefix.  c = 0 is left
+    out unless ``include_zero``; ``drop_diagonal`` leaves the pairs k = l
+    out of c = 0.  Terms are positive, so k = l gives c = 0 iff a + b = 0.
+    """
+    hist: Counter[int] = Counter()
     left = [a * t for t in terms]
     right = [b * t for t in terms]
-    n = len(terms)
-    for k in range(n):
-        lk = left[k]
-        for l in range(n):
-            c = lk + right[l]
-            if c == 0:
-                if not include_zero:
-                    continue
-                if exclude_diagonal_at_zero and k == l:
-                    continue
-            hist[c] = hist.get(c, 0) + 1
-    return hist
+    drop = drop_diagonal and a + b == 0
+    zero = 0  # pairs with c = 0 so far, kept out of hist until the end
+    at_zero = 0  # what the histogram counts at c = 0
+    maxima = []
+    done = 0
+    for pfx in prefixes:
+        for m in range(done, pfx):
+            hist.update(map(left[m].__add__, right[:m + 1]))  # (m, l), l <= m
+            hist.update(map(right[m].__add__, left[:m]))  # (k, m), k < m
+        done = pfx
+        zero += hist.pop(0, 0)
+        if include_zero:
+            at_zero = zero - pfx if drop else zero
+        maxima.append(max(max(hist.values(), default=0), at_zero))
+    if at_zero:
+        hist[0] = at_zero
+    return dict(hist), maxima
 
 
 def _argmax_c(hist: dict[int, int]) -> tuple[int, int | None]:
+    """Largest count and its c; ties go to the smallest |c|, then to c > 0."""
     if not hist:
         return 0, None
-    best = max(hist.items(), key=lambda item: (item[1], -abs(item[0]), item[0]))
-    return best[1], best[0]
+    top = max(hist.values())
+    nearest = min(map(abs, compress(hist, map(top.__eq__, hist.values()))))
+    return top, nearest if hist.get(nearest) == top else -nearest
+
+
+def _symmetry_class(a: int, b: int) -> tuple[tuple[int, int], bool]:
+    """(representative, mirrored) of the class {(a,b), (b,a), (-a,-b), (-b,-a)}.
+
+    hist(b, a) == hist(a, b) (swap k and l), and hist(-a, -b) is hist(a, b)
+    with every c negated; both diagonal rules are invariant under the two
+    maps, so one enumeration of the smallest pair serves the whole class.
+    """
+    direct = min((a, b), (b, a))
+    mirror = min((-a, -b), (-b, -a))
+    return (direct, False) if direct <= mirror else (mirror, True)
 
 
 def _profile(
@@ -174,36 +206,40 @@ def _profile(
     *,
     include_zero: bool,
     diagonal: str,
+    budget: int,
 ) -> dict[tuple[int, int], DioReport]:
     if coeff_bound < 1:
         raise ValueError("coefficient bound must be at least 1")
     if count > len(seq):
         raise ValueError(f"prefix {count} exceeds sequence length {len(seq)}")
+    if diagonal not in ("sum_zero", "literal"):
+        raise ValueError("diagonal must be 'sum_zero' or 'literal'")
+    classes = {pair: _symmetry_class(*pair) for pair in _coefficient_pairs(coeff_bound)}
+    representatives = [pair for pair, (rep, _) in classes.items() if pair == rep]
+    estimated = len(representatives) * count * count
+    if estimated > budget:
+        raise WorkBudgetExceeded(estimated, budget)
     terms = seq.prefix(count)
-    prefixes = sorted({max(1, count // 4), max(1, count // 2), count})
+    prefixes = _growth_prefixes(count)
+    enumerated = {}
+    for a, b in representatives:
+        drop_diag = a + b == 0 if diagonal == "sum_zero" else a == b
+        hist, maxima = _pair_histogram(terms, a, b, prefixes, include_zero=include_zero,
+                                       drop_diagonal=drop_diag)
+        enumerated[(a, b)] = (hist, list(zip(prefixes, maxima)), drop_diag)
     reports: dict[tuple[int, int], DioReport] = {}
-    for a, b in _coefficient_pairs(coeff_bound):
-        if diagonal == "sum_zero":
-            drop_diag = a + b == 0
-        elif diagonal == "literal":
-            drop_diag = a == b
-        else:
-            raise ValueError("diagonal must be 'sum_zero' or 'literal'")
-        hist = _pair_histogram(
-            terms, a, b, include_zero=include_zero,
-            exclude_diagonal_at_zero=include_zero and drop_diag,
-        )
-        max_count, arg = _argmax_c(hist)
-        growth = []
-        for pfx in prefixes:
-            if pfx == count:
-                growth.append((pfx, max_count))
-            else:
-                sub = _pair_histogram(
-                    terms[:pfx], a, b, include_zero=include_zero,
-                    exclude_diagonal_at_zero=include_zero and drop_diag,
-                )
-                growth.append((pfx, _argmax_c(sub)[0]))
+    views: dict[tuple[tuple[int, int], bool], tuple[dict[int, int], int, int | None]] = {}
+    for (a, b), (rep, mirrored) in classes.items():
+        hist, growth, drop_diag = enumerated[rep]
+        view = views.get((rep, mirrored))
+        if view is None:
+            if mirrored:
+                hist = dict(zip(map(neg, hist), hist.values()))
+            # recomputed on the mirror: the tie-break on |c| then c is not mirror-symmetric
+            view = views[(rep, mirrored)] = (hist, *_argmax_c(hist))
+        else:  # the swapped pair: an equal histogram, in a dict of its own
+            hist = dict(view[0])
+        _, max_count, arg = view
         witnesses = []
         if arg is not None:
             q = TwoTermQuery(a=a, b=b, c=arg, count=count,
@@ -211,14 +247,24 @@ def _profile(
             _, witnesses = count_two_term(seq, q)
         reports[(a, b)] = DioReport(
             a=a, b=b, max_count=max_count, argmax_c=arg,
-            histogram=hist, witnesses=witnesses, prefix_growth=growth,
+            histogram=hist, witnesses=witnesses, prefix_growth=list(growth),
         )
     return reports
 
 
-def d2_profile(seq: IntegerSequence, coeff_bound: int, count: int) -> dict[tuple[int, int], DioReport]:
-    """Solution-count histogram over realized nonzero c, for all 0 < |a|,|b| <= bound."""
-    return _profile(seq, coeff_bound, count, include_zero=False, diagonal="sum_zero")
+def d2_profile(
+    seq: IntegerSequence,
+    coeff_bound: int,
+    count: int,
+    budget: int = DEFAULT_BUDGET,
+) -> dict[tuple[int, int], DioReport]:
+    """Solution-count histogram over realized nonzero c, for all 0 < |a|,|b| <= bound.
+
+    The work (symmetry classes x count^2 pair evaluations) is checked
+    against ``budget`` before any enumeration.
+    """
+    return _profile(seq, coeff_bound, count, include_zero=False, diagonal="sum_zero",
+                    budget=budget)
 
 
 def d2star_profile(
@@ -226,6 +272,7 @@ def d2star_profile(
     coeff_bound: int,
     count: int,
     diagonal: str = "sum_zero",
+    budget: int = DEFAULT_BUDGET,
 ) -> dict[tuple[int, int], DioReport]:
     """As d2_profile but c = 0 included, minus the trivial diagonal solutions.
 
@@ -234,26 +281,25 @@ def d2star_profile(
     ``diagonal="literal"`` applies the proviso only at a = b, the literal
     reading, under which the a + b = 0 rows count all N diagonal pairs.
     """
-    return _profile(seq, coeff_bound, count, include_zero=True, diagonal=diagonal)
+    return _profile(seq, coeff_bound, count, include_zero=True, diagonal=diagonal,
+                    budget=budget)
 
 
 def aibe_ratio(seq: IntegerSequence, a: int, b: int, count: int) -> list[tuple[int, float]]:
     """(sup over c != 0 of the solution count) / N at N/4, N/2, N.
 
     A vanishing ratio is the two-term o(N) criterion for the unpermuted CLT;
-    a non-decaying ratio pins the obstruction.
+    a non-decaying ratio pins the obstruction.  It is the ``prefix_growth``
+    of the matching ``d2_profile`` report, divided by the prefix length.
     """
     if a == 0 or b == 0:
         raise ValueError("coefficients must be nonzero")
     if count > len(seq):
         raise ValueError(f"prefix {count} exceeds sequence length {len(seq)}")
-    terms = seq.prefix(count)
-    out = []
-    for pfx in sorted({max(1, count // 4), max(1, count // 2), count}):
-        hist = _pair_histogram(terms[:pfx], a, b, include_zero=False,
-                               exclude_diagonal_at_zero=False)
-        out.append((pfx, _argmax_c(hist)[0] / pfx))
-    return out
+    prefixes = _growth_prefixes(count)
+    _, maxima = _pair_histogram(seq.prefix(count), a, b, prefixes,
+                                include_zero=False, drop_diagonal=False)
+    return [(pfx, m / pfx) for pfx, m in zip(prefixes, maxima)]
 
 
 # ----------------------------------------------------------------------
@@ -422,9 +468,48 @@ def count_signed_nondegenerate(
 # Serialization
 # ----------------------------------------------------------------------
 
+def _json_pairs(pairs: list[tuple[int, int]]) -> str:
+    """A list of int pairs at report depth, laid out as ``json.dumps(indent=2)``."""
+    if not pairs:
+        return "[]"
+    rows = ",\n".join(f"      [\n        {x},\n        {y}\n      ]" for x, y in pairs)
+    return f"[\n{rows}\n    ]"
+
+
+def _json_histogram(histogram: dict[int, int]) -> str:
+    if not histogram:
+        return "{}"
+    rows = ",\n".join(map('      "%d": %d'.__mod__, sorted(histogram.items())))
+    return f"{{\n{rows}\n    }}"
+
+
 def profile_to_json(reports: dict[tuple[int, int], DioReport]) -> str:
-    payload = [reports[key].to_json_dict() for key in sorted(reports)]
-    return json.dumps(payload, indent=2)
+    """``json.dumps([r.to_json_dict() ...], indent=2)`` in key order, written directly.
+
+    The text is built from f-strings and joins (the ``indent`` path of the
+    json module is pure Python and slow at 10^7 histogram entries).  A
+    histogram equal to that of the swapped pair (b, a) reuses its text.
+    """
+    if not reports:
+        return "[]"
+    blocks = []
+    rendered: dict[tuple[int, int], tuple[dict[int, int], str]] = {}
+    for key in sorted(reports):
+        r = reports[key]
+        twin = rendered.get((r.b, r.a))
+        if twin is not None and twin[0] == r.histogram:
+            histogram = twin[1]
+        else:
+            histogram = _json_histogram(r.histogram)
+            rendered[(r.a, r.b)] = (r.histogram, histogram)
+        argmax = "null" if r.argmax_c is None else f'"{r.argmax_c}"'
+        blocks.append(
+            f'  {{\n    "a": {r.a},\n    "b": {r.b},\n    "max_count": {r.max_count},\n'
+            f'    "argmax_c": {argmax},\n    "histogram": {histogram},\n'
+            f'    "witnesses": {_json_pairs(r.witnesses)},\n'
+            f'    "prefix_growth": {_json_pairs(r.prefix_growth)}\n  }}'
+        )
+    return "[\n" + ",\n".join(blocks) + "\n]"
 
 
 def write_profile_csv(reports: dict[tuple[int, int], DioReport], path) -> None:

@@ -38,6 +38,31 @@ def brute_two_term_histogram(terms, a, b, include_zero=False, drop_diagonal=Fals
     return hist
 
 
+def brute_profile_report(terms, a, b, include_zero=False, drop_diagonal=False):
+    """Every field of one profile report, enumerated pair by pair.
+
+    The maximum count goes to the smallest |c|, then to c > 0; growth
+    re-enumerates each prefix N/4, N/2, N; witnesses are the ordered
+    1-based pairs (k, l) solving the equation at that c.
+    """
+    n = len(terms)
+    hist = brute_two_term_histogram(terms, a, b, include_zero, drop_diagonal)
+    argmax_c = max(hist, key=lambda c: (hist[c], -abs(c), c)) if hist else None
+    growth = [
+        (p, max(brute_two_term_histogram(terms[:p], a, b, include_zero, drop_diagonal).values(),
+                default=0))
+        for p in sorted({max(1, n // 4), max(1, n // 2), n})
+    ]
+    witnesses = [
+        (k + 1, l + 1)
+        for k in range(n) for l in range(n)
+        if argmax_c is not None and a * terms[k] + b * terms[l] == argmax_c
+        and not (drop_diagonal and argmax_c == 0 and k == l)
+    ]
+    return {"histogram": hist, "max_count": max(hist.values(), default=0),
+            "argmax_c": argmax_c, "prefix_growth": growth, "witnesses": witnesses}
+
+
 def brute_multi_term(terms, p, bound):
     """Exhaustive count of k_1 < ... < k_p with nonzero |a_i| <= bound."""
     coeffs = [v for v in range(-bound, bound + 1) if v != 0]

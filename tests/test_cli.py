@@ -78,6 +78,9 @@ def test_dio_profile_cli(tmp_path):
 def test_dio_budget_exit_code(tmp_path):
     assert run(["dio", "--seq", "pow2:60", "--multi", "3", "--coeff-bound", "3",
                 "--count", "60", "--budget", "10", "--out-dir", tmp_path]) == EXIT_RESOURCE
+    assert run(["dio", "--seq", "pow2:200", "--profile", "--coeff-bound", "3",
+                "--count", "200", "--budget", "1000", "--out-dir", tmp_path]) == EXIT_RESOURCE
+    assert not (tmp_path / "dio_profile.json").exists()
 
 
 def test_dio_ratio_cli(tmp_path):

@@ -1,3 +1,4 @@
+import json
 from itertools import combinations, product
 
 import pytest
@@ -11,6 +12,7 @@ from lacunaria.diophantine import (
     count_two_term,
     d2_profile,
     d2star_profile,
+    profile_to_json,
     write_profile_csv,
 )
 from lacunaria.errors import WorkBudgetExceeded
@@ -23,6 +25,7 @@ from lacunaria.seqgen import (
     gen_random_rstar,
     gen_smooth,
 )
+from oracles import brute_profile_report
 
 
 # ---------------- independent oracles ----------------
@@ -140,6 +143,43 @@ def test_d2star_profile_matches_brute_force():
                 terms, a, b, include_zero=True, drop_diagonal=(a + b == 0)
             )
             assert rep.histogram == oracle, (seq.provenance, a, b)
+
+
+def _fields(rep):
+    return {"histogram": rep.histogram, "max_count": rep.max_count,
+            "argmax_c": rep.argmax_c, "prefix_growth": rep.prefix_growth,
+            "witnesses": rep.witnesses}
+
+
+def test_symmetry_classes_match_oracle_reports():
+    # one enumeration per class {(a,b), (b,a), (-a,-b), (-b,-a)}; every
+    # derived report must still equal its own brute-force report
+    for seq in corpus():
+        terms = seq.prefix(60)
+        runs = [
+            (d2_profile(seq, 3, 60), False, "sum_zero"),
+            (d2star_profile(seq, 3, 60), True, "sum_zero"),
+            (d2star_profile(seq, 3, 60, diagonal="literal"), True, "literal"),
+        ]
+        for reports, include_zero, diagonal in runs:
+            assert len(reports) == 36
+            for (a, b), rep in reports.items():
+                drop = include_zero and (a + b == 0 if diagonal == "sum_zero" else a == b)
+                want = brute_profile_report(terms, a, b, include_zero, drop)
+                assert _fields(rep) == want, (seq.provenance, include_zero, diagonal, a, b)
+
+
+def test_mirrored_class_keeps_tie_break():
+    # n_k - 2 n_l = 1 and = -1 both have 3 solutions, the maximum; the
+    # mirrored pairs must still pick c = +1, not the negated -1
+    terms = [1, 2, 3, 5, 11]
+    seq = IntegerSequence(terms, External("tie"))
+    for reports, include_zero in ((d2_profile(seq, 2, 5), False), (d2star_profile(seq, 2, 5), True)):
+        for a, b in ((1, -2), (-2, 1), (-1, 2), (2, -1)):
+            rep = reports[(a, b)]
+            assert rep.histogram[1] == rep.histogram[-1] == rep.max_count == 3
+            assert rep.argmax_c == 1
+            assert _fields(rep) == brute_profile_report(terms, a, b, include_zero), (a, b)
 
 
 def test_d2_violation_on_erdos_fortet():
@@ -264,6 +304,14 @@ def test_budget_error_is_explicit():
     seq = gen_power(2, 0, 60)
     with pytest.raises(WorkBudgetExceeded):
         count_multi_term(seq, MultiTermQuery(p=3, coeff_bound=3, count=60, budget=1000))
+    # profiles: symmetry classes x N^2, refused before any enumeration
+    with pytest.raises(WorkBudgetExceeded) as err:
+        d2_profile(seq, 3, 60, budget=1000)
+    assert err.value.estimated == 12 * 60 * 60
+    with pytest.raises(WorkBudgetExceeded) as err:
+        d2star_profile(seq, 2, 60, budget=6 * 60 * 60 - 1)
+    assert err.value.estimated == 6 * 60 * 60
+    assert len(d2star_profile(seq, 2, 60, budget=6 * 60 * 60)) == 16
 
 
 def test_multi_term_nondegenerate_flag():
@@ -347,6 +395,14 @@ def test_aibe_ratio_pow2_decays():
     assert by_prefix[50] > by_prefix[200]
 
 
+def test_aibe_ratio_is_profile_growth_over_n():
+    for seq in (gen_power(2, -1, 200), gen_power(2, 0, 200)):
+        reports = d2_profile(seq, 2, 200)
+        for a, b in ((1, -2), (1, 1), (2, -1), (1, -1)):
+            growth = reports[(a, b)].prefix_growth
+            assert aibe_ratio(seq, a, b, 200) == [(n, m / n) for n, m in growth], (a, b)
+
+
 def test_aibe_ratio_single_term():
     ratios = aibe_ratio(gen_power(2, 0, 1), 1, 1, 1)
     assert [r for _, r in ratios] in ([0.0], [1.0])
@@ -369,3 +425,24 @@ def test_report_json_uses_decimal_strings():
     assert all(isinstance(k, str) for k in payload["histogram"])
     big = max(int(k) for k in payload["histogram"])
     assert big > 2**63  # big-int c values survive as strings
+
+
+def test_profile_json_is_json_dumps_text():
+    star = gen_power(2, 0, 40)
+    cases = {
+        "empty": {},
+        "count 1": d2_profile(gen_power(2, 0, 1), 1, 1),
+        "negative and big c": d2_profile(gen_power(2, 0, 80), 2, 80),
+        "d2star sum_zero": d2star_profile(star, 2, 40),
+        "d2star literal": d2star_profile(star, 2, 40, diagonal="literal"),
+    }
+    for name, reports in cases.items():
+        want = json.dumps([reports[k].to_json_dict() for k in sorted(reports)], indent=2)
+        assert profile_to_json(reports) == want, name
+    # the cases reach the edges they are named for
+    empty = cases["count 1"][(1, -1)]  # a + b = 0: the only pair solves c = 0
+    assert empty.histogram == {} and empty.argmax_c is None and empty.witnesses == []
+    values = [c for r in cases["negative and big c"].values() for c in r.histogram]
+    assert min(values) < 0 and max(values) > 2**63
+    for name in ("d2star sum_zero", "d2star literal"):
+        assert any(0 in r.histogram for r in cases[name].values()), name
