@@ -1,10 +1,10 @@
 """Command-line driver: reproducible experiments with run manifests.
 
 Every command writes its artifacts plus ``run.json`` recording the resolved
-parameters, input/output hashes, seed and wall time.  ``lacunaria verify
---manifest run.json`` re-executes the run into a scratch directory and
-compares artifacts byte for byte (Monte Carlo included: sample values are
-pure functions of the seed).
+parameters (input files as absolute paths), input/output hashes, seed and
+wall time.  ``lacunaria verify --manifest run.json`` re-executes the run into
+a scratch directory, from any working directory, and compares artifacts byte
+for byte (Monte Carlo included: sample values are pure functions of the seed).
 
 All randomness flows from the single ``--seed`` through labeled sub-streams
 ("seq", "perm", "x"); an explicit ``random:seed=K`` permutation overrides
@@ -32,7 +32,6 @@ from .rng import derive_seed
 
 EXIT_OK = 0
 EXIT_VERIFY_MISMATCH = 1
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_RESOURCE = 4
 EXIT_IO = 5
@@ -391,19 +390,36 @@ _EXECUTORS = {
 }
 
 
-def execute(subcommand: str, params: dict, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.perf_counter()
-    outputs = _EXECUTORS[subcommand](params, out_dir)
-    wall = time.perf_counter() - started
+def _resolve_inputs(params: dict) -> tuple[dict, list[Path]]:
+    """The params with each input file replaced by its absolute path, and those paths.
+
+    The manifest records these params and ``verify`` replays them, so the
+    replay finds its inputs from any working directory.
+    """
+    resolved = dict(params)
     inputs = []
     for key in ("seq", "perm", "cert"):
         value = params.get(key)
+        if key == "perm" and value and (value == "identity" or value.startswith("random")):
+            continue  # a permutation spec, not a file (see resolve_permutation)
         if value and Path(str(value)).exists():
-            inputs.append(Path(str(value)))
-    ks = params.get("ks", "")
-    if ks.startswith("mixture:") and Path(ks.partition(":")[2]).exists():
-        inputs.append(Path(ks.partition(":")[2]))
+            path = Path(str(value)).resolve()
+            resolved[key] = str(path)
+            inputs.append(path)
+    kind, _, arg = params.get("ks", "").partition(":")
+    if kind == "mixture" and Path(arg).exists():
+        path = Path(arg).resolve()
+        resolved["ks"] = f"mixture:{path}"
+        inputs.append(path)
+    return resolved, inputs
+
+
+def execute(subcommand: str, params: dict, out_dir: Path) -> Path:
+    out_dir.mkdir(parents=True, exist_ok=True)
+    params, inputs = _resolve_inputs(params)
+    started = time.perf_counter()
+    outputs = _EXECUTORS[subcommand](params, out_dir)
+    wall = time.perf_counter() - started
     return write_manifest(out_dir, subcommand, params, outputs, inputs, wall)
 
 
@@ -446,12 +462,12 @@ def verify_manifest(manifest_path: Path) -> tuple[bool, str | None]:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     run_dir = manifest_path.parent
-    for rel, digest in manifest["inputs"].items():
-        p = Path(rel)
+    for recorded, digest in manifest["inputs"].items():
+        p = Path(recorded)
         if not p.exists():
-            raise FileNotFoundError(f"input missing: {rel}")
+            raise FileNotFoundError(f"input missing: {recorded}")
         if _sha256(p) != digest:
-            return False, f"input changed since the run: {rel}"
+            return False, f"input changed since the run: {recorded}"
     for name, digest in manifest["outputs"].items():
         p = run_dir / name
         if not p.exists():

@@ -226,13 +226,21 @@ def read_certificate(path) -> PairingCertificate:
 
 def _witness_groups(seq: IntegerSequence, a: int, b: int, *,
                     allow_zero_c: bool, max_span: int | None,
-                    head: int = 256) -> dict[int, list[tuple[int, int]]]:
+                    head: int = 256) -> dict[tuple[int, int, bool], list[tuple[int, int]]]:
     """Candidate pairs u < v with a*n_v - b*n_u = c, grouped by c.
 
     Families sharing one c have n_v/n_u -> b/a, so v - u is bounded by
     log_q(b/a) for lacunary sequences; the scan covers spans up to that bound
     (plus slack), and additionally all pairs among the first ``head`` indices
     to catch small exceptional witnesses.
+
+    Groups are keyed by ``(c.bit_length(), |c|, c < 0)`` (see
+    :func:`_constant`).  The bit length keeps the keys collision-free: an int
+    hashes as its value mod 2**61 - 1, so on 2**k +- 1 the constants alone
+    would hash with period 61 in k and every insert would walk a long probe
+    chain.  The natural order of the keys is the selection order, smallest
+    |c| first and c before -c.  Each u scans one contiguous v-range in
+    increasing order, so no pair repeats and every group comes out sorted.
     """
     n = len(seq)
     if max_span is None:
@@ -248,22 +256,22 @@ def _witness_groups(seq: IntegerSequence, a: int, b: int, *,
         else:
             ratio = abs(b / a)
             max_span = max(1, math.ceil(math.log(max(ratio, 1.0)) / math.log(q))) + 2
-    groups: dict[int, list[tuple[int, int]]] = {}
-    seen: set[tuple[int, int]] = set()
+    groups: dict[tuple[int, int, bool], list[tuple[int, int]]] = {}
+    terms = seq.terms  # 0-based; every index below is in 1..n
     for u in range(1, n):
-        nu = seq.term(u)
+        b_nu = b * terms[u - 1]
         hi = min(n, u + max_span) if u > head else min(n, max(u + max_span, head))
         for v in range(u + 1, hi + 1):
-            c = a * seq.term(v) - b * nu
+            c = a * terms[v - 1] - b_nu
             if c == 0 and not allow_zero_c:
                 continue
-            if (u, v) in seen:
-                continue
-            seen.add((u, v))
-            groups.setdefault(c, []).append((u, v))
-    for pairs in groups.values():
-        pairs.sort()
+            groups.setdefault((c.bit_length(), abs(c), c < 0), []).append((u, v))
     return groups
+
+
+def _constant(key: tuple[int, int, bool]) -> int:
+    """The c of a :func:`_witness_groups` key."""
+    return -key[1] if key[2] else key[1]
 
 
 def _greedy_pick(pairs: list[tuple[int, int]], want: int, seq: IntegerSequence,
@@ -275,15 +283,16 @@ def _greedy_pick(pairs: list[tuple[int, int]], want: int, seq: IntegerSequence,
     """
     picked = []
     lv = last_value
+    num, den = gap_ratio.numerator, gap_ratio.denominator
+    terms = seq.terms  # pairs come from _witness_groups, so indices are in range
     for u, v in pairs:
         if u in used or v in used:
             continue
-        if lv is not None:
-            # require n_u >= gap_ratio * (largest value already placed)
-            if seq.term(u) * gap_ratio.denominator < gap_ratio.numerator * lv:
-                continue
+        # require n_u >= gap_ratio * (largest value already placed)
+        if lv is not None and terms[u - 1] * den < num * lv:
+            continue
         picked.append((u, v))
-        lv = seq.term(v)
+        lv = terms[v - 1]
         if len(picked) == want:
             break
     return picked, lv
@@ -327,21 +336,22 @@ def build_pairing_counterexample(
             f"({'including' if allow_zero_c else 'excluding'} c = 0)"
         )
 
+    order = sorted(groups)  # smallest |c| first, c before -c
     used: set[int] = set()
     last_value: int | None = None
     blocks: list[BlockPairing] = []
     for bi, length in enumerate(schedule.lengths, start=1):
         want = length // 2
         best = None
-        for c in sorted(groups, key=lambda c: (abs(c), c < 0)):
-            picked, lv = _greedy_pick(groups[c], want, seq, gap_ratio, used, last_value)
+        for key in order:
+            picked, lv = _greedy_pick(groups[key], want, seq, gap_ratio, used, last_value)
             if len(picked) == want:
-                best = (c, picked, lv)
+                best = (_constant(key), picked, lv)
                 break
         if best is None:
             supplies = {
-                c: len(_greedy_pick(groups[c], want, seq, gap_ratio, used, last_value)[0])
-                for c in groups
+                _constant(key): len(_greedy_pick(pairs, want, seq, gap_ratio, used, last_value)[0])
+                for key, pairs in groups.items()
             }
             top_c, top = max(supplies.items(), key=lambda kv: (kv[1], -abs(kv[0])))
             if top == 0 and all(s == 0 for s in supplies.values()):
@@ -382,25 +392,36 @@ def verify_certificate(
 
     Returns (True, None) or (False, description of the first violation).
     """
+    images = perm.images
+    n = len(seq)
+    a, b = cert.a, cert.b
+    num, den = cert.gap_ratio.numerator, cert.gap_ratio.denominator
     flat: list[tuple[int, int]] = []
+    # the first spacing violation, reported only after the checks below pass;
+    # only the previous pair's n_v is kept, not every certified term
+    spacing_problem = None
+    prev_v = None
     slot = 0
     for m, blk in enumerate(cert.blocks, start=1):
         for u, v in blk.pairs:
             slot += 2
-            if slot > len(perm):
+            if slot > len(images):
                 return False, f"certificate exceeds window at slot {slot}"
-            if perm.apply(slot - 1) != u or perm.apply(slot) != v:
+            if images[slot - 2] != u or images[slot - 1] != v:
                 return False, f"slots ({slot - 1}, {slot}) do not carry pair ({u}, {v})"
-            if not (1 <= u <= len(seq) and 1 <= v <= len(seq)):
+            if not (1 <= u <= n and 1 <= v <= n):
                 return False, f"pair ({u}, {v}) outside the sequence"
-            if cert.a * seq.term(v) - cert.b * seq.term(u) != blk.c:
+            nu, nv = seq.term(u), seq.term(v)
+            if a * nv - b * nu != blk.c:
                 return False, (
                     f"block {m}: a*n_{v} - b*n_{u} != {blk.c}"
                 )
+            if spacing_problem is None and prev_v is not None and nu * den < num * prev_v:
+                spacing_problem = f"spacing violated between pairs {flat[-1]} and {(u, v)}"
+            prev_v = nv
             flat.append((u, v))
 
-    images = [i for uv in flat for i in uv]
-    for i in range(1, len(images)):
+    for i in range(1, slot):
         if images[i] <= images[i - 1]:
             return False, f"certified images not increasing at slot {i + 1}"
 
@@ -411,12 +432,6 @@ def verify_certificate(
         seen.add(u)
         seen.add(v)
 
-    g = cert.gap_ratio
-    for i in range(1, len(flat)):
-        prev_v = flat[i - 1][1]
-        cur_u = flat[i][0]
-        if seq.term(cur_u) * g.denominator < g.numerator * seq.term(prev_v):
-            return False, (
-                f"spacing violated between pairs {flat[i - 1]} and {flat[i]}"
-            )
+    if spacing_problem is not None:
+        return False, spacing_problem
     return True, None

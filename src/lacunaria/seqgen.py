@@ -121,15 +121,18 @@ class _PowerTerms(Sequence):
 
     Materializing 2**k up to k ~ 10**6 would need tens of gigabytes; terms
     are computed on demand instead.  Monotonicity holds analytically for
-    base >= 2, so no elementwise validation is run.
+    base >= 2, so no elementwise validation is run.  For a power-of-two base
+    a term is one shift, (1 << k * log2(base)) + offset, instead of ``pow``.
     """
 
-    __slots__ = ("_base", "_offset", "_n")
+    __slots__ = ("_base", "_offset", "_n", "_shift")
 
     def __init__(self, base: int, offset: int, n: int):
         self._base = base
         self._offset = offset
         self._n = n
+        # log2(base) for a power of two, else 0 (no shift path)
+        self._shift = base.bit_length() - 1 if base & (base - 1) == 0 else 0
 
     def __len__(self) -> int:
         return self._n
@@ -141,6 +144,8 @@ class _PowerTerms(Sequence):
             i += self._n
         if not 0 <= i < self._n:
             raise IndexError(i)
+        if self._shift:
+            return (1 << self._shift * (i + 1)) + self._offset
         return self._base ** (i + 1) + self._offset
 
     def __repr__(self) -> str:

@@ -2,8 +2,7 @@
 
 Frequencies are exact big integers, coefficients exact rationals; nothing
 here touches floating point except :func:`mixture_charfn`, which integrates
-the limiting characteristic function numerically (with a Bessel-series
-closed form as cross-check).
+the limiting characteristic function numerically.
 """
 
 from __future__ import annotations
@@ -115,13 +114,6 @@ class FrequencyMultiset:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def l2_mass(self) -> Fraction:
-        """Integral of the square over one period: sum (c^2 + s^2) / 2."""
-        total = Fraction(0)
-        for c, s in self.entries.values():
-            total += (c * c + s * s) / 2
-        return total
-
     def to_json_dict(self) -> dict:
         return {
             str(f): {"cos": str(c), "sin": str(s)}
@@ -129,13 +121,47 @@ class FrequencyMultiset:
         }
 
 
-def _merge_add(acc: dict[int, list[Fraction]], freq: int, c: Fraction, s: Fraction):
-    entry = acc.get(freq)
+# Exact merges run on plain ints: coefficients are scaled by the lcm L of
+# their denominators (by 2 L^2 for a squared expansion) and divided once at
+# the end, which gives the same canonical Fractions.  Frequencies are keyed
+# by (f.bit_length(), f): an int hashes as its value mod 2**61 - 1, so
+# frequencies j * (2**k +- 1) alone would collide with period 61 in k.
+
+def _scaled_terms(poly: TrigPolynomial) -> tuple[int, list[tuple[int, int, int]]]:
+    """(L, [(j, L * cos coefficient, L * sin coefficient)]), L the lcm of the denominators."""
+    terms = poly.terms()
+    scale = math.lcm(*(x.denominator for _, a, b in terms for x in (a, b)))
+    return scale, [(j, int(a * scale), int(b * scale)) for j, a, b in terms]
+
+
+def _merge_add(acc: dict[tuple[int, int], list[int]], freq: int, c: int, s: int):
+    key = (freq.bit_length(), freq)
+    entry = acc.get(key)
     if entry is None:
-        acc[freq] = [c, s]
+        acc[key] = [c, s]
     else:
         entry[0] += c
         entry[1] += s
+
+
+def _expand_scaled(
+    poly: TrigPolynomial,
+    seq: IntegerSequence,
+    perm: PermutationWindow,
+    count: int,
+) -> tuple[int, dict[tuple[int, int], list[int]]]:
+    """(L, merged L-scaled coefficients of the frequencies j * n_sigma(k), k <= count)."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if count > len(perm):
+        raise ValueError(f"window {count} exceeds permutation length {len(perm)}")
+    scale, terms = _scaled_terms(poly)
+    acc: dict[tuple[int, int], list[int]] = {}
+    for image in perm.images[:count]:
+        nu = seq.term(image)
+        for j, a, b in terms:
+            _merge_add(acc, j * nu, a, b)
+    return scale, acc
 
 
 def expand_frequencies(
@@ -145,17 +171,9 @@ def expand_frequencies(
     count: int,
 ) -> FrequencyMultiset:
     """Multiset of frequencies j * n_sigma(k), coefficients merged exactly."""
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if count > len(perm):
-        raise ValueError(f"window {count} exceeds permutation length {len(perm)}")
-    acc: dict[int, list[Fraction]] = {}
-    terms = poly.terms()
-    for slot in range(1, count + 1):
-        nu = seq.term(perm.apply(slot))
-        for j, a, b in terms:
-            _merge_add(acc, j * nu, a, b)
-    return FrequencyMultiset({f: (c, s) for f, (c, s) in acc.items()})
+    scale, acc = _expand_scaled(poly, seq, perm, count)
+    return FrequencyMultiset({f: (Fraction(c, scale), Fraction(s, scale))
+                              for (_, f), (c, s) in acc.items()})
 
 
 def exact_variance(
@@ -166,11 +184,14 @@ def exact_variance(
 ) -> Fraction:
     """(1/N) * integral of (sum_{k<=N} f(n_sigma(k) x))^2 dx, exact rational.
 
-    Orthogonality reduces the integral to the merged multiset's L2 mass.
+    Orthogonality reduces the integral to the merged multiset's L2 mass,
+    summed here on the scaled ints without building the multiset (whose
+    plain-int frequency keys collide on 2**k).
     """
     if count < 1:
         raise ValueError("count must be positive")
-    return expand_frequencies(poly, seq, perm, count).l2_mass() / count
+    scale, acc = _expand_scaled(poly, seq, perm, count)
+    return Fraction(sum(c * c + s * s for c, s in acc.values()), 2 * scale * scale * count)
 
 
 def l2_norm_sq(poly: TrigPolynomial) -> Fraction:
@@ -246,9 +267,6 @@ class MixtureProfile:
         xs = (np.arange(grid) + 0.5) / grid
         return float(self.values(xs).min())
 
-    def mean(self) -> Fraction:
-        return self.constant
-
     def to_json_dict(self) -> dict:
         return {
             "constant": str(self.constant),
@@ -271,21 +289,22 @@ class MixtureProfile:
         )
 
 
-def _square_expand(terms: list[tuple[int, Fraction, Fraction]],
-                   constant: list[Fraction],
-                   acc: dict[int, list[Fraction]]) -> None:
-    """Accumulate the exact expansion of (sum_i c_i cos F_i + s_i sin F_i)^2.
+def _square_expand(terms: list[tuple[int, int, int]],
+                   constant: list[int],
+                   acc: dict[tuple[int, int], list[int]]) -> None:
+    """Accumulate 2 L^2 times the exact expansion of (sum_i c_i cos F_i + s_i sin F_i)^2.
 
-    Product-to-sum identities; cos picks up the sign |F_i - F_j| freely,
-    sin flips with it.  Zero frequencies fold into the constant.
+    ``terms`` holds (F_i, L c_i, L s_i) as ints.  Product-to-sum identities;
+    cos picks up the sign |F_i - F_j| freely, sin flips with it.  Zero
+    frequencies fold into the constant.
     """
     n = len(terms)
     for i in range(n):
         fi, ci, si = terms[i]
         # squares: cos^2 = 1/2 + cos(2F)/2, sin^2 = 1/2 - cos(2F)/2,
         # 2 sin cos = sin(2F)
-        constant[0] += (ci * ci + si * si) / 2
-        _merge_add(acc, 2 * fi, (ci * ci - si * si) / 2, ci * si)
+        constant[0] += ci * ci + si * si
+        _merge_add(acc, 2 * fi, ci * ci - si * si, 2 * ci * si)
         for j in range(i + 1, n):
             fj, cj, sj = terms[j]
             fsum = fi + fj
@@ -294,10 +313,10 @@ def _square_expand(terms: list[tuple[int, Fraction, Fraction]],
             # 2 sin A sin B = cos(A-B) - cos(A+B)
             # 2 sin A cos B = sin(A+B) + sin(A-B)   (A = F_i, B = F_j)
             # 2 cos A sin B = sin(A+B) - sin(A-B)
-            cc = ci * cj
-            ss = si * sj
-            sc = si * cj  # sin A cos B
-            cs = ci * sj  # cos A sin B
+            cc = 2 * ci * cj
+            ss = 2 * si * sj
+            sc = 2 * si * cj  # sin A cos B
+            cs = 2 * ci * sj  # cos A sin B
             _merge_add(acc, fsum, cc - ss, sc + cs)
             diff_cos = cc + ss
             diff_sin = sc - cs
@@ -338,36 +357,39 @@ def mixture_profile(
             stacklevel=2,
         )
 
-    constant = [Fraction(0)]
-    acc: dict[int, list[Fraction]] = {}
-    base_terms = poly.terms()
+    scale, base_terms = _scaled_terms(poly)
+    constant = [0]
+    acc: dict[tuple[int, int], list[int]] = {}
     for u, v in pairs:
         nu, nv = seq.term(u), seq.term(v)
         pair_terms = [(j * nu, a, b) for j, a, b in base_terms]
         pair_terms += [(j * nv, a, b) for j, a, b in base_terms]
         _square_expand(pair_terms, constant, acc)
 
+    # every accumulated value is 2 L^2 times the true coefficient
     slots = 2 * len(pairs)
+    denom = 2 * scale * scale * slots
     low_cos: dict[int, Fraction] = {}
     low_sin: dict[int, Fraction] = {}
-    residual = Fraction(0)
+    residual = 0
     residual_count = 0
-    for f, (c, s) in acc.items():
+    for (_, f), (c, s) in acc.items():
         if not c and not s:
             continue
         if f <= freq_cutoff:
             if c:
-                low_cos[f] = c / slots
+                low_cos[f] = Fraction(c, denom)
             if s:
-                low_sin[f] = s / slots
+                low_sin[f] = Fraction(s, denom)
         else:
-            residual += (c * c + s * s) / 2
+            residual += c * c + s * s
             residual_count += 1
     return MixtureProfile(
-        constant=constant[0] / slots,
+        constant=Fraction(constant[0], denom),
         cosine_terms=low_cos,
         sine_terms=low_sin,
-        residual_mass=residual / (slots * slots),
+        # sum (c^2 + s^2) / 2 over the true coefficients, divided by slots^2
+        residual_mass=Fraction(residual, 2 * denom * denom),
         residual_count=residual_count,
         freq_cutoff=freq_cutoff,
     )
@@ -376,32 +398,6 @@ def mixture_profile(
 # ----------------------------------------------------------------------
 # Mixture characteristic function
 # ----------------------------------------------------------------------
-
-def bessel_i0(z: float) -> float:
-    """Modified Bessel I0 by its power series; converges for all real z."""
-    term = 1.0
-    total = 1.0
-    m = 0
-    zz = z * z / 4.0
-    while True:
-        m += 1
-        term *= zz / (m * m)
-        total += term
-        if term < 1e-18 * total:
-            return total
-
-
-def mixture_charfn_closed_form(profile: MixtureProfile, s: float) -> float:
-    """e^{-s^2 gamma^2 / 2} * I0(beta s^2 / 2) for v = gamma^2 + beta cos(2 pi c x).
-
-    Only valid when the profile has exactly one cosine term and no sine part.
-    """
-    if len(profile.cosine_terms) != 1 or profile.sine_terms:
-        raise ValueError("closed form needs a single-cosine profile")
-    beta = float(next(iter(profile.cosine_terms.values())))
-    gamma_sq = float(profile.constant)
-    return math.exp(-s * s * gamma_sq / 2.0) * bessel_i0(abs(beta) * s * s / 2.0)
-
 
 def mixture_charfn(profile: MixtureProfile, s: float, quad_tol: float = 1e-10) -> float:
     """phi(s) = integral_0^1 exp(-s^2 v(t) / 2) dt by adaptive quadrature."""

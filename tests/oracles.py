@@ -2,9 +2,12 @@
 
 These deliberately avoid the library's hash-based counting: two-term counts
 go through sort-and-run-length, multi-term counts through exhaustive tuple
-enumeration.
+enumeration.  The spectral oracles merge ``Fraction`` coefficients under
+plain frequency keys, term by term, where the library merges scaled ints.
 """
 
+import math
+from fractions import Fraction
 from itertools import combinations, product
 
 
@@ -77,3 +80,98 @@ def brute_multi_term(terms, p, bound):
             if s == 0:
                 total += 1
     return total
+
+
+def _merge_add(acc, freq, c, s):
+    entry = acc.get(freq)
+    if entry is None:
+        acc[freq] = [c, s]
+    else:
+        entry[0] += c
+        entry[1] += s
+
+
+def brute_expand(poly, seq, perm, count):
+    """Frequency -> (cos, sin) Fractions of sum_{k<=count} f(n_sigma(k) x), zeros dropped."""
+    acc = {}
+    for slot in range(1, count + 1):
+        nu = seq.term(perm.images[slot - 1])
+        for j, a, b in poly.terms():
+            _merge_add(acc, j * nu, a, b)
+    return {f: (c, s) for f, (c, s) in acc.items() if c or s}
+
+
+def _square_expand(terms, constant, acc):
+    """Accumulate the exact expansion of (sum_i c_i cos F_i + s_i sin F_i)^2."""
+    n = len(terms)
+    for i in range(n):
+        fi, ci, si = terms[i]
+        constant[0] += (ci * ci + si * si) / 2
+        _merge_add(acc, 2 * fi, (ci * ci - si * si) / 2, ci * si)
+        for j in range(i + 1, n):
+            fj, cj, sj = terms[j]
+            cc, ss, sc, cs = ci * cj, si * sj, si * cj, ci * sj
+            _merge_add(acc, fi + fj, cc - ss, sc + cs)
+            fdiff = fi - fj
+            if fdiff == 0:
+                constant[0] += cc + ss
+            elif fdiff > 0:
+                _merge_add(acc, fdiff, cc + ss, sc - cs)
+            else:
+                _merge_add(acc, -fdiff, cc + ss, cs - sc)
+
+
+def brute_mixture_profile(poly, seq, cert, freq_cutoff=None):
+    """Every exact field of ``mixture_profile``, expanded pair by pair in Fractions.
+
+    The dicts keep the order in which each frequency was first reached.
+    """
+    if freq_cutoff is None:
+        freq_cutoff = max(abs(c) for c in cert.constants())
+    constant = [Fraction(0)]
+    acc = {}
+    for u, v in cert.all_pairs:
+        terms = [(j * seq.term(w), a, b) for w in (u, v) for j, a, b in poly.terms()]
+        _square_expand(terms, constant, acc)
+    slots = 2 * len(cert.all_pairs)
+    low_cos, low_sin, residual, residual_count = {}, {}, Fraction(0), 0
+    for f, (c, s) in acc.items():
+        if not c and not s:
+            continue
+        if f <= freq_cutoff:
+            if c:
+                low_cos[f] = c / slots
+            if s:
+                low_sin[f] = s / slots
+        else:
+            residual += (c * c + s * s) / 2
+            residual_count += 1
+    return {"constant": constant[0] / slots, "cosine_terms": low_cos,
+            "sine_terms": low_sin, "residual_mass": residual / (slots * slots),
+            "residual_count": residual_count}
+
+
+def bessel_i0(z):
+    """Modified Bessel I0 by its power series; converges for all real z."""
+    term = 1.0
+    total = 1.0
+    m = 0
+    zz = z * z / 4.0
+    while True:
+        m += 1
+        term *= zz / (m * m)
+        total += term
+        if term < 1e-18 * total:
+            return total
+
+
+def mixture_charfn_closed_form(profile, s):
+    """e^{-s^2 gamma^2 / 2} * I0(beta s^2 / 2) for v = gamma^2 + beta cos(2 pi c x).
+
+    Only valid when the profile has exactly one cosine term and no sine part.
+    """
+    if len(profile.cosine_terms) != 1 or profile.sine_terms:
+        raise ValueError("closed form needs a single-cosine profile")
+    beta = float(next(iter(profile.cosine_terms.values())))
+    gamma_sq = float(profile.constant)
+    return math.exp(-s * s * gamma_sq / 2.0) * bessel_i0(abs(beta) * s * s / 2.0)

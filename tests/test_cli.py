@@ -174,6 +174,31 @@ def test_verify_missing_input_is_io_error(tmp_path):
     assert run(["verify", "--manifest", dio_dir / "run.json"]) == EXIT_IO
 
 
+def test_tour_with_relative_paths_verifies_from_any_cwd(tmp_path, monkeypatch):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert run(["seq", "--kind", "power", "--base", "2", "--offset", "-1",
+                "--count", "80", "--out-dir", "s"]) == EXIT_OK
+    assert run(["perm", "--pairing", "1", "2", "--seq", "s/sequence.txt",
+                "--blocks", "geometric:2:4:4", "--gap-ratio", "8",
+                "--out-dir", "p"]) == EXIT_OK
+    assert run(["mix", "--f", "cos:1,cos:2", "--seq", "s/sequence.txt",
+                "--perm", "p/permutation.txt", "--cert", "p/certificate.json",
+                "--charfn", "1", "--out-dir", "m"]) == EXIT_OK
+    payload = json.loads((work / "m" / "mixture.json").read_text())
+    # 10 pairs on c = 1; the first, (1, 2), also hits frequency 1 through
+    # n_2 - n_1 = 2: beta = (2 + 9) / 20
+    assert payload["profile"]["cosine_terms"] == {"1": "11/20"}
+    assert payload["profile"]["constant"] == "1"
+    assert set(payload["charfn"]) == {"1.0"}
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    for step in ("s", "p", "m"):
+        assert run(["verify", "--manifest", work / step / "run.json"]) == EXIT_OK
+
+
 def test_verify_monte_carlo_replay(tmp_path):
     assert run(["clt", "--f", "cos:1", "--seq", "pow2", "--count", "32",
                 "--samples", "50", "--seed", "9", "--out-dir", tmp_path]) == EXIT_OK

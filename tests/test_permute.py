@@ -1,9 +1,11 @@
+import hashlib
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from lacunaria.errors import InsufficientWitnesses
+from lacunaria.errors import InsufficientWitnesses, SpacingUnsatisfiable
 from lacunaria.permute import (
     BlockPairing,
     BlockSchedule,
@@ -19,7 +21,7 @@ from lacunaria.permute import (
     write_certificate,
     write_permutation,
 )
-from lacunaria.seqgen import External, IntegerSequence, gen_power
+from lacunaria.seqgen import External, IntegerSequence, gen_power, gen_smooth
 
 
 # ---------------- basic windows ----------------
@@ -183,6 +185,72 @@ def test_certificate_file_roundtrip(tmp_path):
     assert back.all_pairs == cert.all_pairs
 
 
+# SHA-256 of the comma-joined images and of the sorted-key certificate JSON,
+# recorded on the pow-based pairing code before the integer-keyed version replaced it.
+PINNED_PAIRINGS = [
+    ("pow2m1:2000, 4 blocks, gap 8",
+     lambda: build_pairing_counterexample(
+         gen_power(2, -1, 2000), 1, 2,
+         BlockSchedule.geometric_dominant(4, factor=4, base_len=4), gap_ratio=8),
+     678, [1, 1, 1, 1],
+     "6116c825736ebd09a053358b74ac11b300a4b2754908fac735de8c95c88c5ff7",
+     "893b47733dd31742d0a7e7f92fef5e4c47374648ae0abb2c6ebf617136e43b5f"),
+    ("pow2:200, c = 0 allowed",
+     lambda: build_pairing_counterexample(
+         gen_power(2, 0, 200), 1, 2,
+         BlockSchedule.geometric_dominant(2, factor=4, base_len=4), allow_zero_c=True),
+     29, [0, 0],
+     "d024aaa4e2dc1aad84541d797c86620922a9c832f64d7a0497be7a07f72e72ba",
+     "803e46479c5e968635f464b0a1fb266870aace82b0fdc67c723f737ae95fd8dd"),
+    ("3*2^k - 1 as a plain list (gap profile path)",
+     lambda: build_pairing_counterexample(
+         IntegerSequence([3 * 2**k - 1 for k in range(1, 121)], External("3*2^k-1")), 1, 2,
+         BlockSchedule.geometric_dominant(2, factor=4, base_len=4), gap_ratio=8),
+     38, [1, 1],
+     "8866de75cfb67e56c6850578e439f5a01b06a527561f8b887a836c00fdc195ed",
+     "866a1c92706f9d987a1ce89085b95172e417832e85cad6d8445e9c78874965bc"),
+    ("smooth 2,3: c = 1 via (1, 3) wins over c = -1 via (2, 3)",
+     lambda: build_pairing_counterexample(
+         gen_smooth({2, 3}, 300), 1, 2, BlockSchedule([2], "geometric")),
+     3, [1],
+     "71f1f3cb483cd6f5ca0ab792084ea71eba3416947c5a687cb3167d6b61af25c7",
+     "4fa4919270bbdffc7a43f94d83cb2ec8dfce7f2697e0b232a2f5c050f5476ebe"),
+]
+
+
+@pytest.mark.parametrize("build,window,constants,images_sha,cert_sha",
+                         [case[1:] for case in PINNED_PAIRINGS],
+                         ids=[case[0] for case in PINNED_PAIRINGS])
+def test_pairing_output_pinned(build, window, constants, images_sha, cert_sha):
+    perm, cert = build()
+    assert len(perm) == window
+    assert cert.constants() == constants
+    images = ",".join(map(str, perm.images)).encode()
+    assert hashlib.sha256(images).hexdigest() == images_sha
+    text = json.dumps(cert.to_json_dict(), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == cert_sha
+
+
+def test_pairing_error_messages_pinned():
+    with pytest.raises(InsufficientWitnesses) as err:
+        build_pairing_counterexample(gen_smooth({2, 3}, 300), 1, 2,
+                                     BlockSchedule([2, 8], "geometric"))
+    assert str(err.value) == ("block 2 needs 4 disjoint spaced pairs; "
+                              "best candidate c=104 supplies only 2")
+    with pytest.raises(InsufficientWitnesses) as err:
+        build_pairing_counterexample(gen_power(2, 0, 40), 1, 2, BlockSchedule([4], "geometric"))
+    assert str(err.value) == ("block 1 needs 2 disjoint spaced pairs; "
+                              "best candidate c=4 supplies only 1")
+    with pytest.raises(InsufficientWitnesses) as err:
+        build_pairing_counterexample(gen_power(2, 0, 1), 1, 2, BlockSchedule([2], "geometric"))
+    assert str(err.value) == "no witness pairs for a=1, b=2 (excluding c = 0)"
+    with pytest.raises(SpacingUnsatisfiable) as err:
+        build_pairing_counterexample(gen_power(2, -1, 8), 1, 2,
+                                     BlockSchedule([2, 2], "paper"), gap_ratio=1000)
+    assert str(err.value) == ("block 2: witnesses exist but none clears "
+                              "the spacing ratio 1000")
+
+
 # ---------------- verification catches mutations ----------------
 
 def build_small():
@@ -222,6 +290,20 @@ def test_verify_detects_reused_index():
     perm = PermutationWindow([1, 2] + list(range(3, 65)))
     ok, problem = verify_certificate(perm, seq, cert)
     assert not ok
+
+
+def test_verify_reports_spacing_after_relation_errors():
+    seq = gen_power(2, -1, 64)
+    # n_3 = 7 < 4 * n_2 = 12
+    close = PairingCertificate(a=1, b=2, gap_ratio=Fraction(4),
+                               blocks=[BlockPairing(c=1, pairs=[(1, 2), (3, 4)])])
+    assert verify_certificate(identity(64), seq, close) == (
+        False, "spacing violated between pairs (1, 2) and (3, 4)")
+    # the same spacing fault plus a later wrong relation: the relation is reported
+    broken = PairingCertificate(a=1, b=2, gap_ratio=Fraction(4),
+                                blocks=[BlockPairing(c=1, pairs=[(1, 2), (3, 4), (5, 7)])])
+    perm = PermutationWindow([1, 2, 3, 4, 5, 7, 6] + list(range(8, 65)))
+    assert verify_certificate(perm, seq, broken) == (False, "block 1: a*n_7 - b*n_5 != 1")
 
 
 def test_a_equals_b_flagged_experimental():

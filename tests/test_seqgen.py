@@ -17,6 +17,7 @@ from lacunaria.seqgen import (
     read_sequence,
     rstar_interval,
     write_sequence,
+    _PowerTerms,
 )
 
 
@@ -68,6 +69,25 @@ def test_power_is_lazy_for_huge_counts():
     assert len(seq) == 1 << 20
     assert seq.term(20) == 1 << 20
     assert seq.max_term == 1 << (1 << 20)
+
+
+@pytest.mark.parametrize("base", [2, 3, 4, 8])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_power_terms_match_pow(base, offset):
+    n = 70
+    terms = _PowerTerms(base, offset, n)
+    # powers of two take the shift path, every other base stays on pow
+    assert (terms._shift != 0) == (base in (2, 4, 8))
+    for k in (1, 63, 64, 65, n):
+        assert terms[k - 1] == base**k + offset
+    assert terms[-1] == base**n + offset
+    assert terms[-n] == base + offset
+    assert terms[60:67] == [base**k + offset for k in range(61, 68)]
+    assert terms[-3:] == [base**k + offset for k in range(n - 2, n + 1)]
+    assert terms[::-23] == [base**k + offset for k in range(n, 0, -23)]
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            terms[bad]
 
 
 def test_power_rejects_bad_args():

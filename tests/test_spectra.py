@@ -9,22 +9,28 @@ from lacunaria.permute import (
     BlockPairing,
     BlockSchedule,
     PairingCertificate,
+    PermutationWindow,
     build_pairing_counterexample,
     identity,
     random_perm,
+    verify_certificate,
 )
-from lacunaria.seqgen import External, IntegerSequence, gen_power
+from lacunaria.seqgen import External, IntegerSequence, gen_geometric, gen_power, gen_smooth
 from lacunaria.spectra import (
     MixtureProfile,
     TrigPolynomial,
-    bessel_i0,
     exact_variance,
     expand_frequencies,
     kac_variance,
     l2_norm_sq,
     mixture_charfn,
-    mixture_charfn_closed_form,
     mixture_profile,
+)
+from oracles import (
+    bessel_i0,
+    brute_expand,
+    brute_mixture_profile,
+    mixture_charfn_closed_form,
 )
 
 COS1 = TrigPolynomial(cos_coeffs={1: 1})
@@ -137,6 +143,67 @@ def test_variance_crude_bound():
     var = exact_variance(poly, seq, identity(30), 30)
     coeff_mass = sum(abs(a) + abs(b) for _, a, b in poly.terms())
     assert var <= coeff_mass**2 * 30  # max multiplicity <= window
+
+
+# ---------------- scaled-integer merges against the Fraction oracle ----------------
+
+RATIONAL = TrigPolynomial.parse("cos:1=2/3,sin:2=-5/7,cos:3=1/5")
+ORACLE_SEQUENCES = [
+    ("pow2m1", gen_power(2, -1, 120)),
+    ("geometric 3/2", gen_geometric("3/2", 2, 120)),
+    ("smooth 2,3", gen_smooth({2, 3}, 120)),
+]
+
+
+def spaced_certificate(seq, a=1, b=2, gap=4):
+    """One block per adjacent pair (u, u + 1), each u the first index past
+    the previous pair whose term clears gap * (previous n_v)."""
+    blocks, u, last = [], 1, None
+    while u < len(seq):
+        if last is None or seq.term(u) >= gap * last:
+            c = a * seq.term(u + 1) - b * seq.term(u)
+            blocks.append(BlockPairing(c=c, pairs=[(u, u + 1)]))
+            last = seq.term(u + 1)
+            u += 2
+        else:
+            u += 1
+    cert = PairingCertificate(a=a, b=b, gap_ratio=Fraction(gap), blocks=blocks)
+    certified = [i for uv in cert.all_pairs for i in uv]
+    placed = set(certified)
+    rest = [i for i in range(1, len(seq) + 1) if i not in placed]
+    perm = PermutationWindow(certified + rest)
+    assert verify_certificate(perm, seq, cert) == (True, None)
+    return perm, cert
+
+
+@pytest.mark.parametrize("name,seq", ORACLE_SEQUENCES, ids=[n for n, _ in ORACLE_SEQUENCES])
+def test_expand_and_variance_match_fraction_oracle(name, seq):
+    for poly in (RATIONAL, COS12):
+        for perm in (identity(len(seq)), random_perm(len(seq), 3)):
+            for count in (0, 1, 37, len(seq)):
+                want = brute_expand(poly, seq, perm, count)
+                got = expand_frequencies(poly, seq, perm, count).entries
+                assert got == want
+                assert list(got) == list(want)
+                if count:
+                    mass = sum((c * c + s * s) / 2 for c, s in want.values())
+                    assert exact_variance(poly, seq, perm, count) == mass / count
+
+
+@pytest.mark.parametrize("name,seq", ORACLE_SEQUENCES, ids=[n for n, _ in ORACLE_SEQUENCES])
+def test_mixture_profile_matches_fraction_oracle(name, seq):
+    perm, cert = spaced_certificate(seq)
+    assert len(cert.blocks) >= 3
+    for poly in (RATIONAL, COS12):
+        for cutoff in (None, 7, 10**6):
+            got = mixture_profile(poly, seq, perm, cert, freq_cutoff=cutoff)
+            want = brute_mixture_profile(poly, seq, cert, freq_cutoff=cutoff)
+            assert got.constant == want["constant"]
+            assert list(got.cosine_terms.items()) == list(want["cosine_terms"].items())
+            assert list(got.sine_terms.items()) == list(want["sine_terms"].items())
+            assert got.residual_mass == want["residual_mass"]
+            assert got.residual_count == want["residual_count"]
+    assert mixture_profile(RATIONAL, seq, perm, cert).sine_terms
 
 
 # ---------------- Kac variance ----------------
