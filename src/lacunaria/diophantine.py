@@ -87,8 +87,6 @@ class MultiTermQuery:
     p: int
     coeff_bound: int
     count: int
-    signed_only: bool = False
-    nondegenerate_only: bool = False
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
@@ -130,8 +128,12 @@ def count_two_term(seq: IntegerSequence, query: TwoTermQuery) -> tuple[int, list
     return len(witnesses), witnesses
 
 
+def _nonzero_coefficients(bound: int) -> list[int]:
+    return [v for v in range(-bound, bound + 1) if v != 0]
+
+
 def _coefficient_pairs(bound: int) -> list[tuple[int, int]]:
-    rng = [v for v in range(-bound, bound + 1) if v != 0]
+    rng = _nonzero_coefficients(bound)
     return [(a, b) for a in rng for b in rng]
 
 
@@ -306,12 +308,6 @@ def aibe_ratio(seq: IntegerSequence, a: int, b: int, count: int) -> list[tuple[i
 # Multi-term counting (meet in the middle)
 # ----------------------------------------------------------------------
 
-def _coeff_values(bound: int, signed_only: bool) -> list[int]:
-    if signed_only:
-        return [-1, 1]
-    return [v for v in range(-bound, bound + 1) if v != 0]
-
-
 def _estimate_entries(n: int, p: int, n_coeffs: int) -> int:
     h = (p + 1) // 2
     return comb(n, h) * n_coeffs**h + comb(n, p - h) * n_coeffs**(p - h)
@@ -333,23 +329,19 @@ def count_multi_term(
 ) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Exact number of solutions of sum_i a_i n_{k_i} = 0, k_1 < ... < k_p <= N.
 
-    Coefficients range over 0 < |a_i| <= coeff_bound (or {-1, +1} when
-    signed_only).  The left half's partial sums are hashed keyed by sum and
-    last index; the right half probes with its negated sums, respecting the
-    k_h < k_{h+1} interleave.  Witnesses are (1-based indices, coefficients),
-    at most ``witness_cap`` of them; the count itself is always exact.
-
-    ``nondegenerate_only`` filters solutions with a vanishing proper subsum,
-    which forces full enumeration instead of hashed counting (same budget).
+    Coefficients range over 0 < |a_i| <= coeff_bound.  The left half's
+    partial sums are hashed keyed by sum and last index; the right half
+    probes with its negated sums, respecting the k_h < k_{h+1} interleave.
+    Witnesses are (1-based indices, coefficients), at most ``witness_cap`` of
+    them; the count itself is always exact.  Nondegenerate signed solutions
+    are counted by :func:`count_signed_nondegenerate`.
     """
     n = query.count
     if n > len(seq):
         raise ValueError(f"prefix {n} exceeds sequence length {len(seq)}")
     if query.p > n:
         return 0, []
-    coeffs = _coeff_values(query.coeff_bound, query.signed_only)
-    if query.nondegenerate_only:
-        return _count_multi_enumerated(seq, query, coeffs, witness_cap)
+    coeffs = _nonzero_coefficients(query.coeff_bound)
     estimated = _estimate_entries(n, query.p, len(coeffs))
     if estimated > query.budget:
         raise WorkBudgetExceeded(estimated, query.budget)
@@ -386,29 +378,6 @@ def count_multi_term(
                         witnesses.append(
                             (tuple(i + 1 for i in lidx + idx), lcs + cs)
                         )
-    return total, witnesses
-
-
-def _count_multi_enumerated(seq, query, coeffs, witness_cap):
-    n = query.count
-    estimated = comb(n, query.p) * len(coeffs) ** query.p
-    if estimated > query.budget:
-        raise WorkBudgetExceeded(estimated, query.budget)
-    terms = seq.prefix(n)
-    total = 0
-    witnesses = []
-    vectors = list(product(coeffs, repeat=query.p))
-    for idx in combinations(range(n), query.p):
-        vals = [terms[i] for i in idx]
-        for cs in vectors:
-            contributions = [c * v for c, v in zip(cs, vals)]
-            if sum(contributions) != 0:
-                continue
-            if _proper_subsum_zero(contributions):
-                continue
-            total += 1
-            if len(witnesses) < witness_cap:
-                witnesses.append((tuple(i + 1 for i in idx), cs))
     return total, witnesses
 
 

@@ -42,11 +42,6 @@ def required_bits(max_term: int, max_freq: int) -> int:
     return (raw + 63) // 64 * 64
 
 
-def frac_numerator(n: int, mantissa: int, bits: int) -> int:
-    """Exact numerator of {n * x} on the grid: n * mantissa mod 2^bits."""
-    return (n * mantissa) & ((1 << bits) - 1)
-
-
 def _window64(words: np.ndarray, w: np.ndarray, r: np.ndarray,
               rc: np.ndarray) -> np.ndarray:
     """64-bit windows of a big-endian word array at bit offsets t = 64 w + r.

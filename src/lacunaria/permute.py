@@ -42,25 +42,6 @@ class PermutationWindow:
     def __len__(self) -> int:
         return len(self.images)
 
-    def apply(self, k: int) -> int:
-        """sigma(k), 1-based."""
-        if not 1 <= k <= len(self.images):
-            raise IndexError(f"slot {k} outside 1..{len(self.images)}")
-        return self.images[k - 1]
-
-    def cycle_count(self) -> int:
-        seen = [False] * len(self.images)
-        cycles = 0
-        for start in range(len(self.images)):
-            if seen[start]:
-                continue
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = self.images[j] - 1
-        return cycles
-
 
 def identity(n: int) -> PermutationWindow:
     if n < 1:
@@ -78,13 +59,6 @@ def random_perm(n: int, seed: int) -> PermutationWindow:
         j = rng.below(i, i + 1)
         images[i], images[j] = images[j], images[i]
     return PermutationWindow(images)
-
-
-def compose(outer: PermutationWindow, inner: PermutationWindow) -> PermutationWindow:
-    """(outer o inner)(k) = outer(inner(k))."""
-    if len(outer) != len(inner):
-        raise ValueError("window lengths differ")
-    return PermutationWindow([outer.apply(inner.apply(k)) for k in range(1, len(inner) + 1)])
 
 
 def write_permutation(perm: PermutationWindow, path) -> None:

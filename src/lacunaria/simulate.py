@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import MantissaWidthError
-from .mod1 import FracTopEngine, frac_numerator, required_bits
+from .mod1 import FracTopEngine, required_bits
 from .permute import PermutationWindow
 from .rng import CounterRng
 from .seqgen import IntegerSequence
@@ -62,11 +62,6 @@ def sample_points(bits: int, count: int, seed: int) -> list[FixedPointSample]:
         raise ValueError("count must be positive")
     rng = CounterRng(seed, "x")
     return [FixedPointSample(rng.bits(i, bits), bits) for i in range(count)]
-
-
-def frac_part(n: int, x: FixedPointSample) -> FixedPointSample:
-    """{n * x} exactly on the grid."""
-    return FixedPointSample(frac_numerator(n, x.mantissa, x.bits), x.bits)
 
 
 # ----------------------------------------------------------------------

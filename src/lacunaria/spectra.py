@@ -55,13 +55,6 @@ class TrigPolynomial:
         return [(j, self.cos_coeffs.get(j, zero), self.sin_coeffs.get(j, zero))
                 for j in js]
 
-    def evaluate(self, x: float) -> float:
-        total = 0.0
-        for j, a, b in self.terms():
-            ang = 2.0 * math.pi * j * x
-            total += float(a) * math.cos(ang) + float(b) * math.sin(ang)
-        return total
-
     @classmethod
     def parse(cls, spec: str) -> "TrigPolynomial":
         """Mini-grammar: comma-separated ``cos:j[=p/q]`` / ``sin:j[=p/q]`` terms.
@@ -155,9 +148,12 @@ def _expand_scaled(
         raise ValueError("count must be nonnegative")
     if count > len(perm):
         raise ValueError(f"window {count} exceeds permutation length {len(perm)}")
+    images = perm.images[:count]
+    if max(images, default=0) > len(seq):
+        raise ValueError("permutation window exceeds sequence length")
     scale, terms = _scaled_terms(poly)
     acc: dict[tuple[int, int], list[int]] = {}
-    for image in perm.images[:count]:
+    for image in images:
         nu = seq.term(image)
         for j, a, b in terms:
             _merge_add(acc, j * nu, a, b)

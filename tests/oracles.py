@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's hash-based counting: two-term counts
 go through sort-and-run-length, multi-term counts through exhaustive tuple
-enumeration.  The spectral oracles merge ``Fraction`` coefficients under
+enumeration, signed nondegenerate solutions with a subset-by-subset
+degeneracy check.  The spectral oracles merge ``Fraction`` coefficients under
 plain frequency keys, term by term, where the library merges scaled ints.
 """
 
@@ -80,6 +81,40 @@ def brute_multi_term(terms, p, bound):
             if s == 0:
                 total += 1
     return total
+
+
+def brute_signed_nondegenerate(terms, p):
+    """Ordered solutions ((k_1..k_p), signs) of +-n_{k_1} ... +-n_{k_p} = 0, s_1 = +1.
+
+    A solution counts when no proper nonempty subset of its signed terms
+    sums to 0; every subset is formed explicitly by its size.
+    """
+    out = []
+    for idx in combinations(range(len(terms)), p):
+        for tail in product((1, -1), repeat=p - 1):
+            signs = (1,) + tail
+            signed = [s * terms[i] for s, i in zip(signs, idx)]
+            if sum(signed) != 0:
+                continue
+            if any(sum(sub) == 0 for r in range(1, p) for sub in combinations(signed, r)):
+                continue
+            out.append((tuple(i + 1 for i in idx), signs))
+    return out
+
+
+def cycle_count(perm):
+    """Number of cycles of a PermutationWindow."""
+    seen = [False] * len(perm.images)
+    cycles = 0
+    for start in range(len(perm.images)):
+        if seen[start]:
+            continue
+        cycles += 1
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm.images[j] - 1
+    return cycles
 
 
 def _merge_add(acc, freq, c, s):

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import lacunaria
 from lacunaria.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -119,6 +122,13 @@ def test_var_cli(tmp_path):
     assert payload["l2_norm_sq"] == "1"
 
 
+def test_var_window_beyond_sequence_exit(tmp_path):
+    # 20 slots of the identity window reach past the 10 terms of pow2:10
+    assert run(["var", "--f", "cos:1", "--seq", "pow2:10", "--count", "20",
+                "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert not (tmp_path / "variance.json").exists()
+
+
 # ---------------- clt command ----------------
 
 def test_clt_cli_small(tmp_path):
@@ -218,10 +228,15 @@ def test_verify_thread_count_invariance(tmp_path):
 # ---------------- true subprocess smoke ----------------
 
 def test_console_entry_point(tmp_path):
+    # the child imports the package this test imported, also when pytest put
+    # src/ on sys.path itself (pyproject `pythonpath`) rather than PYTHONPATH
+    src = str(Path(lacunaria.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "lacunaria", "seq", "--kind", "power",
          "--base", "2", "--offset", "0", "--count", "5",
          "--out-dir", str(tmp_path)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sequence.txt").exists()

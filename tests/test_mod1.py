@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lacunaria.mod1 import FracTopEngine, frac_numerator, required_bits
+from lacunaria.mod1 import FracTopEngine, required_bits
 from lacunaria.rng import CounterRng
 from lacunaria.seqgen import gen_geometric, gen_power
 
@@ -21,15 +21,6 @@ def reference_tops(terms, indices, freqs, bits, mantissa):
 def test_required_bits_guard():
     assert required_bits(2**100, 2) >= 102 + 64
     assert required_bits(2**100, 2) % 64 == 0
-
-
-def test_frac_numerator_matches_definition():
-    rng = CounterRng(5, "t")
-    for i in range(20):
-        bits = 128
-        m = rng.bits(i, bits)
-        n = rng.bits(1000 + i, 90)
-        assert frac_numerator(n, m, bits) == (n * m) % (1 << bits)
 
 
 @pytest.mark.parametrize("offset", [0, -1])

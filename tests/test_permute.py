@@ -12,7 +12,6 @@ from lacunaria.permute import (
     PairingCertificate,
     PermutationWindow,
     build_pairing_counterexample,
-    compose,
     identity,
     random_perm,
     read_certificate,
@@ -23,18 +22,14 @@ from lacunaria.permute import (
 )
 from lacunaria.seqgen import External, IntegerSequence, gen_power, gen_smooth
 
+from oracles import cycle_count
+
 
 # ---------------- basic windows ----------------
 
 def test_identity():
     assert identity(3).images == [1, 2, 3]
     assert identity(1).images == [1]
-
-
-def test_identity_law():
-    sigma = random_perm(17, 5)
-    assert compose(sigma, identity(17)).images == sigma.images
-    assert compose(identity(17), sigma).images == sigma.images
 
 
 def test_random_perm_deterministic():
@@ -60,7 +55,7 @@ def test_cycle_count_matches_harmonic_number():
     # mean number of cycles of a uniform permutation of N elements is H_N
     n = 52
     trials = 10000
-    total = sum(random_perm(n, seed).cycle_count() for seed in range(trials))
+    total = sum(cycle_count(random_perm(n, seed)) for seed in range(trials))
     mean = total / trials
     h_n = sum(1 / k for k in range(1, n + 1))
     # sd of cycle count ~ sqrt(H_n - H_n^(2)); 4 sigma band on the mean
@@ -123,7 +118,7 @@ def test_single_pair_block():
     sched = BlockSchedule([2], "geometric")
     perm, cert = build_pairing_counterexample(seq, 1, 2, sched)
     assert cert.certified_slots == 2
-    assert perm.apply(1), perm.apply(2) == cert.all_pairs[0]
+    assert tuple(perm.images[:2]) == cert.all_pairs[0]
     ok, _ = verify_certificate(perm, seq, cert)
     assert ok
 

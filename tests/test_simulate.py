@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lacunaria.errors import MantissaWidthError
-from lacunaria.mod1 import required_bits
+from lacunaria.mod1 import FracTopEngine, required_bits
 from lacunaria.permute import identity, random_perm
 from lacunaria.rng import CounterRng
 from lacunaria.seqgen import External, IntegerSequence, gen_power
@@ -17,7 +17,6 @@ from lacunaria.simulate import (
     PartialSumEvaluator,
     charfn_experiment,
     clt_experiment,
-    frac_part,
     kolmogorov_threshold,
     ks_distance,
     lil_trajectory,
@@ -51,38 +50,23 @@ def test_sample_points_distinct_seeds():
     assert not a & b
 
 
-# ---------------- frac_part ----------------
-
-def test_frac_part_simple():
-    x = FixedPointSample(1 << 63, 64)  # x = 1/2
-    assert frac_part(3, x).value == 0.5
-    y = FixedPointSample(1 << 62, 64)  # x = 1/4
-    assert frac_part(5, y).value == 0.25
-
-
-def test_frac_part_exactness_invariant():
-    rng = CounterRng(3, "f")
-    bits = 256
-    for i in range(50):
-        m = rng.bits(i, bits)
-        n = rng.bits(500 + i, 150)
-        out = frac_part(n, FixedPointSample(m, bits))
-        assert out.mantissa == (n * m) % (1 << bits)
-
+# ---------------- fractional parts ----------------
 
 def test_frac_part_against_mpmath_oracle():
-    # independent 300-bit floating oracle
+    # independent 300-bit floating oracle for the top 64 bits of {n x}; at
+    # that precision n x = m / 2^92 and its scaling by 2^64 are exact
     bits = 192
     rng = CounterRng(9, "f")
     n = 2**100
+    eng = FracTopEngine([n], [1], [1], bits)
+    assert eng.strategy == "generic"
     with mpmath.workprec(300):
         for i in range(10):
             m = rng.bits(i, bits)
-            got = frac_part(n, FixedPointSample(m, bits))
+            got = int(eng.tops(m)[0, 0])
             x = mpmath.mpf(m) / mpmath.power(2, bits)
             expected = mpmath.frac(mpmath.mpf(n) * x)
-            err = abs(mpmath.mpf(got.mantissa) / mpmath.power(2, bits) - expected)
-            assert err < mpmath.mpf(2) ** -250
+            assert got == int(mpmath.floor(expected * mpmath.power(2, 64)))
 
 
 # ---------------- partial sums ----------------

@@ -137,6 +137,13 @@ def test_variance_permutation_invariance_full_window():
         assert exact_variance(COS12, seq, random_perm(40, seed), 40) == base
 
 
+def test_window_beyond_sequence_rejected():
+    seq = gen_power(2, 0, 10)
+    for call in (expand_frequencies, exact_variance):
+        with pytest.raises(ValueError, match="permutation window exceeds sequence length"):
+            call(COS1, seq, identity(20), 20)
+
+
 def test_variance_crude_bound():
     seq = gen_power(2, -1, 30)
     poly = TrigPolynomial(cos_coeffs={1: 2, 3: -1}, sin_coeffs={2: Fraction(1, 2)})
