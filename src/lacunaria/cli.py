@@ -352,12 +352,12 @@ def run_lil(params: dict, out_dir: Path) -> list[Path]:
     seq = resolve_sequence(params["seq"], n_max, params.get("seed"))
     perm = resolve_permutation(params.get("perm"), n_max, params.get("seed"))
     variance = float(Fraction(params["variance"]))
-    probe = simulate.PartialSumEvaluator(poly, seq, perm, n_max)
-    xs = simulate.sample_points(probe.required, params["points"],
+    evaluator = simulate.PartialSumEvaluator(poly, seq, perm, n_max)
+    xs = simulate.sample_points(evaluator.required, params["points"],
                                 derive_seed(params["seed"], "x"))
     rows = []
     for i, x in enumerate(xs):
-        traj = simulate.lil_trajectory(poly, seq, perm, x, n_max, variance)
+        traj = evaluator.lil_trajectory(x, variance)
         for n, ratio in traj.checkpoints:
             rows.append((i, n, ratio))
     cpath = out_dir / "lil_trajectories.csv"

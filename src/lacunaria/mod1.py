@@ -71,11 +71,12 @@ class FracTopEngine:
     """Top-64-bit fractional parts {j * n_k * x} for a fixed index/frequency set.
 
     ``indices`` are the 1-based sequence indices actually needed, sorted and
-    unique; ``freqs`` the polynomial frequencies.  ``tops(mantissa)`` returns
-    a (len(indices), len(freqs)) uint64 array.
+    unique, as a list or an int64 array (kept without a copy); ``freqs`` the
+    polynomial frequencies.  ``tops(mantissa)`` returns a (len(indices),
+    len(freqs)) uint64 array.
     """
 
-    def __init__(self, terms, indices: list[int], freqs: list[int], bits: int,
+    def __init__(self, terms, indices, freqs: list[int], bits: int,
                  power_form: tuple[int, int] | None = None):
         if bits < 64:
             raise ValueError("need at least 64 bits")
@@ -85,7 +86,7 @@ class FracTopEngine:
         if not freqs or any(j < 1 for j in freqs):
             raise ValueError("frequencies must be positive")
         self.terms = terms
-        self.indices = list(indices)
+        self.indices = ks
         self.freqs = list(freqs)
         self.bits = bits
         self.power_form = power_form
@@ -118,7 +119,7 @@ class FracTopEngine:
             mod = 1 << bits
             steps = []
             prev = 0
-            for k in self.indices:
+            for k in ks.tolist():
                 steps.append(pow(base, k - prev, mod))
                 prev = k
             self._steps = steps
@@ -128,7 +129,7 @@ class FracTopEngine:
     def tops(self, mantissa: int) -> np.ndarray:
         if not 0 <= mantissa < (1 << self.bits):
             raise ValueError("mantissa outside [0, 2^bits)")
-        if not self.indices:
+        if not len(self.indices):
             return np.empty((0, len(self.freqs)), dtype=np.uint64)
         if self.strategy == "pow2-window":
             return self._tops_window(mantissa)
@@ -166,7 +167,7 @@ class FracTopEngine:
                 if len(ties):
                     low_mask = (1 << (B - 128)) - 1
                     for i in ties:
-                        x_exact = (m << self.indices[i]) & low_mask
+                        x_exact = (m << int(self.indices[i])) & low_mask
                         carry[i] = np.uint64(1 if x_exact >= threshold else 0)
             t = a_lo + c_lo
             c1 = t < a_lo
@@ -209,7 +210,7 @@ class FracTopEngine:
         shift_top = self.bits - 64
         out = np.empty((len(self.indices), len(self.freqs)), dtype=np.uint64)
         freqs = [_mpz(j) for j in self.freqs]
-        for row, k in enumerate(self.indices):
+        for row, k in enumerate(self.indices.tolist()):
             y = (_mpz(self.terms[k - 1]) * mm) & mask
             for col, j in enumerate(freqs):
                 out[row, col] = int(((j * y) & mask) >> shift_top)

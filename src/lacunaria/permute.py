@@ -15,6 +15,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import InsufficientWitnesses, SpacingUnsatisfiable
 from .rng import CounterRng
 from .seqgen import IntegerSequence, gap_profile
@@ -36,7 +38,12 @@ class PermutationWindow:
         n = len(self.images)
         if n < 1:
             raise ValueError("empty permutation")
-        if sum(self.images) != n * (n + 1) // 2 or set(self.images) != set(range(1, n + 1)):
+        # no forced dtype: floats, and ints past int64 (object), must not
+        # be truncated into range
+        arr = np.array(self.images)
+        if (arr.ndim != 1 or arr.dtype.kind not in "iu"
+                or arr.min() < 1 or arr.max() > n
+                or np.bincount(arr).max() > 1):
             raise ValueError("images are not a bijection of {1..N}")
 
     def __len__(self) -> int:

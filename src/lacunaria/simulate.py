@@ -75,17 +75,20 @@ class PartialSumEvaluator:
                  perm: PermutationWindow, count: int):
         if not 1 <= count <= len(perm):
             raise ValueError(f"window {count} outside 1..{len(perm)}")
-        images = np.asarray(perm.images[:count], dtype=np.int64)
-        if images.max() > len(seq):
+        images = np.array(perm.images[:count], dtype=np.int64)
+        top = int(images.max())
+        if top > len(seq):
             raise ValueError("permutation window exceeds sequence length")
         self.poly = poly
         self.seq = seq
         self.count = count
-        # a window of a bijection has distinct images, so sorting them gives
-        # the unique indices and a binary search gives each slot's row
-        indices = np.sort(images)
-        self.indices = indices.tolist()
-        self._rows = np.searchsorted(indices, images)
+        # a window of a bijection has distinct images: marking them lists
+        # the sorted indices, and the running count of marks up to an image
+        # is that slot's row
+        mark = np.zeros(top + 1, dtype=bool)
+        mark[images] = True
+        self.indices = np.flatnonzero(mark)
+        self._rows = (np.cumsum(mark) - 1)[images]
 
         terms = poly.terms()
         self.freqs = [j for j, _, _ in terms]
@@ -93,7 +96,7 @@ class PartialSumEvaluator:
         self._asin = np.asarray([float(b) for _, _, b in terms])
         self._has_cos = bool(poly.cos_coeffs)
         self._has_sin = bool(poly.sin_coeffs)
-        max_used = seq.term(self.indices[-1])
+        max_used = seq.term(top)
         self.required = required_bits(max_used, max(self.freqs))
         self._engines: dict[int, FracTopEngine] = {}
 
@@ -125,6 +128,34 @@ class PartialSumEvaluator:
     def prefix_sums(self, x: FixedPointSample) -> np.ndarray:
         """S_1, ..., S_N in slot order."""
         return np.cumsum(self.slot_values(x))
+
+    def lil_trajectory(self, x: FixedPointSample, variance: float) -> LilTrajectory:
+        """Running LIL ratio at x over the whole window (N_max = count)."""
+        n_max = self.count
+        if variance <= 0:
+            raise ValueError("variance must be positive")
+        if n_max < 16 or n_max & (n_max - 1):
+            raise ValueError("n_max must be a power of two, at least 16")
+        prefix = self.prefix_sums(x)
+        ns = np.arange(16, n_max + 1, dtype=np.float64)
+        denom = np.sqrt(2.0 * variance * ns * np.log(np.log(ns)))
+        ratios = np.abs(prefix[15:]) / denom
+        running = np.maximum.accumulate(ratios)
+        checkpoints = []
+        n = 16
+        while n <= n_max:
+            checkpoints.append((n, float(running[n - 16])))
+            n *= 2
+        return LilTrajectory(
+            checkpoints=checkpoints,
+            variance=variance,
+            meta={
+                "normalization": "|S_N| / sqrt(2 * variance * N * ln(ln(N)))",
+                "log": "natural",
+                "scan_start": 16,
+                "mantissa_bits": x.bits,
+            },
+        )
 
 
 def partial_sum(poly: TrigPolynomial, seq: IntegerSequence,
@@ -413,28 +444,6 @@ def lil_trajectory(
     n_max: int,
     variance: float,
 ) -> LilTrajectory:
-    if variance <= 0:
-        raise ValueError("variance must be positive")
-    if n_max < 16 or n_max & (n_max - 1):
-        raise ValueError("n_max must be a power of two, at least 16")
-    evaluator = PartialSumEvaluator(poly, seq, perm, n_max)
-    prefix = evaluator.prefix_sums(x)
-    ns = np.arange(16, n_max + 1, dtype=np.float64)
-    denom = np.sqrt(2.0 * variance * ns * np.log(np.log(ns)))
-    ratios = np.abs(prefix[15:]) / denom
-    running = np.maximum.accumulate(ratios)
-    checkpoints = []
-    n = 16
-    while n <= n_max:
-        checkpoints.append((n, float(running[n - 16])))
-        n *= 2
-    return LilTrajectory(
-        checkpoints=checkpoints,
-        variance=variance,
-        meta={
-            "normalization": "|S_N| / sqrt(2 * variance * N * ln(ln(N)))",
-            "log": "natural",
-            "scan_start": 16,
-            "mantissa_bits": x.bits,
-        },
-    )
+    """One-shot trajectory; a run over many points builds one
+    :class:`PartialSumEvaluator` and calls its ``lil_trajectory``."""
+    return PartialSumEvaluator(poly, seq, perm, n_max).lil_trajectory(x, variance)

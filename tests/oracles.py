@@ -11,6 +11,8 @@ import math
 from fractions import Fraction
 from itertools import combinations, product
 
+import numpy as np
+
 
 def brute_two_term_histogram(terms, a, b, include_zero=False, drop_diagonal=False):
     """Per-c counts of a*n_k + b*n_l over ordered pairs, by sorting."""
@@ -100,6 +102,15 @@ def brute_signed_nondegenerate(terms, p):
                 continue
             out.append((tuple(i + 1 for i in idx), signs))
     return out
+
+
+def sorted_index_rows(images):
+    """Sorted distinct indices of a window's images and each slot's row in
+    them, by sort and binary search (the evaluator builds them in one rank
+    pass instead)."""
+    images = np.asarray(images, dtype=np.int64)
+    indices = np.sort(images)
+    return indices.tolist(), np.searchsorted(indices, images)
 
 
 def cycle_count(perm):

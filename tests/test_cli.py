@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import lacunaria
+from lacunaria import simulate
 from lacunaria.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -156,6 +158,37 @@ def test_lil_cli(tmp_path):
     assert lines[0] == "point,N,running_max_ratio"
     # 2 points x checkpoints {16,...,256} = 2 * 5 rows
     assert len(lines) == 1 + 2 * 5
+
+
+# SHA-256 of (lil_trajectories.csv, lil_summary.json), recorded when each
+# point still built its own evaluator
+LIL_CLI_PINNED = [
+    (["--f", "cos:1", "--seq", "pow2", "--count", "4096", "--points", "3",
+      "--variance", "1/2", "--seed", "7"],
+     "15316bdde13270e07ce90af3119b86150fec0613c4d88404aff14192744aa76e",
+     "549fbe1d1cc13d33f8f26acf1bd9c49337cde04421fbdbae7c6e8a499469a6d9"),
+    (["--f", "cos:1,sin:2", "--seq", "pow2m1", "--count", "1024", "--points", "3",
+      "--variance", "1", "--seed", "11", "--perm", "random"],
+     "1f73ae9013f8fe6396e61f1f8bd4d3af1a24baae7ec7e58fc0c7e5dbc6f50315",
+     "fed29984038ec0145860dd0a56f294585c5ca03ab5d3e14e16ce9625ab76a36d"),
+]
+
+
+@pytest.mark.parametrize("args, csv_sha, summary_sha", LIL_CLI_PINNED)
+def test_lil_cli_one_evaluator_pinned(tmp_path, monkeypatch, args, csv_sha, summary_sha):
+    builds = []
+    init = simulate.PartialSumEvaluator.__init__
+
+    def counting_init(self, *a, **kw):
+        builds.append(1)
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(simulate.PartialSumEvaluator, "__init__", counting_init)
+    assert run(["lil", *args, "--out-dir", tmp_path]) == EXIT_OK
+    assert len(builds) == 1
+    got = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+           for name in ("lil_trajectories.csv", "lil_summary.json")]
+    assert got == [csv_sha, summary_sha]
 
 
 # ---------------- verify ----------------

@@ -81,6 +81,17 @@ def test_window_long_index_set():
         assert np.array_equal(got[rows], want), f"sample {i}"
 
 
+def _carry_tie_patterns(bits):
+    return [
+        0,
+        (1 << bits) - 1,                      # all ones
+        int("10" * (bits // 2), 2),           # alternating
+        ((1 << 64) - 1) << (bits - 64),       # ones only at the top
+        1,                                    # ones only at the bottom
+        (1 << (bits - 1)) | 1,
+    ]
+
+
 def test_window_strategy_carry_ties():
     # craft mantissas whose compare-window ties force the exact fallback:
     # with offset -1 the threshold depends on m itself, so build m from a
@@ -91,18 +102,31 @@ def test_window_strategy_carry_ties():
     bits = required_bits(seq.term(150), 2)
     eng = FracTopEngine(seq.terms, indices, freqs, bits, power_form=(2, -1))
     assert eng.strategy == "pow2-window"
-    patterns = [
-        0,
-        (1 << bits) - 1,                      # all ones
-        int("10" * (bits // 2), 2),           # alternating
-        ((1 << 64) - 1) << (bits - 64),       # ones only at the top
-        1,                                    # ones only at the bottom
-        (1 << (bits - 1)) | 1,
-    ]
-    for m in patterns:
+    for m in _carry_tie_patterns(bits):
         got = eng.tops(m)
         want = reference_tops(seq.terms, indices, freqs, bits, m)
         assert np.array_equal(got, want), f"pattern {m:#x}"
+
+
+@pytest.mark.parametrize("strategy", ["pow2-window", "power-chain", "generic"])
+def test_tops_same_from_list_and_int64_array(strategy):
+    # the evaluator hands over its int64 index array; the engine keeps it
+    # as is and gives the same tops as from a list, carry ties included
+    seq = gen_power(2, -1, 150)
+    indices = list(range(1, 151))
+    freqs = [1, 2] if strategy == "pow2-window" else [1, 3]
+    bits = required_bits(seq.term(150), max(freqs))
+    form = None if strategy == "generic" else (2, -1)
+    arr = np.array(indices, dtype=np.int64)
+    from_list = FracTopEngine(seq.terms, indices, freqs, bits, power_form=form)
+    from_array = FracTopEngine(seq.terms, arr, freqs, bits, power_form=form)
+    assert from_list.strategy == from_array.strategy == strategy
+    assert from_array.indices is arr
+    rng = CounterRng(14, "x")
+    for m in [rng.bits(i, bits) for i in range(5)] + _carry_tie_patterns(bits):
+        want = reference_tops(seq.terms, indices, freqs, bits, m)
+        assert np.array_equal(from_list.tops(m), want), f"m={m:#x}"
+        assert np.array_equal(from_array.tops(m), want), f"m={m:#x}"
 
 
 def test_chain_strategy_matches_reference():

@@ -43,12 +43,14 @@ def test_random_perm_bijective():
 
 
 def test_bijection_rejected():
-    with pytest.raises(ValueError):
-        PermutationWindow([1, 2, 2])
-    with pytest.raises(ValueError):
-        PermutationWindow([0, 1, 2])
-    with pytest.raises(ValueError):
+    # [1.5, 2, 3] truncated to int64 would be a bijection; 2**70 does not
+    # fit in int64
+    for images in ([1, 2, 2], [0, 1, 2], [1, 2, 4], [1.5, 2, 3], [2**70], [3, 1, 2**70]):
+        with pytest.raises(ValueError, match=r"^images are not a bijection of \{1\.\.N\}$"):
+            PermutationWindow(images)
+    with pytest.raises(ValueError, match="^empty permutation$"):
         PermutationWindow([])
+    assert PermutationWindow([3, 1, 2]).images == [3, 1, 2]
 
 
 def test_cycle_count_matches_harmonic_number():

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import mpmath
 import numpy as np
@@ -25,6 +27,8 @@ from lacunaria.simulate import (
 )
 from lacunaria.spectra import MixtureProfile, TrigPolynomial, exact_variance
 from fractions import Fraction
+
+from oracles import sorted_index_rows
 
 COS1 = TrigPolynomial(cos_coeffs={1: 1})
 COS12 = TrigPolynomial(cos_coeffs={1: 1, 2: 1})
@@ -126,11 +130,30 @@ def test_evaluator_rows_on_random_subwindow():
     perm = random_perm(100, 5)
     count = 37
     ev = PartialSumEvaluator(COS1, seq, perm, count)
-    assert ev.indices == sorted(perm.images[:count])
+    assert ev.indices.tolist() == sorted(perm.images[:count])
     assert np.array_equal(np.asarray(ev.indices)[ev._rows], perm.images[:count])
     x = FixedPointSample(CounterRng(4, "x").bits(0, ev.required), ev.required)
     whole = PartialSumEvaluator(COS1, seq, identity(100), 100).slot_values(x)
     assert np.array_equal(ev.slot_values(x), whole[np.asarray(perm.images[:count]) - 1])
+
+
+@pytest.mark.parametrize("perm, count", [
+    (identity(1), 1),
+    (identity(300), 300),
+    (identity(300), 17),
+    (random_perm(300, 1), 300),
+    (random_perm(1000, 2), 1000),
+    (random_perm(300, 3), 120),
+    (random_perm(1000, 4), 999),
+    (random_perm(300, 5), 1),
+])
+def test_evaluator_rank_pass_matches_sort_oracle(perm, count):
+    seq = gen_power(2, 0, len(perm))
+    ev = PartialSumEvaluator(COS1, seq, perm, count)
+    indices, rows = sorted_index_rows(perm.images[:count])
+    assert ev.indices.dtype == np.int64 and ev.indices.tolist() == indices
+    assert ev._rows.dtype == np.int64 and np.array_equal(ev._rows, rows)
+    assert ev.required == required_bits(seq.term(indices[-1]), 1)
 
 
 def test_evaluator_window_errors():
@@ -277,6 +300,43 @@ def test_lil_doubling_never_decreases():
     assert full.checkpoints[: len(short.checkpoints)] == short.checkpoints
 
 
+# SHA-256 of the packed (N, ratio) checkpoints at n_max = 2^12, recorded
+# before the evaluator's rank-pass build: (sequence, permutation, polynomial)
+LIL_PINNED = {
+    ("pow2", "identity", "cos1"):
+        "bbfbc79dcadcab8a78511ac92ff85a6043eba8b32ad28ecd2996d195b73da818",
+    ("pow2", "random", "cos1"):
+        "6f6bb2ce376ffe6f6b5332168d116bc530bebf0594f70c5b99d7b49fd7231d5c",
+    ("pow2m1", "random", "mix"):
+        "a9d1b0082dfb1e7aabee5fa06d521de91b61b3dc58677692a2fb5d9e7423953d",
+}
+
+
+@pytest.mark.parametrize("key", sorted(LIL_PINNED))
+def test_lil_checkpoints_pinned(key):
+    seq_name, perm_name, poly_name = key
+    n = 1 << 12
+    seq = gen_power(2, 0 if seq_name == "pow2" else -1, n)
+    perm = identity(n) if perm_name == "identity" else random_perm(n, 20260810)
+    poly = COS1 if poly_name == "cos1" else TrigPolynomial(
+        cos_coeffs={1: 1, 2: 1}, sin_coeffs={1: 1})
+    x = sample_points(required_bits(seq.term(n), poly.degree), 1, seed=3)[0]
+    traj = lil_trajectory(poly, seq, perm, x, n, 0.5)
+    packed = b"".join(struct.pack("<qd", k, r) for k, r in traj.checkpoints)
+    assert hashlib.sha256(packed).hexdigest() == LIL_PINNED[key]
+
+
+def test_lil_one_evaluator_many_points():
+    n = 1 << 10
+    seq = gen_power(2, -1, n)
+    perm = random_perm(n, 6)
+    ev = PartialSumEvaluator(COS12, seq, perm, n)
+    for x in sample_points(ev.required, 3, seed=9):
+        got = ev.lil_trajectory(x, 1.0)
+        want = lil_trajectory(COS12, seq, perm, x, n, 1.0)
+        assert got.checkpoints == want.checkpoints and got.meta == want.meta
+
+
 def test_lil_rejects_bad_args():
     seq = gen_power(2, 0, 64)
     x = sample_points(required_bits(seq.term(64), 1), 1, seed=1)[0]
@@ -284,3 +344,7 @@ def test_lil_rejects_bad_args():
         lil_trajectory(COS1, seq, identity(64), x, 48, 0.5)  # not a power of 2
     with pytest.raises(ValueError):
         lil_trajectory(COS1, seq, identity(64), x, 64, 0.0)
+    with pytest.raises(ValueError, match="power of two"):
+        PartialSumEvaluator(COS1, seq, identity(64), 48).lil_trajectory(x, 0.5)
+    with pytest.raises(ValueError, match="variance must be positive"):
+        PartialSumEvaluator(COS1, seq, identity(64), 64).lil_trajectory(x, -1.0)
