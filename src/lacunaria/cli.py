@@ -2,7 +2,8 @@
 
 Every command writes its artifacts plus ``run.json`` recording the resolved
 parameters (input files as absolute paths), input/output hashes, seed and
-wall time.  ``lacunaria verify --manifest run.json`` re-executes the run into
+wall time, and refuses an output directory whose ``run.json`` records a
+different run.  ``lacunaria verify --manifest run.json`` re-executes the run into
 a scratch directory, from any working directory, and compares artifacts byte
 for byte (Monte Carlo included: sample values are pure functions of the seed).
 
@@ -124,17 +125,21 @@ def _write_json(path: Path, payload) -> None:
         fh.write("\n")
 
 
+def _config_sha256(subcommand: str, params: dict) -> str:
+    config_text = json.dumps({"subcommand": subcommand, "params": params},
+                             sort_keys=True)
+    return hashlib.sha256(config_text.encode()).hexdigest()
+
+
 def write_manifest(out_dir: Path, subcommand: str, params: dict,
                    outputs: list[Path], inputs: list[Path],
                    wall_time: float) -> Path:
-    config_text = json.dumps({"subcommand": subcommand, "params": params},
-                             sort_keys=True)
     manifest = {
         "tool": "lacunaria",
         "version": __version__,
         "subcommand": subcommand,
         "params": params,
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "config_sha256": _config_sha256(subcommand, params),
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {p.name: _sha256(p) for p in outputs},
         "wall_time_s": wall_time,
@@ -414,9 +419,22 @@ def _resolve_inputs(params: dict) -> tuple[dict, list[Path]]:
     return resolved, inputs
 
 
+def _refuse_other_manifest(out_dir: Path, config_sha256: str) -> None:
+    """Raise FileExistsError when out_dir/run.json records a different run."""
+    path = out_dir / "run.json"
+    if not path.exists():
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        recorded = json.load(fh).get("config_sha256")
+    if recorded != config_sha256:
+        raise FileExistsError(f"{path} records another run; use another --out-dir")
+
+
 def execute(subcommand: str, params: dict, out_dir: Path) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Run a subcommand into out_dir, which may hold only this same run's manifest."""
     params, inputs = _resolve_inputs(params)
+    _refuse_other_manifest(out_dir, _config_sha256(subcommand, params))
+    out_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     outputs = _EXECUTORS[subcommand](params, out_dir)
     wall = time.perf_counter() - started

@@ -111,10 +111,6 @@ class BlockSchedule:
     def total_slots(self) -> int:
         return sum(self.lengths)
 
-    @property
-    def total_pairs(self) -> int:
-        return self.total_slots // 2
-
     @classmethod
     def paper_doubly_exponential(cls, num_blocks: int) -> "BlockSchedule":
         """Lengths 2^(2^m), m = 1..num_blocks; capped at 4 blocks (65536)."""

@@ -158,12 +158,11 @@ class IntegerSequence:
 
     terms: Sequence
     provenance: Provenance
-    validate: bool = True
 
     def __post_init__(self):
         if not len(self.terms):
             raise ValueError("sequence must contain at least one term")
-        if self.validate and not isinstance(self.terms, _PowerTerms):
+        if not isinstance(self.terms, _PowerTerms):
             prev = 0
             for t in self.terms:
                 if t < 1:

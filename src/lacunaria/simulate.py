@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy.special import ndtr
@@ -60,8 +61,14 @@ def sample_points(bits: int, count: int, seed: int) -> list[FixedPointSample]:
         raise ValueError("need at least 64 bits")
     if count < 1:
         raise ValueError("count must be positive")
+    return list(_points(bits, seed, 0, count))
+
+
+def _points(bits: int, seed: int, start: int, stop: int):
+    """x_start, ..., x_(stop-1): the only map from (seed, i) to the grid point x_i."""
     rng = CounterRng(seed, "x")
-    return [FixedPointSample(rng.bits(i, bits), bits) for i in range(count)]
+    for i in range(start, stop):
+        yield FixedPointSample(rng.bits(i, bits), bits)
 
 
 # ----------------------------------------------------------------------
@@ -244,22 +251,13 @@ class EmpiricalDistribution:
         )
 
 
-def _clt_values(evaluator: PartialSumEvaluator, bits: int, seed: int,
+def _clt_values(evaluator: PartialSumEvaluator, seed: int,
                 start: int, stop: int) -> np.ndarray:
     """Samples start..stop-1 of S_N(x) / sqrt(N)."""
-    rng = CounterRng(seed, "x")
     scale = 1.0 / math.sqrt(evaluator.count)
-    out = np.empty(stop - start)
-    for i in range(start, stop):
-        x = FixedPointSample(rng.bits(i, bits), bits)
-        out[i - start] = evaluator.sum(x) * scale
-    return out
-
-
-def _clt_chunk(args) -> np.ndarray:
-    """One pool worker's share; builds its own evaluator."""
-    poly, seq, perm, count, bits, seed, start, stop = args
-    return _clt_values(PartialSumEvaluator(poly, seq, perm, count), bits, seed, start, stop)
+    points = _points(evaluator.required, seed, start, stop)
+    return np.fromiter((evaluator.sum(x) * scale for x in points),
+                       dtype=np.float64, count=stop - start)
 
 
 def clt_experiment(
@@ -270,7 +268,6 @@ def clt_experiment(
     samples: int,
     seed: int,
     workers: int = 1,
-    mantissa_bits: int | None = None,
 ) -> EmpiricalDistribution:
     """samples draws of S_N(x) / sqrt(N) over fresh grid points.
 
@@ -280,26 +277,20 @@ def clt_experiment(
     if samples < 1:
         raise ValueError("need at least one sample")
     evaluator = PartialSumEvaluator(poly, seq, perm, count)
-    bits = mantissa_bits if mantissa_bits is not None else evaluator.required
-    if bits < evaluator.required:
-        raise MantissaWidthError(have=bits, need=evaluator.required)
 
     if workers <= 1:
-        values = _clt_values(evaluator, bits, seed, 0, samples)
+        values = _clt_values(evaluator, seed, 0, samples)
     else:
-        bounds = np.linspace(0, samples, workers + 1, dtype=int)
-        jobs = [
-            (poly, seq, perm, count, bits, seed, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:]) if b > a
-        ]
+        bounds = np.linspace(0, samples, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_clt_chunk, jobs))
+            chunks = list(pool.map(_clt_values, repeat(evaluator), repeat(seed),
+                                   bounds[:-1], bounds[1:]))
         values = np.concatenate(chunks)
     meta = {
         "count": count,
         "samples": samples,
         "seed": seed,
-        "mantissa_bits": bits,
+        "mantissa_bits": evaluator.required,
         "normalization": "S_N / sqrt(N)",
     }
     return EmpiricalDistribution(values, meta)
@@ -358,9 +349,6 @@ class MixtureTarget:
 class KsResult:
     distance: float
     cdf_tolerance: float
-
-    def __float__(self) -> float:
-        return self.distance
 
 
 def ks_distance(emp: EmpiricalDistribution, target) -> KsResult:

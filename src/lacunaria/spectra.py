@@ -86,33 +86,8 @@ class TrigPolynomial:
 
 
 # ----------------------------------------------------------------------
-# Frequency multisets
+# Frequency expansion
 # ----------------------------------------------------------------------
-
-@dataclass
-class FrequencyMultiset:
-    """Merged map frequency -> (cos coefficient, sin coefficient), exact."""
-
-    entries: dict[int, tuple[Fraction, Fraction]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for f, (c, s) in self.entries.items():
-            if f < 1:
-                raise ValueError(f"frequency {f} must be positive")
-            if c or s:
-                clean[int(f)] = (Fraction(c), Fraction(s))
-        self.entries = clean
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def to_json_dict(self) -> dict:
-        return {
-            str(f): {"cos": str(c), "sin": str(s)}
-            for f, (c, s) in sorted(self.entries.items())
-        }
-
 
 # Exact merges run on plain ints: coefficients are scaled by the lcm L of
 # their denominators (by 2 L^2 for a squared expansion) and divided once at
@@ -160,18 +135,6 @@ def _expand_scaled(
     return scale, acc
 
 
-def expand_frequencies(
-    poly: TrigPolynomial,
-    seq: IntegerSequence,
-    perm: PermutationWindow,
-    count: int,
-) -> FrequencyMultiset:
-    """Multiset of frequencies j * n_sigma(k), coefficients merged exactly."""
-    scale, acc = _expand_scaled(poly, seq, perm, count)
-    return FrequencyMultiset({f: (Fraction(c, scale), Fraction(s, scale))
-                              for (_, f), (c, s) in acc.items()})
-
-
 def exact_variance(
     poly: TrigPolynomial,
     seq: IntegerSequence,
@@ -180,9 +143,8 @@ def exact_variance(
 ) -> Fraction:
     """(1/N) * integral of (sum_{k<=N} f(n_sigma(k) x))^2 dx, exact rational.
 
-    Orthogonality reduces the integral to the merged multiset's L2 mass,
-    summed here on the scaled ints without building the multiset (whose
-    plain-int frequency keys collide on 2**k).
+    Orthogonality reduces the integral to the L2 mass of the merged
+    expansion, summed on its scaled ints.
     """
     if count < 1:
         raise ValueError("count must be positive")

@@ -67,16 +67,17 @@ def test_seq_rstar_reproducible(tmp_path):
 # ---------------- dio command ----------------
 
 def test_dio_profile_cli(tmp_path):
+    seq_dir, dio_dir = tmp_path / "seq", tmp_path / "dio"
     assert run(["seq", "--kind", "power", "--base", "2", "--offset", "-1",
-                "--count", "60", "--out-dir", tmp_path]) == EXIT_OK
-    assert run(["dio", "--seq", tmp_path / "sequence.txt", "--profile",
+                "--count", "60", "--out-dir", seq_dir]) == EXIT_OK
+    assert run(["dio", "--seq", seq_dir / "sequence.txt", "--profile",
                 "--coeff-bound", "2", "--count", "60",
-                "--out-dir", tmp_path]) == EXIT_OK
-    payload = json.loads((tmp_path / "dio_profile.json").read_text())
+                "--out-dir", dio_dir]) == EXIT_OK
+    payload = json.loads((dio_dir / "dio_profile.json").read_text())
     row = next(r for r in payload if r["a"] == 1 and r["b"] == -2)
     assert row["max_count"] == 59
     assert row["argmax_c"] == "1"
-    csv_text = (tmp_path / "dio_profile.csv").read_text()
+    csv_text = (dio_dir / "dio_profile.csv").read_text()
     assert csv_text.splitlines()[0] == "a,b,max_count,argmax_c,count_N4,count_N2,count_N"
 
 
@@ -98,12 +99,13 @@ def test_dio_ratio_cli(tmp_path):
 # ---------------- perm command ----------------
 
 def test_perm_pairing_cli(tmp_path):
+    seq_dir, perm_dir = tmp_path / "seq", tmp_path / "perm"
     assert run(["seq", "--kind", "power", "--base", "2", "--offset", "-1",
-                "--count", "80", "--out-dir", tmp_path]) == EXIT_OK
-    assert run(["perm", "--pairing", "1", "2", "--seq", tmp_path / "sequence.txt",
+                "--count", "80", "--out-dir", seq_dir]) == EXIT_OK
+    assert run(["perm", "--pairing", "1", "2", "--seq", seq_dir / "sequence.txt",
                 "--blocks", "geometric:2:4:4", "--gap-ratio", "8",
-                "--out-dir", tmp_path]) == EXIT_OK
-    cert = json.loads((tmp_path / "certificate.json").read_text())
+                "--out-dir", perm_dir]) == EXIT_OK
+    cert = json.loads((perm_dir / "certificate.json").read_text())
     assert cert["a"] == 1 and cert["b"] == 2
     assert all(blk["c"] == "1" for blk in cert["blocks"])
 
@@ -192,6 +194,27 @@ def test_lil_cli_one_evaluator_pinned(tmp_path, monkeypatch, args, csv_sha, summ
 
 
 # ---------------- verify ----------------
+
+def test_out_dir_refuses_another_runs_manifest(tmp_path):
+    def seq_args(count):
+        return ["seq", "--kind", "power", "--base", "2", "--offset", "-1",
+                "--count", count, "--out-dir", tmp_path]
+
+    assert run(seq_args(40)) == EXIT_OK
+    manifest = (tmp_path / "run.json").read_bytes()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    # another command, then the same command with other parameters
+    assert run(["dio", "--seq", tmp_path / "sequence.txt", "--ratio", "1", "-2",
+                "--count", "40", "--out-dir", tmp_path]) == EXIT_IO
+    assert run(seq_args(41)) == EXIT_IO
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert (tmp_path / "run.json").read_bytes() == manifest
+    # the identical command may run again in place
+    assert run(seq_args(40)) == EXIT_OK
+    config = json.loads(manifest)["config_sha256"]
+    assert json.loads((tmp_path / "run.json").read_text())["config_sha256"] == config
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
 
 def test_verify_clean_run(tmp_path):
     assert run(["seq", "--kind", "geometric", "--q", "3/2", "--n1", "2",

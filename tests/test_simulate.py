@@ -10,7 +10,7 @@ from lacunaria.errors import MantissaWidthError
 from lacunaria.mod1 import FracTopEngine, required_bits
 from lacunaria.permute import identity, random_perm
 from lacunaria.rng import CounterRng
-from lacunaria.seqgen import External, IntegerSequence, gen_power
+from lacunaria.seqgen import External, IntegerSequence, gen_geometric, gen_power
 from lacunaria.simulate import (
     EmpiricalDistribution,
     FixedPointSample,
@@ -201,6 +201,47 @@ def test_clt_determinism_and_worker_independence():
     assert np.array_equal(a.samples, b.samples)
     c = clt_experiment(COS1, seq, identity(64), 64, 200, seed=9, workers=2)
     assert np.array_equal(a.samples, c.samples)
+
+
+# SHA-256 of clt_experiment(...).samples.tobytes() for one case per
+# FracTopEngine strategy (window 40 or 128, random_perm(N, 5), 48 samples,
+# seed 13), recorded before the samplers shared one point stream.
+CLT_PINNED = {
+    "pow2-window": (gen_power(2, 0, 128), "cos:1",
+                    "665dabc1cc2816d02b1ebf1f354b8bcac83b458a8e4fd45126671f3124c30416"),
+    "power-chain": (gen_power(3, 0, 40), "cos:1,sin:3",
+                    "2fd47689623e9dddd7cfe5645e970c86a2deae4cd4f7b3b5c7830b4fcc269495"),
+    "generic": (gen_geometric("3/2", 2, 40), "cos:1,cos:2",
+                "77ea564ef9078ada18b90adb5447b51db1d4912900a5e7a1ca6ac426c9de763c"),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(CLT_PINNED))
+def test_clt_samples_pinned(strategy):
+    seq, spec, digest = CLT_PINNED[strategy]
+    poly = TrigPolynomial.parse(spec)
+    n = len(seq)
+    perm = random_perm(n, 5)
+    ev = PartialSumEvaluator(poly, seq, perm, n)
+    assert ev._engine(ev.required).strategy == strategy
+    for workers in (1, 2):
+        emp = clt_experiment(poly, seq, perm, n, 48, seed=13, workers=workers)
+        assert hashlib.sha256(emp.samples.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("strategy", sorted(CLT_PINNED))
+def test_clt_samples_read_the_point_stream(strategy):
+    seq, spec, _ = CLT_PINNED[strategy]
+    poly = TrigPolynomial.parse(spec)
+    n, m, seed = len(seq), 12, 21
+    perm = random_perm(n, 6)
+    ev = PartialSumEvaluator(poly, seq, perm, n)
+    emp = clt_experiment(poly, seq, perm, n, m, seed=seed)
+    assert emp.meta["mantissa_bits"] == ev.required
+    points = sample_points(ev.required, m, seed)
+    scale = 1.0 / math.sqrt(n)
+    for i, x in enumerate(points):
+        assert emp.samples[i] == partial_sum(poly, seq, perm, x, n) * scale
 
 
 def test_summary_gaussian_null_kurtosis_se():

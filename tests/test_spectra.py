@@ -19,8 +19,8 @@ from lacunaria.seqgen import External, IntegerSequence, gen_geometric, gen_power
 from lacunaria.spectra import (
     MixtureProfile,
     TrigPolynomial,
+    _expand_scaled,
     exact_variance,
-    expand_frequencies,
     kac_variance,
     l2_norm_sq,
     mixture_charfn,
@@ -83,21 +83,36 @@ def test_l2_norms():
 
 # ---------------- frequency expansion ----------------
 
+def expanded(poly, seq, perm, count):
+    """The merged expansion as frequency -> (cos, sin) Fractions, zeros dropped."""
+    scale, acc = _expand_scaled(poly, seq, perm, count)
+    return {f: (Fraction(c, scale), Fraction(s, scale))
+            for (_, f), (c, s) in acc.items() if c or s}
+
+
+def assert_same_expansion(got, want):
+    assert got == want
+    assert list(got) == list(want)
+
+
 def test_expand_simple():
     seq = gen_power(2, 0, 3)
-    ms = expand_frequencies(COS1, seq, identity(3), 3)
-    assert ms.entries == {2: (1, 0), 4: (1, 0), 8: (1, 0)}
+    got = expanded(COS1, seq, identity(3), 3)
+    assert got == {2: (1, 0), 4: (1, 0), 8: (1, 0)}
+    assert_same_expansion(got, brute_expand(COS1, seq, identity(3), 3))
 
 
 def test_expand_merges():
     seq = gen_power(2, 0, 3)
-    ms = expand_frequencies(COS12, seq, identity(3), 3)
-    assert ms.entries == {2: (1, 0), 4: (2, 0), 8: (2, 0), 16: (1, 0)}
+    got = expanded(COS12, seq, identity(3), 3)
+    assert got == {2: (1, 0), 4: (2, 0), 8: (2, 0), 16: (1, 0)}
+    assert_same_expansion(got, brute_expand(COS12, seq, identity(3), 3))
 
 
 def test_expand_empty_window():
     seq = gen_power(2, 0, 3)
-    assert len(expand_frequencies(COS1, seq, identity(3), 0)) == 0
+    assert expanded(COS1, seq, identity(3), 0) == {}
+    assert brute_expand(COS1, seq, identity(3), 0) == {}
 
 
 # ---------------- exact variance ----------------
@@ -139,7 +154,7 @@ def test_variance_permutation_invariance_full_window():
 
 def test_window_beyond_sequence_rejected():
     seq = gen_power(2, 0, 10)
-    for call in (expand_frequencies, exact_variance):
+    for call in (_expand_scaled, exact_variance):
         with pytest.raises(ValueError, match="permutation window exceeds sequence length"):
             call(COS1, seq, identity(20), 20)
 
@@ -189,9 +204,7 @@ def test_expand_and_variance_match_fraction_oracle(name, seq):
         for perm in (identity(len(seq)), random_perm(len(seq), 3)):
             for count in (0, 1, 37, len(seq)):
                 want = brute_expand(poly, seq, perm, count)
-                got = expand_frequencies(poly, seq, perm, count).entries
-                assert got == want
-                assert list(got) == list(want)
+                assert_same_expansion(expanded(poly, seq, perm, count), want)
                 if count:
                     mass = sum((c * c + s * s) / 2 for c, s in want.values())
                     assert exact_variance(poly, seq, perm, count) == mass / count
