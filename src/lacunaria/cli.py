@@ -302,8 +302,28 @@ def run_mix(params: dict, out_dir: Path) -> list[Path]:
     _write_json(out, payload)
     return [out]
 
+def _finite_float(spec: str, what: str) -> float:
+    """float(Fraction(spec)); a value past the float range is a ValueError."""
+    try:
+        return float(Fraction(spec))
+    except OverflowError:
+        raise ValueError(f"{what} {spec} is too large for a float") from None
+
+
+def _ks_target(spec: str):
+    kind, _, arg = spec.partition(":")
+    if kind == "gaussian":
+        return simulate.GaussianTarget(_finite_float(arg, "ks variance"))
+    if kind == "mixture":
+        with open(arg, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        return simulate.MixtureTarget(spectra.MixtureProfile.from_json_dict(data["profile"]))
+    raise ValueError("ks spec is gaussian:VAR or mixture:FILE")
+
+
 def run_clt(params: dict, out_dir: Path) -> list[Path]:
     poly = spectra.TrigPolynomial.parse(params["f"])
+    target = _ks_target(params["ks"]) if params.get("ks") else None
     count = params["count"]
     seq = resolve_sequence(params["seq"], params.get("window", count), params.get("seed"))
     perm = resolve_permutation(params.get("perm"), params.get("window", count),
@@ -324,17 +344,7 @@ def run_clt(params: dict, out_dir: Path) -> list[Path]:
             "sum_eval_abs": per_term_bound * count / (count ** 0.5),
         },
     }
-    if params.get("ks"):
-        kind, _, arg = params["ks"].partition(":")
-        if kind == "gaussian":
-            target = simulate.GaussianTarget(float(Fraction(arg)))
-        elif kind == "mixture":
-            with open(arg, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-            profile = spectra.MixtureProfile.from_json_dict(data["profile"])
-            target = simulate.MixtureTarget(profile)
-        else:
-            raise ValueError("ks spec is gaussian:VAR or mixture:FILE")
+    if target is not None:
         ks = simulate.ks_distance(emp, target)
         payload["ks"] = {"target": params["ks"], "distance": ks.distance,
                          "cdf_tolerance": ks.cdf_tolerance}
@@ -356,7 +366,7 @@ def run_lil(params: dict, out_dir: Path) -> list[Path]:
     n_max = params["count"]
     seq = resolve_sequence(params["seq"], n_max, params.get("seed"))
     perm = resolve_permutation(params.get("perm"), n_max, params.get("seed"))
-    variance = float(Fraction(params["variance"]))
+    variance = _finite_float(params["variance"], "variance")
     evaluator = simulate.PartialSumEvaluator(poly, seq, perm, n_max)
     xs = simulate.sample_points(evaluator.required, params["points"],
                                 derive_seed(params["seed"], "x"))

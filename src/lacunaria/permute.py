@@ -28,11 +28,15 @@ PERM_FILE_HEADER = "# lacunaria-perm v1"
 # Permutation windows
 # ----------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class PermutationWindow:
-    """images[k-1] = sigma(k); a bijection of {1..N}, checked on construction."""
+    """images[k-1] = sigma(k); a bijection of {1..N}, checked on construction.
 
-    images: list[int]
+    ``images`` is stored as a read-only int64 array that shares no memory
+    with the caller's argument.
+    """
+
+    images: np.ndarray
 
     def __post_init__(self):
         n = len(self.images)
@@ -42,9 +46,13 @@ class PermutationWindow:
         # be truncated into range
         arr = np.array(self.images)
         if (arr.ndim != 1 or arr.dtype.kind not in "iu"
-                or arr.min() < 1 or arr.max() > n
-                or np.bincount(arr).max() > 1):
+                or arr.min() < 1 or arr.max() > n):
             raise ValueError("images are not a bijection of {1..N}")
+        arr = arr.astype(np.int64, copy=False)
+        if np.bincount(arr).max() > 1:
+            raise ValueError("images are not a bijection of {1..N}")
+        arr.flags.writeable = False
+        self.images = arr
 
     def __len__(self) -> int:
         return len(self.images)
@@ -53,7 +61,7 @@ class PermutationWindow:
 def identity(n: int) -> PermutationWindow:
     if n < 1:
         raise ValueError("window length must be positive")
-    return PermutationWindow(list(range(1, n + 1)))
+    return PermutationWindow(np.arange(1, n + 1, dtype=np.int64))
 
 
 def random_perm(n: int, seed: int) -> PermutationWindow:
@@ -70,20 +78,16 @@ def random_perm(n: int, seed: int) -> PermutationWindow:
 
 def write_permutation(perm: PermutationWindow, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(PERM_FILE_HEADER + "\n")
-        for img in perm.images:
-            fh.write(f"{img}\n")
+        fh.write("\n".join([PERM_FILE_HEADER, *map(str, perm.images.tolist())]) + "\n")
 
 
 def read_permutation(path) -> PermutationWindow:
-    images = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            images.append(int(line))
-    return PermutationWindow(images)
+        lines = [s for s in map(str.strip, fh) if s and not s.startswith("#")]
+    if not lines:
+        raise ValueError("empty permutation")
+    # a line that is not an int64 raises ValueError
+    return PermutationWindow(np.loadtxt(lines, dtype=np.int64, ndmin=1))
 
 
 # ----------------------------------------------------------------------
@@ -346,13 +350,12 @@ def build_pairing_counterexample(
             used.add(v)
         blocks.append(BlockPairing(c=c, pairs=picked))
 
-    flat: list[int] = []
-    for blk in blocks:
-        for u, v in blk.pairs:
-            flat.extend((u, v))
-    window = max(flat)
-    unused = [i for i in range(1, window + 1) if i not in used]
-    perm = PermutationWindow(flat + unused)
+    flat = np.array([i for blk in blocks for pair in blk.pairs for i in pair],
+                    dtype=np.int64)
+    mark = np.zeros(int(flat.max()) + 1, dtype=bool)
+    mark[flat] = True
+    unused = np.flatnonzero(~mark[1:]) + 1
+    perm = PermutationWindow(np.concatenate([flat, unused]))
     cert = PairingCertificate(a=a, b=b, gap_ratio=gap_ratio, blocks=blocks)
     ok, problem = verify_certificate(perm, seq, cert)
     if not ok:
@@ -369,7 +372,8 @@ def verify_certificate(
 
     Returns (True, None) or (False, description of the first violation).
     """
-    images = perm.images
+    # plain ints for the exact comparisons; only the certified slots are read
+    images = perm.images[:cert.certified_slots].tolist()
     n = len(seq)
     a, b = cert.a, cert.b
     num, den = cert.gap_ratio.numerator, cert.gap_ratio.denominator

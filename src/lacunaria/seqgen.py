@@ -10,6 +10,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -140,6 +141,7 @@ class _PowerTerms(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(*i.indices(self._n))]
+        i = operator.index(i)  # a numpy integer would overflow in the shift or pow
         if i < 0:
             i += self._n
         if not 0 <= i < self._n:
@@ -176,6 +178,7 @@ class IntegerSequence:
 
     def term(self, k: int) -> int:
         """n_k, 1-based."""
+        k = operator.index(k)
         if not 1 <= k <= len(self.terms):
             raise IndexError(f"index {k} outside 1..{len(self.terms)}")
         return self.terms[k - 1]

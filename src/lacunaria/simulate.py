@@ -82,20 +82,25 @@ class PartialSumEvaluator:
                  perm: PermutationWindow, count: int):
         if not 1 <= count <= len(perm):
             raise ValueError(f"window {count} outside 1..{len(perm)}")
-        images = np.array(perm.images[:count], dtype=np.int64)
+        images = perm.images[:count]
         top = int(images.max())
         if top > len(seq):
             raise ValueError("permutation window exceeds sequence length")
         self.poly = poly
         self.seq = seq
         self.count = count
-        # a window of a bijection has distinct images: marking them lists
-        # the sorted indices, and the running count of marks up to an image
-        # is that slot's row
-        mark = np.zeros(top + 1, dtype=bool)
-        mark[images] = True
-        self.indices = np.flatnonzero(mark)
-        self._rows = (np.cumsum(mark) - 1)[images]
+        # a window of a bijection has distinct images
+        if top == count:
+            # count distinct images in 1..count are all of them
+            self.indices = np.arange(1, count + 1, dtype=np.int64)
+            self._rows = images - 1
+        else:
+            # marking the images lists the sorted indices, and the running
+            # count of marks up to an image is that slot's row
+            mark = np.zeros(top + 1, dtype=bool)
+            mark[images] = True
+            self.indices = np.flatnonzero(mark)
+            self._rows = (np.cumsum(mark) - 1)[images]
 
         terms = poly.terms()
         self.freqs = [j for j, _, _ in terms]
@@ -120,13 +125,22 @@ class PartialSumEvaluator:
     def slot_values(self, x: FixedPointSample) -> np.ndarray:
         """f(n_sigma(k) x) for slots k = 1..N, in slot order."""
         tops = self._engine(x.bits).tops(x.mantissa)
-        angles = tops.astype(np.float64) * (_TWO_PI * _INV64)
-        if self._has_cos:
-            per_index = np.cos(angles) @ self._acos
-            if self._has_sin:
-                per_index += np.sin(angles) @ self._asin
+        if len(self.freqs) == 1:
+            # a one-column product is one rounded multiply, so this equals
+            # the matmul bit for bit; two or more columns keep the matmul,
+            # whose BLAS sum may round differently from an explicit one
+            tops = tops[:, 0]
+            dot = np.multiply
         else:
-            per_index = np.sin(angles) @ self._asin
+            dot = np.matmul
+        angles = tops.astype(np.float64)
+        angles *= _TWO_PI * _INV64
+        if self._has_cos:
+            per_index = dot(np.cos(angles), self._acos)
+            if self._has_sin:
+                per_index += dot(np.sin(angles), self._asin)
+        else:
+            per_index = dot(np.sin(angles), self._asin)
         return per_index[self._rows]
 
     def sum(self, x: FixedPointSample) -> float:
@@ -139,8 +153,8 @@ class PartialSumEvaluator:
     def lil_trajectory(self, x: FixedPointSample, variance: float) -> LilTrajectory:
         """Running LIL ratio at x over the whole window (N_max = count)."""
         n_max = self.count
-        if variance <= 0:
-            raise ValueError("variance must be positive")
+        if not (math.isfinite(variance) and variance > 0):
+            raise ValueError("variance must be positive and finite")
         if n_max < 16 or n_max & (n_max - 1):
             raise ValueError("n_max must be a power of two, at least 16")
         prefix = self.prefix_sums(x)

@@ -123,7 +123,7 @@ def _expand_scaled(
         raise ValueError("count must be nonnegative")
     if count > len(perm):
         raise ValueError(f"window {count} exceeds permutation length {len(perm)}")
-    images = perm.images[:count]
+    images = perm.images[:count].tolist()  # plain ints for the exact products
     if max(images, default=0) > len(seq):
         raise ValueError("permutation window exceeds sequence length")
     scale, terms = _scaled_terms(poly)

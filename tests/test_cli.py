@@ -193,6 +193,20 @@ def test_lil_cli_one_evaluator_pinned(tmp_path, monkeypatch, args, csv_sha, summ
     assert got == [csv_sha, summary_sha]
 
 
+@pytest.mark.parametrize("command, message", [
+    (["lil", "--f", "cos:1", "--seq", "pow2", "--count", "256", "--points", "2",
+      "--variance", "1e400", "--seed", "5"], "variance 1e400 is too large for a float"),
+    (["lil", "--f", "cos:1", "--seq", "pow2", "--count", "256", "--points", "2",
+      "--variance", "1e-400", "--seed", "5"], "variance must be positive and finite"),
+    (["clt", "--f", "cos:1", "--seq", "pow2", "--count", "64", "--samples", "10",
+      "--seed", "7", "--ks", "gaussian:1e400"], "ks variance 1e400 is too large for a float"),
+])
+def test_variance_out_of_float_range_exits_domain(tmp_path, capsys, command, message):
+    assert run([*command, "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
 # ---------------- verify ----------------
 
 def test_out_dir_refuses_another_runs_manifest(tmp_path):

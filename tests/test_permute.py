@@ -3,6 +3,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lacunaria.errors import InsufficientWitnesses, SpacingUnsatisfiable
@@ -28,13 +29,13 @@ from oracles import cycle_count
 # ---------------- basic windows ----------------
 
 def test_identity():
-    assert identity(3).images == [1, 2, 3]
-    assert identity(1).images == [1]
+    assert identity(3).images.tolist() == [1, 2, 3]
+    assert identity(1).images.tolist() == [1]
 
 
 def test_random_perm_deterministic():
-    assert random_perm(52, 9).images == random_perm(52, 9).images
-    assert random_perm(52, 9).images != random_perm(52, 10).images
+    assert random_perm(52, 9).images.tolist() == random_perm(52, 9).images.tolist()
+    assert random_perm(52, 9).images.tolist() != random_perm(52, 10).images.tolist()
 
 
 def test_random_perm_bijective():
@@ -44,13 +45,48 @@ def test_random_perm_bijective():
 
 def test_bijection_rejected():
     # [1.5, 2, 3] truncated to int64 would be a bijection; 2**70 does not
-    # fit in int64
-    for images in ([1, 2, 2], [0, 1, 2], [1, 2, 4], [1.5, 2, 3], [2**70], [3, 1, 2**70]):
+    # fit in int64; bool, float, out-of-range uint64 and 2-D arrays are not
+    # windows either
+    for images in ([1, 2, 2], [0, 1, 2], [1, 2, 4], [1.5, 2, 3], [2**70], [3, 1, 2**70],
+                   np.array([1.0, 2.0]), np.array([True]), np.array([False, True]),
+                   np.array([2, 1, 2**63 + 1], dtype=np.uint64),
+                   np.array([1, 2**64 - 1], dtype=np.uint64), np.array([[1, 2], [2, 1]])):
         with pytest.raises(ValueError, match=r"^images are not a bijection of \{1\.\.N\}$"):
             PermutationWindow(images)
     with pytest.raises(ValueError, match="^empty permutation$"):
         PermutationWindow([])
-    assert PermutationWindow([3, 1, 2]).images == [3, 1, 2]
+    assert PermutationWindow([3, 1, 2]).images.tolist() == [3, 1, 2]
+    assert PermutationWindow(np.array([2, 1], dtype=np.uint64)).images.tolist() == [2, 1]
+
+
+@pytest.mark.parametrize("source", [
+    [3, 1, 2],
+    np.array([3, 1, 2]),
+    np.array([3, 1, 2], dtype=np.int32),
+    np.array([3, 1, 2], dtype=np.uint64),
+    np.array([0, 3, 1, 2, 0])[1:4],  # a contiguous view into a larger array
+    np.array([3, 0, 1, 0, 2])[::2],  # a non-contiguous view
+])
+def test_window_images_are_private_readonly_int64(source):
+    perm = PermutationWindow(source)
+    images = perm.images
+    assert images.dtype == np.int64 and images.ndim == 1
+    assert images.flags.c_contiguous and not images.flags.writeable
+    assert images.tolist() == [3, 1, 2]
+    if isinstance(source, np.ndarray):
+        assert not np.shares_memory(images, source)
+        source[...] = 0  # the caller's array stays writable and apart
+        assert images.tolist() == [3, 1, 2]
+    with pytest.raises(ValueError):
+        images[0] = 1
+    assert len(perm) == 3
+
+
+def test_producers_return_int64_windows():
+    for perm in (identity(5), random_perm(5, 1), PermutationWindow([2, 1])):
+        assert perm.images.dtype == np.int64 and not perm.images.flags.writeable
+    assert identity(4).images.tolist() == [1, 2, 3, 4]
+    assert sorted(random_perm(300, 4).images.tolist()) == list(range(1, 301))
 
 
 def test_cycle_count_matches_harmonic_number():
@@ -69,7 +105,44 @@ def test_permutation_file_roundtrip(tmp_path):
     perm = random_perm(31, 8)
     path = tmp_path / "perm.txt"
     write_permutation(perm, path)
-    assert read_permutation(path).images == perm.images
+    assert read_permutation(path).images.tolist() == perm.images.tolist()
+
+
+# SHA-256 of permutation files, recorded with the per-line writer before
+# images became an array
+PINNED_PERMUTATION_FILES = [
+    (lambda: random_perm(1000, 20260810),
+     "473f91ef766756751e08bbc11e5ac02ccfc3ed74cb53b9e5520ed7e90199fa9f"),
+    (lambda: build_pairing_counterexample(
+        gen_power(2, -1, 2000), 1, 2,
+        BlockSchedule.geometric_dominant(4, factor=4, base_len=4), gap_ratio=8)[0],
+     "cc47962f288329c3ef4e20b7e517c67bdb6219a004524cff14cc8fbc818e72ed"),
+]
+
+
+@pytest.mark.parametrize("build,sha", PINNED_PERMUTATION_FILES, ids=["random", "pairing"])
+def test_permutation_file_bytes_pinned(tmp_path, build, sha):
+    perm = build()
+    path = tmp_path / "perm.txt"
+    write_permutation(perm, path)
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == sha
+    expected = "# lacunaria-perm v1\n" + "".join(f"{i}\n" for i in perm.images.tolist())
+    assert data == expected.encode()
+    assert read_permutation(path).images.tolist() == perm.images.tolist()
+
+
+def test_read_permutation_rejects_bad_files(tmp_path):
+    path = tmp_path / "perm.txt"
+    path.write_text("# lacunaria-perm v1\n\n2\n# note\n 1 \n")
+    assert read_permutation(path).images.tolist() == [2, 1]
+    for body, message in (("", "^empty permutation$"),
+                          ("1.5\n2\n", "could not convert"),
+                          ("1\n1180591620717411303424\n", "could not convert"),
+                          ("1\n3\n", r"^images are not a bijection")):
+        path.write_text("# lacunaria-perm v1\n" + body)
+        with pytest.raises(ValueError, match=message):
+            read_permutation(path)
 
 
 # ---------------- block schedules ----------------
@@ -120,7 +193,7 @@ def test_single_pair_block():
     sched = BlockSchedule([2], "geometric")
     perm, cert = build_pairing_counterexample(seq, 1, 2, sched)
     assert cert.certified_slots == 2
-    assert tuple(perm.images[:2]) == cert.all_pairs[0]
+    assert tuple(perm.images[:2].tolist()) == cert.all_pairs[0]
     ok, _ = verify_certificate(perm, seq, cert)
     assert ok
 
@@ -259,7 +332,7 @@ def build_small():
 
 def test_verify_detects_swapped_image():
     seq, perm, cert = build_small()
-    images = list(perm.images)
+    images = perm.images.tolist()
     images[0], images[1] = images[1], images[0]
     mutated = PermutationWindow(images)
     ok, problem = verify_certificate(mutated, seq, cert)

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from lacunaria.errors import IntervalEmpty
@@ -88,6 +89,22 @@ def test_power_terms_match_pow(base, offset):
     for bad in (n, -n - 1):
         with pytest.raises(IndexError):
             terms[bad]
+
+
+@pytest.mark.parametrize("index_type", [np.int64, np.int32, np.uint64])
+@pytest.mark.parametrize("base, offset", [(2, 0), (2, -1), (3, 0)])
+def test_power_term_numpy_index_is_exact(index_type, base, offset):
+    # 2**70 from a numpy shift wraps to 0, 3**50 from a numpy pow overflows
+    seq = gen_power(base, offset, 100)
+    for k in (1, 50, 63, 64, 70, 100):
+        want = base**k + offset
+        assert seq.term(index_type(k)) == want
+        assert seq.terms[index_type(k - 1)] == want
+        assert type(seq.term(index_type(k))) is int
+    with pytest.raises(IndexError):
+        seq.term(np.int64(101))
+    with pytest.raises(TypeError):
+        seq.term(2.0)
 
 
 def test_power_rejects_bad_args():

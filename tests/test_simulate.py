@@ -8,7 +8,7 @@ import pytest
 
 from lacunaria.errors import MantissaWidthError
 from lacunaria.mod1 import FracTopEngine, required_bits
-from lacunaria.permute import identity, random_perm
+from lacunaria.permute import PermutationWindow, identity, random_perm
 from lacunaria.rng import CounterRng
 from lacunaria.seqgen import External, IntegerSequence, gen_geometric, gen_power
 from lacunaria.simulate import (
@@ -130,13 +130,15 @@ def test_evaluator_rows_on_random_subwindow():
     perm = random_perm(100, 5)
     count = 37
     ev = PartialSumEvaluator(COS1, seq, perm, count)
-    assert ev.indices.tolist() == sorted(perm.images[:count])
+    assert ev.indices.tolist() == sorted(perm.images[:count].tolist())
     assert np.array_equal(np.asarray(ev.indices)[ev._rows], perm.images[:count])
     x = FixedPointSample(CounterRng(4, "x").bits(0, ev.required), ev.required)
     whole = PartialSumEvaluator(COS1, seq, identity(100), 100).slot_values(x)
     assert np.array_equal(ev.slot_values(x), whole[np.asarray(perm.images[:count]) - 1])
 
 
+# identity windows, full random windows and [3, 1, 2, 5, 4] at 3 are
+# bijections of {1..count}, built without the mark pass; the others are not
 @pytest.mark.parametrize("perm, count", [
     (identity(1), 1),
     (identity(300), 300),
@@ -146,6 +148,8 @@ def test_evaluator_rows_on_random_subwindow():
     (random_perm(300, 3), 120),
     (random_perm(1000, 4), 999),
     (random_perm(300, 5), 1),
+    (PermutationWindow([3, 1, 2, 5, 4]), 3),
+    (PermutationWindow([3, 1, 2, 5, 4]), 4),
 ])
 def test_evaluator_rank_pass_matches_sort_oracle(perm, count):
     seq = gen_power(2, 0, len(perm))
@@ -154,6 +158,37 @@ def test_evaluator_rank_pass_matches_sort_oracle(perm, count):
     assert ev.indices.dtype == np.int64 and ev.indices.tolist() == indices
     assert ev._rows.dtype == np.int64 and np.array_equal(ev._rows, rows)
     assert ev.required == required_bits(seq.term(indices[-1]), 1)
+
+
+def _matmul_slot_values(ev, x):
+    """slot_values by the one-column-per-frequency matmul for every F."""
+    angles = ev._engine(x.bits).tops(x.mantissa).astype(np.float64) * (2.0 * math.pi * 2.0**-64)
+    if not ev._has_cos:
+        return (np.sin(angles) @ ev._asin)[ev._rows]
+    per_index = np.cos(angles) @ ev._acos
+    if ev._has_sin:
+        per_index += np.sin(angles) @ ev._asin
+    return per_index[ev._rows]
+
+
+@pytest.mark.parametrize("seq", [gen_power(2, 0, 256), gen_power(2, -1, 256),
+                                 gen_geometric(Fraction(3, 2), 2, 60)],
+                         ids=["pow2", "pow2m1", "geometric"])
+@pytest.mark.parametrize("kinds", [("cos",), ("sin",), ("cos", "sin")])
+def test_single_frequency_kernel_equals_matmul(seq, kinds):
+    rng = np.random.default_rng(20260810)
+    for trial in range(4):
+        j = int(rng.integers(1, 4))
+        coeffs = {kind: {j: Fraction(int(rng.integers(-999, 1000)) or 1,
+                                     int(rng.integers(2, 1000)))} for kind in kinds}
+        poly = TrigPolynomial(cos_coeffs=coeffs.get("cos", {}),
+                              sin_coeffs=coeffs.get("sin", {}))
+        n = len(seq)
+        ev = PartialSumEvaluator(poly, seq, random_perm(n, trial), n - trial)
+        assert len(ev.freqs) == 1
+        for x in sample_points(ev.required, 3, seed=trial):
+            got = ev.slot_values(x)
+            assert got.tobytes() == _matmul_slot_values(ev, x).tobytes()
 
 
 def test_evaluator_window_errors():
@@ -389,3 +424,8 @@ def test_lil_rejects_bad_args():
         PartialSumEvaluator(COS1, seq, identity(64), 48).lil_trajectory(x, 0.5)
     with pytest.raises(ValueError, match="variance must be positive"):
         PartialSumEvaluator(COS1, seq, identity(64), 64).lil_trajectory(x, -1.0)
+    for variance in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            PartialSumEvaluator(COS1, seq, identity(64), 64).lil_trajectory(x, variance)
+        with pytest.raises(ValueError, match="variance must be positive and finite"):
+            lil_trajectory(COS1, seq, identity(64), x, 64, variance)
