@@ -554,10 +554,10 @@ def _build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--profile", action="store_true")
     mode.add_argument("--star-profile", action="store_true")
-    mode.add_argument("--two-term", nargs=3, metavar=("A", "B", "C"))
+    mode.add_argument("--two-term", nargs=3, type=int, metavar=("A", "B", "C"))
     mode.add_argument("--multi", type=int, metavar="P")
     mode.add_argument("--signed", type=int, metavar="P")
-    mode.add_argument("--ratio", nargs=2, metavar=("A", "B"))
+    mode.add_argument("--ratio", nargs=2, type=int, metavar=("A", "B"))
     p.add_argument("--coeff-bound", type=int, default=2)
     p.add_argument("--diagonal", choices=["sum_zero", "literal"], default="sum_zero")
     p.add_argument("--require-distinct", action="store_true")
@@ -568,8 +568,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perm", help="build a permutation window")
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--identity", type=int, metavar="N")
-    mode.add_argument("--random", nargs=2, metavar=("N", "SEED"))
-    mode.add_argument("--pairing", nargs=2, metavar=("A", "B"))
+    mode.add_argument("--random", nargs=2, type=int, metavar=("N", "SEED"))
+    mode.add_argument("--pairing", nargs=2, type=int, metavar=("A", "B"))
     p.add_argument("--seq")
     p.add_argument("--blocks", default="geometric:2",
                    help="paper:M or geometric:M[:factor[:base]]")
@@ -654,26 +654,26 @@ def _params_from_args(args: argparse.Namespace) -> dict:
             params.update({"mode": "star-profile", "diagonal": args.diagonal})
         elif args.two_term:
             a, b, c = args.two_term
-            params.update({"mode": "two-term", "a": int(a), "b": int(b),
-                           "c": int(c), "require_distinct": args.require_distinct})
+            params.update({"mode": "two-term", "a": a, "b": b, "c": c,
+                           "require_distinct": args.require_distinct})
         elif args.multi is not None:
             params.update({"mode": "multi", "p": args.multi})
         elif args.signed is not None:
             params.update({"mode": "signed", "p": args.signed})
         else:
             a, b = args.ratio
-            params.update({"mode": "ratio", "a": int(a), "b": int(b)})
+            params.update({"mode": "ratio", "a": a, "b": b})
         return params
     if sc == "perm":
         if args.identity is not None:
             return {"mode": "identity", "window": args.identity}
         if args.random is not None:
-            return {"mode": "random", "window": int(args.random[0]),
-                    "perm_seed": int(args.random[1])}
+            return {"mode": "random", "window": args.random[0],
+                    "perm_seed": args.random[1]}
         a, b = args.pairing
         if not args.seq:
             raise ValueError("pairing needs --seq")
-        return {"mode": "pairing", "a": int(a), "b": int(b), "seq": args.seq,
+        return {"mode": "pairing", "a": a, "b": b, "seq": args.seq,
                 "blocks": args.blocks, "gap_ratio": args.gap_ratio,
                 "allow_zero_c": args.allow_zero_c, "seed": args.seed}
     if sc == "var":
@@ -684,7 +684,7 @@ def _params_from_args(args: argparse.Namespace) -> dict:
             params.update({"seq": args.seq, "count": args.count})
             if args.perm:
                 params["perm"] = args.perm
-            if args.window:
+            if args.window is not None:
                 params["window"] = args.window
         return params
     if sc == "mix":
@@ -702,7 +702,7 @@ def _params_from_args(args: argparse.Namespace) -> dict:
                   "threads": args.threads, "keep_samples": args.keep_samples}
         if args.perm:
             params["perm"] = args.perm
-        if args.window:
+        if args.window is not None:
             params["window"] = args.window
         if args.ks:
             params["ks"] = args.ks

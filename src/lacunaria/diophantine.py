@@ -21,6 +21,7 @@ from .errors import WorkBudgetExceeded
 from .seqgen import IntegerSequence
 
 DEFAULT_BUDGET = 10**8
+WITNESS_CAP = 100  # most witnesses count_multi_term returns
 
 
 # ----------------------------------------------------------------------
@@ -44,7 +45,10 @@ class TwoTermQuery:
 
 @dataclass
 class DioReport:
-    """Per-(a, b) profile of ordered-pair solution counts over realized c."""
+    """Per-(a, b) profile of ordered-pair solution counts over realized c.
+
+    Read-only: in a profile, (a, b) and (b, a) share one ``histogram`` dict.
+    """
 
     a: int
     b: int
@@ -233,15 +237,12 @@ def _profile(
     views: dict[tuple[tuple[int, int], bool], tuple[dict[int, int], int, int | None]] = {}
     for (a, b), (rep, mirrored) in classes.items():
         hist, growth, drop_diag = enumerated[rep]
-        view = views.get((rep, mirrored))
-        if view is None:
+        if (rep, mirrored) not in views:  # else the swapped pair shares the view and its dict
             if mirrored:
                 hist = dict(zip(map(neg, hist), hist.values()))
             # recomputed on the mirror: the tie-break on |c| then c is not mirror-symmetric
-            view = views[(rep, mirrored)] = (hist, *_argmax_c(hist))
-        else:  # the swapped pair: an equal histogram, in a dict of its own
-            hist = dict(view[0])
-        _, max_count, arg = view
+            views[(rep, mirrored)] = (hist, *_argmax_c(hist))
+        hist, max_count, arg = views[(rep, mirrored)]
         witnesses = []
         if arg is not None:
             q = TwoTermQuery(a=a, b=b, c=arg, count=count,
@@ -325,14 +326,13 @@ def _half_sums(terms: list[int], size: int, coeffs: list[int]) -> Iterable[tuple
 def count_multi_term(
     seq: IntegerSequence,
     query: MultiTermQuery,
-    witness_cap: int = 100,
 ) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Exact number of solutions of sum_i a_i n_{k_i} = 0, k_1 < ... < k_p <= N.
 
     Coefficients range over 0 < |a_i| <= coeff_bound.  The left half's
     partial sums are hashed keyed by sum and last index; the right half
     probes with its negated sums, respecting the k_h < k_{h+1} interleave.
-    Witnesses are (1-based indices, coefficients), at most ``witness_cap`` of
+    Witnesses are (1-based indices, coefficients), at most ``WITNESS_CAP`` of
     them; the count itself is always exact.  Nondegenerate signed solutions
     are counted by :func:`count_signed_nondegenerate`.
     """
@@ -357,7 +357,7 @@ def count_multi_term(
             slot[idx[-1]] = [1, [(idx, cs)]]
         else:
             entry[0] += 1
-            if len(entry[1]) < witness_cap:
+            if len(entry[1]) < WITNESS_CAP:
                 entry[1].append((idx, cs))
 
     total = 0
@@ -371,9 +371,9 @@ def count_multi_term(
         for last, (cnt, wits) in slot.items():
             if last < first:
                 total += cnt
-                if len(witnesses) < witness_cap:
+                if len(witnesses) < WITNESS_CAP:
                     for lidx, lcs in wits:
-                        if len(witnesses) >= witness_cap:
+                        if len(witnesses) >= WITNESS_CAP:
                             break
                         witnesses.append(
                             (tuple(i + 1 for i in lidx + idx), lcs + cs)
@@ -456,25 +456,22 @@ def profile_to_json(reports: dict[tuple[int, int], DioReport]) -> str:
     """``json.dumps([r.to_json_dict() ...], indent=2)`` in key order, written directly.
 
     The text is built from f-strings and joins (the ``indent`` path of the
-    json module is pure Python and slow at 10^7 histogram entries).  A
-    histogram equal to that of the swapped pair (b, a) reuses its text.
+    json module is pure Python and slow at 10^7 histogram entries).  Each
+    histogram object is rendered once: reports that share one dict, as the
+    swapped pairs of a profile do, share its text.
     """
     if not reports:
         return "[]"
     blocks = []
-    rendered: dict[tuple[int, int], tuple[dict[int, int], str]] = {}
+    rendered: dict[int, str] = {}  # id(histogram) -> text; reports keeps every dict alive
     for key in sorted(reports):
         r = reports[key]
-        twin = rendered.get((r.b, r.a))
-        if twin is not None and twin[0] == r.histogram:
-            histogram = twin[1]
-        else:
-            histogram = _json_histogram(r.histogram)
-            rendered[(r.a, r.b)] = (r.histogram, histogram)
+        if id(r.histogram) not in rendered:
+            rendered[id(r.histogram)] = _json_histogram(r.histogram)
         argmax = "null" if r.argmax_c is None else f'"{r.argmax_c}"'
         blocks.append(
             f'  {{\n    "a": {r.a},\n    "b": {r.b},\n    "max_count": {r.max_count},\n'
-            f'    "argmax_c": {argmax},\n    "histogram": {histogram},\n'
+            f'    "argmax_c": {argmax},\n    "histogram": {rendered[id(r.histogram)]},\n'
             f'    "witnesses": {_json_pairs(r.witnesses)},\n'
             f'    "prefix_growth": {_json_pairs(r.prefix_growth)}\n  }}'
         )

@@ -15,6 +15,7 @@ platform regardless of worker count.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -285,13 +286,14 @@ def clt_experiment(
 ) -> EmpiricalDistribution:
     """samples draws of S_N(x) / sqrt(N) over fresh grid points.
 
-    Sample i is a pure function of (seed, i); the worker split never changes
-    values, only wall time.
+    Sample i is a pure function of (seed, i); the worker split (at most one
+    process per sample and per core) never changes values, only wall time.
     """
     if samples < 1:
         raise ValueError("need at least one sample")
     evaluator = PartialSumEvaluator(poly, seq, perm, count)
 
+    workers = min(workers, samples, os.cpu_count() or 1)
     if workers <= 1:
         values = _clt_values(evaluator, seed, 0, samples)
     else:

@@ -207,6 +207,33 @@ def test_variance_out_of_float_range_exits_domain(tmp_path, capsys, command, mes
     assert not (tmp_path / "run.json").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["var", "--f", "cos:1", "--seq", "pow2:20", "--count", "8"],
+    ["clt", "--f", "cos:1", "--seq", "pow2:20", "--count", "8", "--samples", "4",
+     "--seed", "7"],
+])
+@pytest.mark.parametrize("window", [0, -1])
+def test_window_not_positive_exits_domain(tmp_path, capsys, command, window):
+    # a 0 is a window length like any other, not an absent option
+    assert run([*command, "--window", window, "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert "window length must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["perm", "--random", "5", "x"],
+    ["perm", "--pairing", "1", "b", "--seq", "pow2:50"],
+    ["dio", "--seq", "pow2:10", "--count", "5", "--two-term", "1", "2", "z"],
+    ["dio", "--seq", "pow2:10", "--count", "5", "--ratio", "1", "q"],
+], ids=["random", "pairing", "two-term", "ratio"])
+def test_malformed_int_argument_is_usage_error(tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--out-dir", tmp_path])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
 # ---------------- verify ----------------
 
 def test_out_dir_refuses_another_runs_manifest(tmp_path):

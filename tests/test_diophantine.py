@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 from itertools import combinations, product
 
 import pytest
 
+from lacunaria import diophantine
 from lacunaria.diophantine import (
     MultiTermQuery,
     TwoTermQuery,
@@ -181,6 +183,19 @@ def test_mirrored_class_keeps_tie_break():
             assert rep.histogram[1] == rep.histogram[-1] == rep.max_count == 3
             assert rep.argmax_c == 1
             assert _fields(rep) == brute_profile_report(terms, a, b, include_zero), (a, b)
+
+
+def test_swapped_pairs_share_one_histogram():
+    # one dict per orientation of a class: (b, a) holds the dict of (a, b),
+    # the mirror (-a, -b) a negated dict of its own (unless it is the swap)
+    seq = gen_power(2, -1, 60)
+    for reports in (d2_profile(seq, 3, 60), d2star_profile(seq, 3, 60)):
+        assert len(reports) == 36
+        assert len({id(r.histogram) for r in reports.values()}) == 21
+        for (a, b), rep in reports.items():
+            assert rep.histogram is reports[(b, a)].histogram
+            if (-a, -b) != (b, a):
+                assert rep.histogram is not reports[(-a, -b)].histogram
 
 
 def test_d2_violation_on_erdos_fortet():
@@ -482,3 +497,43 @@ def test_profile_json_is_json_dumps_text():
     assert min(values) < 0 and max(values) > 2**63
     for name in ("d2star sum_zero", "d2star literal"):
         assert any(0 in r.histogram for r in cases[name].values()), name
+
+
+def test_profile_json_renders_each_histogram_once(monkeypatch):
+    reports = d2_profile(gen_power(2, 0, 60), 3, 60)
+    calls = []
+    render = diophantine._json_histogram
+    monkeypatch.setattr(diophantine, "_json_histogram",
+                        lambda hist: calls.append(id(hist)) or render(hist))
+    shared = profile_to_json(reports)
+    assert len(calls) == len(set(calls)) == 21
+    # equal but distinct dicts are rendered one by one, to the same text
+    calls.clear()
+    copied = {key: dataclasses.replace(r, histogram=dict(r.histogram))
+              for key, r in reports.items()}
+    assert profile_to_json(copied) == shared
+    assert len(calls) == 36
+    assert shared == json.dumps([reports[k].to_json_dict() for k in sorted(reports)], indent=2)
+
+
+# SHA-256 of profile_to_json text at bound 3, N = 60, recorded while each
+# swapped pair still held a copy of its histogram
+PROFILE_JSON_PINNED = {
+    "d2 pow2m1": (lambda: d2_profile(gen_power(2, -1, 60), 3, 60),
+                  "e8fa810d1e7b4953d0f103b5d0de08f150297aabf44fdc4314fbf49c94dcde87"),
+    "d2star geometric": (lambda: d2star_profile(gen_geometric("3/2", 2, 60), 3, 60),
+                         "1f297616f15bc0ba4c339eb7467ac87301b5e2dbf7f578d53160ebbc1160e412"),
+    "d2star literal smooth": (
+        lambda: d2star_profile(gen_smooth({2, 3}, 60), 3, 60, diagonal="literal"),
+        "9400d52d36739f0a3fb9bf640ec1f03dbd76ad7537247aef977909407e53bfc5"),
+    "d2star rstar": (
+        lambda: d2star_profile(
+            gen_random_rstar(RStarParams(alpha=1.0, a=50, count=60, seed=20260810)), 3, 60),
+        "2b265fc7e07347f2cd9bad1221a35d111206b3aa1a196784054da16639e2d4e1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROFILE_JSON_PINNED))
+def test_profile_json_pinned(name):
+    run, sha = PROFILE_JSON_PINNED[name]
+    assert hashlib.sha256(profile_to_json(run()).encode()).hexdigest() == sha

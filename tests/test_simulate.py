@@ -1,11 +1,13 @@
 import hashlib
 import math
+import os
 import struct
 
 import mpmath
 import numpy as np
 import pytest
 
+from lacunaria import simulate
 from lacunaria.errors import MantissaWidthError
 from lacunaria.mod1 import FracTopEngine, required_bits
 from lacunaria.permute import PermutationWindow, identity, random_perm
@@ -236,6 +238,33 @@ def test_clt_determinism_and_worker_independence():
     assert np.array_equal(a.samples, b.samples)
     c = clt_experiment(COS1, seq, identity(64), 64, 200, seed=9, workers=2)
     assert np.array_equal(a.samples, c.samples)
+
+
+@pytest.mark.parametrize("cores, pool_sizes", [(64, [8]), (3, [3]), (None, [])])
+def test_clt_pool_size_capped_by_samples_and_cores(monkeypatch, cores, pool_sizes):
+    # a recorder in place of the pool: it starts no process and maps in-line
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    seq = gen_power(2, 0, 64)
+    serial = clt_experiment(COS1, seq, identity(64), 64, 8, seed=9)
+    wide = clt_experiment(COS1, seq, identity(64), 64, 8, seed=9, workers=10**6)
+    assert np.array_equal(serial.samples, wide.samples)
+    assert sizes == pool_sizes
 
 
 # SHA-256 of clt_experiment(...).samples.tobytes() for one case per
