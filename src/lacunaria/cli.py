@@ -188,8 +188,7 @@ def run_dio(params: dict, out_dir: Path) -> list[Path]:
                 seq, params["coeff_bound"], count,
                 diagonal=params.get("diagonal", "sum_zero"), budget=budget)
         jpath = out_dir / "dio_profile.json"
-        with open(jpath, "w", encoding="utf-8") as fh:
-            fh.write(diophantine.profile_to_json(reports))
+        diophantine.write_profile_json(reports, jpath)
         cpath = out_dir / "dio_profile.csv"
         diophantine.write_profile_csv(reports, cpath)
         outputs += [jpath, cpath]
@@ -559,8 +558,9 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--signed", type=int, metavar="P")
     mode.add_argument("--ratio", nargs=2, type=int, metavar=("A", "B"))
     p.add_argument("--coeff-bound", type=int, default=2)
-    p.add_argument("--diagonal", choices=["sum_zero", "literal"], default="sum_zero")
-    p.add_argument("--require-distinct", action="store_true")
+    p.add_argument("--diagonal", choices=["sum_zero", "literal"],
+                   help="star-profile only (default sum_zero)")
+    p.add_argument("--require-distinct", action="store_true", help="two-term only")
     p.add_argument("--budget", type=int, default=diophantine.DEFAULT_BUDGET)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
@@ -651,7 +651,7 @@ def _params_from_args(args: argparse.Namespace) -> dict:
         if args.profile:
             params["mode"] = "profile"
         elif args.star_profile:
-            params.update({"mode": "star-profile", "diagonal": args.diagonal})
+            params.update({"mode": "star-profile", "diagonal": args.diagonal or "sum_zero"})
         elif args.two_term:
             a, b, c = args.two_term
             params.update({"mode": "two-term", "a": a, "b": b, "c": c,
@@ -720,6 +720,11 @@ def _params_from_args(args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "dio":  # a flag of another mode would have no effect
+        if args.diagonal is not None and not args.star_profile:
+            parser.error("--diagonal applies only to --star-profile")
+        if args.require_distinct and args.two_term is None:
+            parser.error("--require-distinct applies only to --two-term")
     try:
         if args.subcommand == "verify":
             ok, problem = verify_manifest(Path(args.manifest))

@@ -10,7 +10,9 @@ explicit work budget: exceeding it is an error, never a truncation.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_left, bisect_right
 from collections import Counter
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from itertools import combinations, compress, product
 from math import comb
@@ -47,14 +49,16 @@ class TwoTermQuery:
 class DioReport:
     """Per-(a, b) profile of ordered-pair solution counts over realized c.
 
-    Read-only: in a profile, (a, b) and (b, a) share one ``histogram`` dict.
+    Read-only: in a profile, (a, b) and (b, a) share one ``histogram``, and
+    the mirrored pairs (-a, -b) / (-b, -a) hold a read-only view of it with
+    every c negated rather than a dict of their own.
     """
 
     a: int
     b: int
     max_count: int
     argmax_c: int | None
-    histogram: dict[int, int]
+    histogram: Mapping[int, int]
     witnesses: list[tuple[int, int]]
     prefix_growth: list[tuple[int, int]]  # (prefix length, max count)
 
@@ -193,6 +197,45 @@ def _argmax_c(hist: dict[int, int]) -> tuple[int, int | None]:
     return top, nearest if hist.get(nearest) == top else -nearest
 
 
+def _mirror_argmax_c(hist: dict[int, int], top: int, arg: int | None) -> int | None:
+    """argmax_c of the negated ``hist`` from its own (top, arg), without a rescan.
+
+    Negation keeps the set of |c| at the top count, so the nearest |c| is
+    the same; only the sign under the tie-break of :func:`_argmax_c` moves.
+    """
+    if arg is None:
+        return None
+    nearest = abs(arg)
+    return nearest if hist.get(-nearest) == top else -nearest
+
+
+class _NegatedHistogram(Mapping):
+    """Read-only view of a histogram with every c negated: ``view[c] == base[-c]``."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: dict[int, int]):
+        self.base = base
+
+    def __getitem__(self, c):
+        return self.base[-c]
+
+    def get(self, c, default=None):
+        return self.base.get(-c, default)
+
+    def __contains__(self, c):
+        return -c in self.base
+
+    def __len__(self):
+        return len(self.base)
+
+    def __iter__(self):
+        return map(neg, self.base)
+
+    def values(self):
+        return self.base.values()
+
+
 def _symmetry_class(a: int, b: int) -> tuple[tuple[int, int], bool]:
     """(representative, mirrored) of the class {(a,b), (b,a), (-a,-b), (-b,-a)}.
 
@@ -232,17 +275,17 @@ def _profile(
         drop_diag = a + b == 0 if diagonal == "sum_zero" else a == b
         hist, maxima = _pair_histogram(terms, a, b, prefixes, include_zero=include_zero,
                                        drop_diagonal=drop_diag)
-        enumerated[(a, b)] = (hist, list(zip(prefixes, maxima)), drop_diag)
+        enumerated[(a, b)] = (hist, list(zip(prefixes, maxima)), drop_diag, *_argmax_c(hist))
     reports: dict[tuple[int, int], DioReport] = {}
-    views: dict[tuple[tuple[int, int], bool], tuple[dict[int, int], int, int | None]] = {}
+    # one histogram per orientation: the swapped pair shares it
+    views: dict[tuple[tuple[int, int], bool], tuple[Mapping[int, int], int | None]] = {}
     for (a, b), (rep, mirrored) in classes.items():
-        hist, growth, drop_diag = enumerated[rep]
-        if (rep, mirrored) not in views:  # else the swapped pair shares the view and its dict
-            if mirrored:
-                hist = dict(zip(map(neg, hist), hist.values()))
-            # recomputed on the mirror: the tie-break on |c| then c is not mirror-symmetric
-            views[(rep, mirrored)] = (hist, *_argmax_c(hist))
-        hist, max_count, arg = views[(rep, mirrored)]
+        hist, growth, drop_diag, max_count, arg = enumerated[rep]
+        if (rep, mirrored) not in views:
+            views[(rep, mirrored)] = (
+                (_NegatedHistogram(hist), _mirror_argmax_c(hist, max_count, arg)) if mirrored
+                else (hist, arg))
+        hist, arg = views[(rep, mirrored)]
         witnesses = []
         if arg is not None:
             q = TwoTermQuery(a=a, b=b, c=arg, count=count,
@@ -445,37 +488,87 @@ def _json_pairs(pairs: list[tuple[int, int]]) -> str:
     return f"[\n{rows}\n    ]"
 
 
-def _json_histogram(histogram: dict[int, int]) -> str:
-    if not histogram:
-        return "{}"
-    rows = ",\n".join(map('      "%d": %d'.__mod__, sorted(histogram.items())))
-    return f"{{\n{rows}\n    }}"
+_NEGATIVE_SEP = ',\n      "-'  # between two histogram rows at report depth, c < 0
+_POSITIVE_SEP = ',\n      "'  # the same, c >= 0
+
+
+def _histogram_rows(histogram: Mapping[int, int]) -> tuple[list[str], list[str], list[str]]:
+    """Rows ``'<|c|>": <n>'`` in order of c, split into (c < 0, c = 0, c > 0).
+
+    This is the only place a c is turned into decimal; both orientations of
+    a histogram are laid out from the same rows by :func:`_histogram_parts`.
+    """
+    keys = sorted(histogram)
+    rows = list(map('%d": %d'.__mod__, zip(map(abs, keys), map(histogram.__getitem__, keys))))
+    lo = bisect_left(keys, 0)
+    hi = bisect_right(keys, 0, lo)
+    return rows[:lo], rows[lo:hi], rows[hi:]
+
+
+def _histogram_parts(rows: tuple[list[str], list[str], list[str]], mirrored: bool) -> list[str]:
+    """One histogram at report depth, as ``json.dumps(indent=2)`` lays it out.
+
+    ``mirrored`` lays out the histogram with every c negated: the rows run
+    in reverse and the two signed groups trade places.
+    """
+    below, at_zero, above = rows
+    if mirrored:
+        below, above = above[::-1], below[::-1]
+    if not (below or at_zero or above):
+        return ["{}"]
+    parts = ['{\n      "-', _NEGATIVE_SEP.join(below)] if below else []
+    if at_zero or above:
+        parts += [_POSITIVE_SEP if below else '{\n      "', _POSITIVE_SEP.join(at_zero + above)]
+    parts.append("\n    }")
+    return parts
+
+
+def _profile_json_parts(reports: dict[tuple[int, int], DioReport]) -> Iterator[str]:
+    """The text of :func:`profile_to_json` in pieces, in order.
+
+    Each base dict is turned into rows once (a mirror view reads the rows
+    of its base) and each histogram object is laid out once: reports that
+    share one object, as the swapped pairs of a profile do, share its text.
+    """
+    if not reports:
+        yield "[]"
+        return
+    rows: dict[int, tuple] = {}  # id(base dict) -> rows; reports, or a view in it, keeps it alive
+    laid_out: dict[int, list[str]] = {}  # id(histogram) -> its parts
+    lead = "[\n"
+    for key in sorted(reports):
+        r = reports[key]
+        hist = r.histogram
+        if id(hist) not in laid_out:
+            mirrored = isinstance(hist, _NegatedHistogram)
+            base = hist.base if mirrored else hist
+            if id(base) not in rows:
+                rows[id(base)] = _histogram_rows(base)
+            laid_out[id(hist)] = _histogram_parts(rows[id(base)], mirrored)
+        argmax = "null" if r.argmax_c is None else f'"{r.argmax_c}"'
+        yield (f'{lead}  {{\n    "a": {r.a},\n    "b": {r.b},\n    "max_count": {r.max_count},\n'
+               f'    "argmax_c": {argmax},\n    "histogram": ')
+        yield from laid_out[id(hist)]
+        yield (f',\n    "witnesses": {_json_pairs(r.witnesses)},\n'
+               f'    "prefix_growth": {_json_pairs(r.prefix_growth)}\n  }}')
+        lead = ",\n"
+    yield "\n]"
 
 
 def profile_to_json(reports: dict[tuple[int, int], DioReport]) -> str:
     """``json.dumps([r.to_json_dict() ...], indent=2)`` in key order, written directly.
 
     The text is built from f-strings and joins (the ``indent`` path of the
-    json module is pure Python and slow at 10^7 histogram entries).  Each
-    histogram object is rendered once: reports that share one dict, as the
-    swapped pairs of a profile do, share its text.
+    json module is pure Python and slow at 10^7 histogram entries), and the
+    document is joined once.
     """
-    if not reports:
-        return "[]"
-    blocks = []
-    rendered: dict[int, str] = {}  # id(histogram) -> text; reports keeps every dict alive
-    for key in sorted(reports):
-        r = reports[key]
-        if id(r.histogram) not in rendered:
-            rendered[id(r.histogram)] = _json_histogram(r.histogram)
-        argmax = "null" if r.argmax_c is None else f'"{r.argmax_c}"'
-        blocks.append(
-            f'  {{\n    "a": {r.a},\n    "b": {r.b},\n    "max_count": {r.max_count},\n'
-            f'    "argmax_c": {argmax},\n    "histogram": {rendered[id(r.histogram)]},\n'
-            f'    "witnesses": {_json_pairs(r.witnesses)},\n'
-            f'    "prefix_growth": {_json_pairs(r.prefix_growth)}\n  }}'
-        )
-    return "[\n" + ",\n".join(blocks) + "\n]"
+    return "".join(_profile_json_parts(reports))
+
+
+def write_profile_json(reports: dict[tuple[int, int], DioReport], path) -> None:
+    """The text of :func:`profile_to_json`, streamed to ``path`` piece by piece."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_profile_json_parts(reports))
 
 
 def write_profile_csv(reports: dict[tuple[int, int], DioReport], path) -> None:

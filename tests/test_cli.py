@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import lacunaria
-from lacunaria import simulate
+from lacunaria import diophantine, simulate
 from lacunaria.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -94,6 +94,32 @@ def test_dio_ratio_cli(tmp_path):
                 "--count", "100", "--out-dir", tmp_path]) == EXIT_OK
     payload = json.loads((tmp_path / "dio_ratio.json").read_text())
     assert payload["ratios"][-1][1] > 0.9
+
+
+def test_dio_profile_artifact_is_profile_to_json(tmp_path):
+    # the streamed file holds c = 0 rows and mirror views, and replays
+    assert run(["dio", "--seq", "pow2m1:40", "--star-profile", "--diagonal", "literal",
+                "--coeff-bound", "2", "--count", "40", "--out-dir", tmp_path]) == EXIT_OK
+    reports = diophantine.d2star_profile(resolve_sequence("pow2m1:40", None, None), 2, 40,
+                                         diagonal="literal")
+    assert any(0 in r.histogram for r in reports.values())
+    assert any(type(r.histogram) is not dict for r in reports.values())
+    text = diophantine.profile_to_json(reports)
+    assert (tmp_path / "dio_profile.json").read_bytes() == text.encode("utf-8")
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("flag, message", [
+    (["--diagonal", "literal"], "--diagonal applies only to --star-profile"),
+    (["--require-distinct"], "--require-distinct applies only to --two-term"),
+], ids=["diagonal", "require-distinct"])
+def test_dio_flag_of_another_mode_is_usage_error(tmp_path, capsys, flag, message):
+    with pytest.raises(SystemExit) as exc:
+        run(["dio", "--seq", "pow2", "--count", "10", "--profile", *flag,
+             "--out-dir", tmp_path])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
 
 
 # ---------------- perm command ----------------

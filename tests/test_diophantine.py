@@ -198,6 +198,71 @@ def test_swapped_pairs_share_one_histogram():
                 assert rep.histogram is not reports[(-a, -b)].histogram
 
 
+def _negated(hist):
+    return {-c: n for c, n in hist.items()}
+
+
+def test_mirror_reads_through_its_base_histogram():
+    # one dict per class; every mirrored orientation is a view of that dict
+    # that behaves as the negated dict would
+    for seq in corpus():
+        for reports in (d2_profile(seq, 3, 60), d2star_profile(seq, 3, 60)):
+            dicts = {id(r.histogram) for r in reports.values() if type(r.histogram) is dict}
+            assert len(dicts) == 12, seq.provenance
+            views = 0
+            for (a, b), rep in reports.items():
+                want = _negated(reports[(-a, -b)].histogram)
+                hist = rep.histogram
+                assert hist == want and want == hist, (seq.provenance, a, b)
+                if type(hist) is dict:
+                    continue
+                views += 1
+                assert id(hist.base) in dicts
+                assert dict(hist) == want and len(hist) == len(want)
+                assert sorted(hist.values()) == sorted(want.values())
+                for c in [*list(want)[:20], 0, 1, -1, 10**30]:
+                    assert hist.get(c) == want.get(c) and (c in hist) == (c in want)
+                assert rep.max_count == max(want.values(), default=0)
+                assert (rep.max_count, rep.argmax_c) == diophantine._argmax_c(dict(hist))
+            assert views == 15, seq.provenance  # (a, -a) is its own mirror: 21 direct
+
+
+def test_mirror_view_is_read_only():
+    reports = d2star_profile(gen_power(2, 0, 30), 2, 30)
+    view = reports[(-1, 2)].histogram
+    base = dict(view.base)
+    c = next(iter(view))
+    with pytest.raises(TypeError):
+        view[c] = 5
+    with pytest.raises(TypeError):
+        del view[c]
+    assert view.base == base
+
+
+def test_mirror_argmax_keeps_tie_break_without_rescan():
+    # at N = 2, n_k - 2 n_l on 2^k - 1 is +1 and -1 once each: the mirror
+    # (-1, 2) ties at |c| = 1 and must pick c = +1; on 2^k, d2* peaks at c = 0
+    tie = d2_profile(gen_power(2, -1, 2), 2, 2)
+    mirror = tie[(-1, 2)]
+    assert type(mirror.histogram) is not dict
+    assert mirror.histogram[1] == mirror.histogram[-1] == mirror.max_count == 1
+    assert mirror.argmax_c == 1 == tie[(1, -2)].argmax_c
+    star = d2star_profile(gen_power(2, 0, 50), 2, 50)
+    assert type(star[(-1, 2)].histogram) is not dict
+    assert star[(-1, 2)].argmax_c == 0 and star[(-1, 2)].max_count == 49
+    for reports in (tie, star, d2_profile(gen_power(2, -1, 60), 3, 60)):
+        for rep in reports.values():
+            assert (rep.max_count, rep.argmax_c) == diophantine._argmax_c(dict(rep.histogram))
+
+
+def test_argmax_scans_each_enumerated_class_once(monkeypatch):
+    calls = []
+    scan = diophantine._argmax_c
+    monkeypatch.setattr(diophantine, "_argmax_c", lambda hist: calls.append(hist) or scan(hist))
+    d2_profile(gen_power(2, -1, 60), 3, 60)
+    assert len(calls) == 12 and all(type(h) is dict for h in calls)
+
+
 def test_d2_violation_on_erdos_fortet():
     reports = d2_profile(gen_power(2, -1, 100), 2, 100)
     rep = reports[(1, -2)]
@@ -500,13 +565,15 @@ def test_profile_json_is_json_dumps_text():
 
 
 def test_profile_json_renders_each_histogram_once(monkeypatch):
+    # c is turned into decimal once per base dict: the 12 classes of a
+    # bound-3 profile, the mirror views reading the rows of their base
     reports = d2_profile(gen_power(2, 0, 60), 3, 60)
     calls = []
-    render = diophantine._json_histogram
-    monkeypatch.setattr(diophantine, "_json_histogram",
+    render = diophantine._histogram_rows
+    monkeypatch.setattr(diophantine, "_histogram_rows",
                         lambda hist: calls.append(id(hist)) or render(hist))
     shared = profile_to_json(reports)
-    assert len(calls) == len(set(calls)) == 21
+    assert len(calls) == len(set(calls)) == 12
     # equal but distinct dicts are rendered one by one, to the same text
     calls.clear()
     copied = {key: dataclasses.replace(r, histogram=dict(r.histogram))
@@ -514,6 +581,19 @@ def test_profile_json_renders_each_histogram_once(monkeypatch):
     assert profile_to_json(copied) == shared
     assert len(calls) == 36
     assert shared == json.dumps([reports[k].to_json_dict() for k in sorted(reports)], indent=2)
+
+
+def test_profile_json_mirrors_without_their_base():
+    # a reports dict of mirror views alone (their base reports left out)
+    cases = [(d2_profile(gen_power(2, 0, 80), 2, 80), False),
+             (d2star_profile(gen_power(2, 0, 40), 2, 40, diagonal="literal"), True),
+             (d2star_profile(gen_smooth({2, 3}, 40), 3, 40), True)]
+    for reports, with_zero in cases:
+        mirrors = {key: r for key, r in reports.items() if type(r.histogram) is not dict}
+        assert mirrors and len(mirrors) < len(reports)
+        assert any(0 in r.histogram for r in mirrors.values()) == with_zero
+        want = json.dumps([mirrors[k].to_json_dict() for k in sorted(mirrors)], indent=2)
+        assert profile_to_json(mirrors) == want
 
 
 # SHA-256 of profile_to_json text at bound 3, N = 60, recorded while each
@@ -537,3 +617,40 @@ PROFILE_JSON_PINNED = {
 def test_profile_json_pinned(name):
     run, sha = PROFILE_JSON_PINNED[name]
     assert hashlib.sha256(profile_to_json(run()).encode()).hexdigest() == sha
+
+
+# The rest of the corpus at bound 3, N = 60, recorded while every mirrored
+# orientation still held a negated dict of its own
+PROFILE_SEQS = {
+    "pow2": lambda: gen_power(2, 0, 60),
+    "pow2m1": lambda: gen_power(2, -1, 60),
+    "geometric": lambda: gen_geometric("3/2", 2, 60),
+    "smooth": lambda: gen_smooth({2, 3}, 60),
+    "rstar": lambda: gen_random_rstar(RStarParams(alpha=1.0, a=50, count=60, seed=20260810)),
+}
+PROFILE_RUNS = {
+    "d2": lambda seq: d2_profile(seq, 3, 60),
+    "d2star": lambda seq: d2star_profile(seq, 3, 60),
+    "d2star literal": lambda seq: d2star_profile(seq, 3, 60, diagonal="literal"),
+}
+PROFILE_JSON_CORPUS_PINNED = {
+    ("pow2", "d2"): "10d028bbbe72a52648995d5dce9aaa2d812036ca3aca599cbc24ee2a60a9178a",
+    ("pow2", "d2star"): "20716c0c1e9ae964c7ca918a52f09cde067f0b8e06f6fea542ac7ed3a5896354",
+    ("pow2", "d2star literal"): "65bf41f89d345e54fcc1a46f2f66a5f25afba1b6caa9d2ddfcfa294f1f2d4fcc",
+    ("pow2m1", "d2star"): "a44654100e63bb0ce51bbd72315b8d07114275380094ffe1b06ff6066f16096e",
+    ("pow2m1", "d2star literal"): "ada6c945af205112fd7c5997360cf23f7fcd0a2788ae9c9403ad5388c95556a2",
+    ("geometric", "d2"): "e9d250bce5c71d9bd8ee3b9f068fe6a5fc7eacb63934517f6fbaec08a08ceab1",
+    ("geometric", "d2star literal"): "063d2752efa2e3432e016ba68dfeacce36bea1bc36bc362530d824470189745e",
+    ("smooth", "d2"): "b927775e9773483df6fb7198b284c5e3fc1b002cd6af3109175595941ce396fe",
+    ("smooth", "d2star"): "30f53d7416c6ff20c42f94660342e70a74f8d68c58d89ac9d13bf10bb80d0094",
+    ("rstar", "d2"): "a425daeed006f1ddad42cd2dc2639a004469e6f507489d7643847beacffd59db",
+    ("rstar", "d2star literal"): "813cfff08f7a77aa58c482a171c1aaf3dde59a02b5959e6e37fefb9439e60445",
+}
+
+
+@pytest.mark.parametrize("seq_name,run_name", sorted(PROFILE_JSON_CORPUS_PINNED),
+                         ids=[" ".join(key) for key in sorted(PROFILE_JSON_CORPUS_PINNED)])
+def test_profile_json_corpus_pinned(seq_name, run_name):
+    text = profile_to_json(PROFILE_RUNS[run_name](PROFILE_SEQS[seq_name]()))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PROFILE_JSON_CORPUS_PINNED[(seq_name, run_name)]
