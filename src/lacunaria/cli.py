@@ -244,14 +244,11 @@ def run_perm(params: dict, out_dir: Path) -> list[Path]:
         perm = permute.random_perm(params["window"], params["perm_seed"])
     elif mode == "pairing":
         seq = resolve_sequence(params["seq"], None, params.get("seed"))
-        sched_fields = params["blocks"].split(":")
-        if sched_fields[0] == "paper":
-            schedule = permute.BlockSchedule.paper_doubly_exponential(int(sched_fields[1]))
-        elif sched_fields[0] == "geometric":
-            schedule = permute.BlockSchedule.geometric_dominant(
-                int(sched_fields[1]),
-                factor=int(sched_fields[2]) if len(sched_fields) > 2 else 4,
-                base_len=int(sched_fields[3]) if len(sched_fields) > 3 else 4)
+        kind, *numbers = params["blocks"].split(":")
+        if kind == "paper" and len(numbers) == 1:
+            schedule = permute.BlockSchedule.paper_doubly_exponential(int(numbers[0]))
+        elif kind == "geometric" and 1 <= len(numbers) <= 3:
+            schedule = permute.BlockSchedule.geometric_dominant(*map(int, numbers))
         else:
             raise ValueError("blocks spec is paper:M or geometric:M[:factor[:base]]")
         gap_ratio = Fraction(params["gap_ratio"]) if params.get("gap_ratio") else None

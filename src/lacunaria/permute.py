@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -207,47 +208,124 @@ def read_certificate(path) -> PairingCertificate:
 
 def _witness_groups(seq: IntegerSequence, a: int, b: int, *,
                     allow_zero_c: bool, max_span: int | None,
-                    head: int = 256) -> dict[tuple[int, int, bool], list[tuple[int, int]]]:
+                    head: int = 256,
+                    min_pairs: int = 1) -> dict[tuple[int, int, bool], list[tuple[int, int]]]:
     """Candidate pairs u < v with a*n_v - b*n_u = c, grouped by c.
 
     Families sharing one c have n_v/n_u -> b/a, so v - u is bounded by
-    log_q(b/a) for lacunary sequences; the scan covers spans up to that bound
+    log_q(b/a) for lacunary sequences; the walk covers spans up to that bound
     (plus slack), and additionally all pairs among the first ``head`` indices
-    to catch small exceptional witnesses.
+    to catch small exceptional witnesses.  Groups with fewer than
+    ``min_pairs`` pairs are left out: no block of that many pairs can be
+    filled from them.
 
     Groups are keyed by ``(c.bit_length(), |c|, c < 0)`` (see
     :func:`_constant`).  The bit length keeps the keys collision-free: an int
     hashes as its value mod 2**61 - 1, so on 2**k +- 1 the constants alone
     would hash with period 61 in k and every insert would walk a long probe
     chain.  The natural order of the keys is the selection order, smallest
-    |c| first and c before -c.  Each u scans one contiguous v-range in
-    increasing order, so no pair repeats and every group comes out sorted.
+    |c| first and c before -c.  Each u walks one contiguous v-range in
+    increasing order, so no pair repeats, every group comes out sorted, and
+    the groups come in the order of their first pair.
     """
     n = len(seq)
     if max_span is None:
-        power = seq.power_form()
-        if power is not None:
-            q = float(power[0])  # base^k + offset has every ratio >= base
-        elif n >= 2:
-            q = float(gap_profile(seq).min_ratio)
-        else:
-            q = 2.0
-        if q <= 1.0:
-            max_span = n - 1
-        else:
-            ratio = abs(b / a)
-            max_span = max(1, math.ceil(math.log(max(ratio, 1.0)) / math.log(q))) + 2
+        max_span = _span_bound(seq, a, b)
+    power = seq.power_form()
+    if power is None:
+        groups = _scan_groups(seq, a, b, allow_zero_c, max_span, head)
+        return {key: pairs for key, pairs in groups.items() if len(pairs) >= min_pairs}
+    groups = {}
+    terms = seq.terms
+    last_u = None
+    for pairs in _power_pair_groups(n, power[0], a, b, max_span, head, min_pairs):
+        if len(pairs) < min_pairs:
+            continue
+        u, v = pairs[0]
+        if u != last_u:  # groups come in the order of their first pair
+            b_nu, last_u = b * terms[u - 1], u
+        c = a * terms[v - 1] - b_nu
+        if c == 0 and not allow_zero_c:
+            continue
+        groups[(c.bit_length(), abs(c), c < 0)] = pairs
+    return groups
+
+
+def _span_bound(seq: IntegerSequence, a: int, b: int) -> int:
+    """The default largest v - u of :func:`_witness_groups` past its head."""
+    n = len(seq)
+    power = seq.power_form()
+    if power is not None:
+        q = float(power[0])  # base^k + offset has every ratio >= base
+    elif n >= 2:
+        q = float(gap_profile(seq).min_ratio)
+    else:
+        q = 2.0
+    if q <= 1.0:
+        return n - 1
+    return max(1, math.ceil(math.log(max(abs(b / a), 1.0)) / math.log(q))) + 2
+
+
+def _last_partner(u: int, n: int, max_span: int, head: int) -> int:
+    """The largest v the witness walk pairs with u."""
+    return min(n, u + max_span if u > head else max(u + max_span, head))
+
+
+def _scan_groups(seq: IntegerSequence, a: int, b: int, allow_zero_c: bool,
+                 max_span: int, head: int) -> dict[tuple[int, int, bool], list[tuple[int, int]]]:
+    """:func:`_witness_groups` on any sequence: one big-int c per pair."""
+    n = len(seq)
     groups: dict[tuple[int, int, bool], list[tuple[int, int]]] = {}
     terms = seq.terms  # 0-based; every index below is in 1..n
     for u in range(1, n):
         b_nu = b * terms[u - 1]
-        hi = min(n, u + max_span) if u > head else min(n, max(u + max_span, head))
-        for v in range(u + 1, hi + 1):
+        for v in range(u + 1, _last_partner(u, n, max_span, head) + 1):
             c = a * terms[v - 1] - b_nu
             if c == 0 and not allow_zero_c:
                 continue
             groups.setdefault((c.bit_length(), abs(c), c < 0), []).append((u, v))
     return groups
+
+
+def _power_pair_groups(n: int, q: int, a: int, b: int, max_span: int, head: int,
+                       min_pairs: int) -> list[list[tuple[int, int]]]:
+    """The pair lists of :func:`_scan_groups` on n_k = q**k + o, without any c.
+
+    a*n_v - b*n_u = q**u * K_d + (a - b)*o with d = v - u and
+    K_d = a*q**d - b, so pairs share c exactly when they share q**u * K_d.
+    If K_d = 0 the family d is one group.  Otherwise K_d = q**e * m with
+    q not dividing m, which fixes (m, e), and (u, u + d) lies in the group
+    keyed (m, u + e).  Within one family every key differs, so when
+    ``min_pairs`` > 1 a family whose m no other family has is skipped.
+    Zero constants are not dropped here.
+    """
+    top = min(n - 1, max(max_span, head - 1))  # the largest v - u the walk reaches
+    families = []  # (d, class of m or -1 when K_d = 0, e), by increasing d
+    classes: dict[tuple[int, int], int] = {}
+    q_d = 1
+    for d in range(1, top + 1):
+        q_d *= q
+        m = a * q_d - b
+        if m == 0:
+            families.append((d, -1, 0))
+            continue
+        e = 0
+        while m % q == 0:
+            m //= q
+            e += 1
+        families.append((d, classes.setdefault((m.bit_length(), m), len(classes)), e))
+    if min_pairs > 1:
+        shared = Counter(cls for _, cls, _ in families)
+        families = [f for f in families if f[1] < 0 or shared[f[1]] > 1]
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for u in range(1, n):
+        reach = _last_partner(u, n, max_span, head) - u
+        for d, cls, e in families:
+            if d > reach:
+                break
+            key = (cls, u + e) if cls >= 0 else (-1, 0)
+            groups.setdefault(key, []).append((u, u + d))
+    return list(groups.values())
 
 
 def _constant(key: tuple[int, int, bool]) -> int:
@@ -310,8 +388,14 @@ def build_pairing_counterexample(
             f"{2 * max(abs(a), abs(b))}"
         )
 
-    groups = _witness_groups(seq, a, b, allow_zero_c=allow_zero_c, max_span=max_span)
-    if not groups:
+    def witnesses(min_pairs: int):
+        return _witness_groups(seq, a, b, allow_zero_c=allow_zero_c,
+                               max_span=max_span, min_pairs=min_pairs)
+
+    # a group smaller than the shortest block fills none; the error paths
+    # below report on every group
+    groups = witnesses(min(schedule.lengths) // 2)
+    if not groups and not witnesses(1):
         raise InsufficientWitnesses(
             f"no witness pairs for a={a}, b={b} "
             f"({'including' if allow_zero_c else 'excluding'} c = 0)"
@@ -332,7 +416,7 @@ def build_pairing_counterexample(
         if best is None:
             supplies = {
                 _constant(key): len(_greedy_pick(pairs, want, seq, gap_ratio, used, last_value)[0])
-                for key, pairs in groups.items()
+                for key, pairs in witnesses(1).items()
             }
             top_c, top = max(supplies.items(), key=lambda kv: (kv[1], -abs(kv[0])))
             if top == 0 and all(s == 0 for s in supplies.values()):

@@ -428,4 +428,9 @@ def read_sequence(path) -> IntegerSequence:
                     )
                 continue
             terms.append(int(line))
+    if isinstance(provenance, Power) and terms:
+        # the pairing and the Monte Carlo engine take power-form terms on trust
+        expected = gen_power(provenance.base, provenance.offset, len(terms)).terms
+        if terms != list(expected):
+            raise ValueError(f"terms of {path} are not base**k + offset of their provenance")
     return IntegerSequence(terms, provenance)

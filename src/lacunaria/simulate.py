@@ -112,6 +112,8 @@ class PartialSumEvaluator:
         max_used = seq.term(top)
         self.required = required_bits(max_used, max(self.freqs))
         self._engines: dict[int, FracTopEngine] = {}
+        # (variance, sqrt(2 variance N ln ln N) for N = 16..count) of the last LIL call
+        self._lil_denom: tuple[float, np.ndarray] | None = None
 
     def _engine(self, bits: int) -> FracTopEngine:
         if bits < self.required:
@@ -159,9 +161,12 @@ class PartialSumEvaluator:
         if n_max < 16 or n_max & (n_max - 1):
             raise ValueError("n_max must be a power of two, at least 16")
         prefix = self.prefix_sums(x)
-        ns = np.arange(16, n_max + 1, dtype=np.float64)
-        denom = np.sqrt(2.0 * variance * ns * np.log(np.log(ns)))
-        ratios = np.abs(prefix[15:]) / denom
+        if self._lil_denom is None or self._lil_denom[0] != variance:
+            ns = np.arange(16, n_max + 1, dtype=np.float64)
+            denom = np.sqrt(2.0 * variance * ns * np.log(np.log(ns)))
+            denom.flags.writeable = False
+            self._lil_denom = (variance, denom)
+        ratios = np.abs(prefix[15:]) / self._lil_denom[1]
         running = np.maximum.accumulate(ratios)
         checkpoints = []
         n = 16

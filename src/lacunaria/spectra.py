@@ -286,6 +286,38 @@ def _square_expand(terms: list[tuple[int, int, int]],
                 _merge_add(acc, -fdiff, diff_cos, -diff_sin)
 
 
+def _separated_start(degree: int, cert: PairingCertificate,
+                     values: list[tuple[int, int]], freq_cutoff: int) -> int:
+    """Index of the first pair of the longest tail of separated pairs.
+
+    ``values`` holds (n_u, n_v) of each pair of a verified certificate.
+    Every frequency of a pair's squared expansion is alpha*n_u + beta*n_v
+    with |alpha| + |beta| <= 2 * degree; with n_v = (c + b*n_u) / a it is
+    ((a*alpha + b*beta) * n_u + beta*c) / a.  It is low, beta*c/a, when
+    a*alpha + b*beta = 0, and high otherwise, and then at least
+    (n_u - 2 * degree * |c|) / |a|.  A pair with c != 0 is separated when
+      n_u - 2 * degree * |c| > |a| * max(cutoff, 2 * degree * n_v of the
+        previous pair): its high frequencies lie above the cutoff and above
+        every frequency of an earlier pair;
+      n_u - 2 * degree * |c| > 2 * degree * max_m |c_m|: they lie above
+        every low frequency of any pair.  This also gives
+        n_u > 4 * degree * |c|, so they differ from each other.
+    So each high frequency of a separated pair is reached by that pair alone.
+    """
+    k = 2 * degree
+    top_c = max(abs(blk.c) for blk in cert.blocks)
+    flat_c = [blk.c for blk in cert.blocks for _ in blk.pairs]
+    start = len(values)
+    while start > 0:
+        i = start - 1
+        room = values[i][0] - k * abs(flat_c[i])
+        floor = max(freq_cutoff, k * values[i - 1][1] if i else 0)
+        if not (flat_c[i] and room > abs(cert.a) * floor and room > k * top_c):
+            break
+        start = i
+    return start
+
+
 def mixture_profile(
     poly: TrigPolynomial,
     seq: IntegerSequence,
@@ -298,6 +330,12 @@ def mixture_profile(
     The constant term plus the merged terms at frequencies <= cutoff (default
     max |c_m|) form the limiting conditional variance; everything above the
     cutoff is reported as residual mass.
+
+    Pairs before the separated tail (see :func:`_separated_start`) are
+    expanded one by one.  A separated pair's high frequencies are its own and
+    lie above the cutoff, and its low ones depend on c alone, so every
+    separated pair of a block expands alike: the block's tail is expanded
+    once and counted for each of its pairs.
     """
     ok, problem = verify_certificate(perm, seq, cert)
     if not ok:
@@ -316,21 +354,41 @@ def mixture_profile(
         )
 
     scale, base_terms = _scaled_terms(poly)
+
+    def pair_terms(nu: int, nv: int) -> list[tuple[int, int, int]]:
+        return [(j * n, a, b) for n in (nu, nv) for j, a, b in base_terms]
+
+    values = [(seq.term(u), seq.term(v)) for u, v in pairs]
+    start = _separated_start(poly.degree, cert, values, freq_cutoff)
     constant = [0]
     acc: dict[tuple[int, int], list[int]] = {}
-    for u, v in pairs:
-        nu, nv = seq.term(u), seq.term(v)
-        pair_terms = [(j * nu, a, b) for j, a, b in base_terms]
-        pair_terms += [(j * nv, a, b) for j, a, b in base_terms]
-        _square_expand(pair_terms, constant, acc)
+    residual = 0
+    residual_count = 0
+    i = 0
+    for blk in cert.blocks:
+        stop = i + len(blk.pairs)
+        for nu, nv in values[i:min(stop, start)]:
+            _square_expand(pair_terms(nu, nv), constant, acc)
+        if stop > start:
+            count = stop - max(i, start)
+            own = [0]
+            part: dict[tuple[int, int], list[int]] = {}
+            _square_expand(pair_terms(*values[stop - count]), own, part)
+            constant[0] += count * own[0]
+            low = 2 * poly.degree * abs(blk.c)  # |a| * f <= low marks a low frequency
+            for (_, f), (c, s) in part.items():
+                if abs(cert.a) * f <= low:
+                    _merge_add(acc, f, count * c, count * s)
+                elif c or s:
+                    residual += count * (c * c + s * s)
+                    residual_count += count
+        i = stop
 
     # every accumulated value is 2 L^2 times the true coefficient
     slots = 2 * len(pairs)
     denom = 2 * scale * scale * slots
     low_cos: dict[int, Fraction] = {}
     low_sin: dict[int, Fraction] = {}
-    residual = 0
-    residual_count = 0
     for (_, f), (c, s) in acc.items():
         if not c and not s:
             continue

@@ -141,6 +141,16 @@ def test_perm_insufficient_witnesses_exit(tmp_path):
                 "--blocks", "geometric:1:4:4", "--out-dir", tmp_path]) == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("blocks", ["geometric", "paper", "geometric:2:4:4:9", "paper:2:7",
+                                    "doubling:2"])
+def test_perm_blocks_spec_field_count_exits_domain(tmp_path, capsys, blocks):
+    assert run(["perm", "--pairing", "1", "2", "--seq", "pow2m1:200",
+                "--blocks", blocks, "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert ("blocks spec is paper:M or geometric:M[:factor[:base]]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run.json").exists()
+
+
 # ---------------- var command ----------------
 
 def test_var_cli(tmp_path):

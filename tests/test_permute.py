@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from lacunaria.errors import InsufficientWitnesses, SpacingUnsatisfiable
+from lacunaria import permute
 from lacunaria.permute import (
     BlockPairing,
     BlockSchedule,
     PairingCertificate,
     PermutationWindow,
+    _span_bound,
+    _witness_groups,
     build_pairing_counterexample,
     identity,
     random_perm,
@@ -319,6 +322,54 @@ def test_pairing_error_messages_pinned():
                                      BlockSchedule([2, 2], "paper"), gap_ratio=1000)
     assert str(err.value) == ("block 2: witnesses exist but none clears "
                               "the spacing ratio 1000")
+
+
+# ---------------- witness groups: closed form on power forms ----------------
+
+# (1, -4), (3, 4), (1, 6) on 2^k and (4, 9) on 3^k have two families
+# d != d' with one m, so their groups hold pairs of two spans
+WITNESS_COEFFS = [(1, 2), (2, 1), (1, 3), (1, -4), (3, 4), (1, 6), (4, 9), (-1, 2)]
+
+
+@pytest.mark.parametrize("base,offset", [(2, 0), (2, -1), (3, -1)])
+def test_power_witness_groups_match_scan(base, offset):
+    seq = gen_power(base, offset, 120)
+    plain = IntegerSequence(list(seq.terms), External("copy"))  # no power form: the scan
+    mixed = 0
+    for a, b in WITNESS_COEFFS:
+        for max_span in (None, 1, 3, 119):
+            span = _span_bound(seq, a, b) if max_span is None else max_span
+            for allow_zero_c in (False, True):
+                for head in (40, 256):
+                    scan = _witness_groups(plain, a, b, allow_zero_c=allow_zero_c,
+                                           max_span=span, head=head)
+                    for min_pairs in (1, 2, 3):
+                        got = _witness_groups(seq, a, b, allow_zero_c=allow_zero_c,
+                                              max_span=max_span, head=head,
+                                              min_pairs=min_pairs)
+                        want = [(k, p) for k, p in scan.items() if len(p) >= min_pairs]
+                        assert list(got.items()) == want, (a, b, max_span, head, min_pairs)
+                        mixed += any(len({v - u for u, v in p}) > 1 for p in got.values())
+    assert mixed  # groups that merge two families were compared
+
+
+def test_witness_work_on_the_pairing_input(monkeypatch):
+    # the pairing-mixture input: pow2m1:11000, a = 1, b = 2, blocks of 4..4096
+    # slots, so no group under 2 pairs can fill a block
+    seq = gen_power(2, -1, 11000)
+    schedule = BlockSchedule.geometric_dominant(6, factor=4, base_len=4)
+    groups = _witness_groups(seq, 1, 2, allow_zero_c=False, max_span=None,
+                             min_pairs=min(schedule.lengths) // 2)
+    assert list(groups) == [(1, 1, False)]  # c = 1 alone: family v = u + 1
+    assert groups[(1, 1, False)] == [(u, u + 1) for u in range(1, 11000)]
+
+    def no_scan(*args):
+        raise AssertionError("power form fell back to the per-pair scan")
+
+    monkeypatch.setattr(permute, "_scan_groups", no_scan)
+    perm, cert = build_pairing_counterexample(seq, 1, 2, schedule, gap_ratio=8)
+    assert cert.constants() == [1] * 6
+    assert verify_certificate(perm, seq, cert) == (True, None)
 
 
 # ---------------- verification catches mutations ----------------

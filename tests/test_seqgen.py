@@ -249,6 +249,20 @@ def test_sequence_file_roundtrip(tmp_path):
     assert back.provenance.offset == -1
 
 
+def test_sequence_file_power_provenance_checked(tmp_path):
+    path = tmp_path / "seq.txt"
+    write_sequence(gen_power(3, -1, 12), path)
+    lines = path.read_text().splitlines()
+    lines[5] = str(int(lines[5]) + 1)  # still strictly increasing
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="not base"):
+        read_sequence(path)
+    write_sequence(gen_power(3, -1, 12), path)
+    path.write_text(path.read_text().replace('"base": 3', '"base": 1'))
+    with pytest.raises(ValueError, match="base must be at least 2"):
+        read_sequence(path)
+
+
 def test_sequence_file_headerless(tmp_path):
     path = tmp_path / "plain.txt"
     path.write_text("3\n5\n9\n")

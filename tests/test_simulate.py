@@ -442,6 +442,23 @@ def test_lil_one_evaluator_many_points():
         assert got.checkpoints == want.checkpoints and got.meta == want.meta
 
 
+def test_lil_denominator_cached_per_variance():
+    n = 1 << 10
+    seq = gen_power(2, -1, n)
+    perm = identity(n)
+    ev = PartialSumEvaluator(COS12, seq, perm, n)
+    x, y = sample_points(ev.required, 2, seed=9)
+    first = ev.lil_trajectory(x, 1.0)
+    denom = ev._lil_denom[1]
+    again = ev.lil_trajectory(y, 1.0)
+    assert ev._lil_denom[1] is denom  # same variance: reused
+    other = ev.lil_trajectory(x, 0.5)
+    assert ev._lil_denom[1] is not denom  # another variance: recomputed
+    assert ev.lil_trajectory(x, 1.0).checkpoints == first.checkpoints
+    for point, variance, traj in ((x, 1.0, first), (y, 1.0, again), (x, 0.5, other)):
+        assert traj.checkpoints == lil_trajectory(COS12, seq, perm, point, n, variance).checkpoints
+
+
 def test_lil_rejects_bad_args():
     seq = gen_power(2, 0, 64)
     x = sample_points(required_bits(seq.term(64), 1), 1, seed=1)[0]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +21,7 @@ from lacunaria.spectra import (
     MixtureProfile,
     TrigPolynomial,
     _expand_scaled,
+    _separated_start,
     exact_variance,
     kac_variance,
     l2_norm_sq,
@@ -210,20 +212,111 @@ def test_expand_and_variance_match_fraction_oracle(name, seq):
                     assert exact_variance(poly, seq, perm, count) == mass / count
 
 
+ORACLE_CUTOFFS = (None, -3, 0, 7, 10**6, 10**9)
+
+
+def assert_matches_oracle(poly, seq, perm, cert, cutoff):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # cutoffs below every c warn
+        got = mixture_profile(poly, seq, perm, cert, freq_cutoff=cutoff)
+    want = brute_mixture_profile(poly, seq, cert, freq_cutoff=cutoff)
+    assert got.constant == want["constant"]
+    assert list(got.cosine_terms.items()) == list(want["cosine_terms"].items())
+    assert list(got.sine_terms.items()) == list(want["sine_terms"].items())
+    assert got.residual_mass == want["residual_mass"]
+    assert got.residual_count == want["residual_count"]
+
+
 @pytest.mark.parametrize("name,seq", ORACLE_SEQUENCES, ids=[n for n, _ in ORACLE_SEQUENCES])
 def test_mixture_profile_matches_fraction_oracle(name, seq):
     perm, cert = spaced_certificate(seq)
     assert len(cert.blocks) >= 3
     for poly in (RATIONAL, COS12):
-        for cutoff in (None, 7, 10**6):
-            got = mixture_profile(poly, seq, perm, cert, freq_cutoff=cutoff)
-            want = brute_mixture_profile(poly, seq, cert, freq_cutoff=cutoff)
-            assert got.constant == want["constant"]
-            assert list(got.cosine_terms.items()) == list(want["cosine_terms"].items())
-            assert list(got.sine_terms.items()) == list(want["sine_terms"].items())
-            assert got.residual_mass == want["residual_mass"]
-            assert got.residual_count == want["residual_count"]
+        for cutoff in ORACLE_CUTOFFS:
+            assert_matches_oracle(poly, seq, perm, cert, cutoff)
     assert mixture_profile(RATIONAL, seq, perm, cert).sine_terms
+
+
+def crafted_certificate(a, b, blocks, gap):
+    """A sequence of pairs (n_u, n_v), a*n_v - b*n_u = c, with its certificate.
+
+    ``blocks`` lists (c, number of pairs); each n_u is the first value at or
+    above gap * (previous n_v) for which n_v is an integer.
+    """
+    terms, cert_blocks, last = [], [], 1
+    for c, count in blocks:
+        pairs = []
+        for _ in range(count):
+            nu = gap * last
+            while (c + b * nu) % a:
+                nu += 1
+            last = (c + b * nu) // a
+            terms += [nu, last]
+            pairs.append((len(terms) - 1, len(terms)))
+        cert_blocks.append(BlockPairing(c=c, pairs=pairs))
+    seq = IntegerSequence(terms, External("crafted"))
+    perm = identity(len(terms))
+    cert = PairingCertificate(a=a, b=b, gap_ratio=Fraction(gap), blocks=cert_blocks)
+    assert verify_certificate(perm, seq, cert) == (True, None)
+    return seq, perm, cert
+
+
+def pow2m1_certificate():
+    seq = gen_power(2, -1, 200)
+    return (seq, *build_pairing_counterexample(
+        seq, 1, 2, BlockSchedule.geometric_dominant(2, factor=4, base_len=4), gap_ratio=8))
+
+
+def low_on_high_certificate():
+    seq, _, _ = crafted_certificate(1, 2, [(1, 2)], 8)
+    return crafted_certificate(1, 2, [(1, 2), (seq.term(4) - seq.term(3), 2)], 8)
+
+
+SUFFIX_BLOCKS = [(3, 2), (0, 1), (1, 3), (-2, 2), (5, 4)]
+# (certificate, polynomial, first pair of the separated tail at the default cutoff)
+SEPARATED_CASES = {
+    # pair (1, 2) of 2^k - 1 collides at c = 1; the tail starts inside block 1
+    "pow2m1 gap 8, tail mid-block": (pow2m1_certificate, COS12, 1),
+    # the c = 0 pair (index 2) ends the prefix
+    "c = 0 block, gap 8": (lambda: crafted_certificate(1, 2, SUFFIX_BLOCKS, 8), COS12, 3),
+    "c = 0 block, degree 3 with sines, gap 16":
+        (lambda: crafted_certificate(1, 2, SUFFIX_BLOCKS, 16), RATIONAL, 3),
+    # every pair separated
+    "a = 2, b = 5, gap 32": (lambda: crafted_certificate(2, 5, [(1, 3), (-3, 5)], 32),
+                             TrigPolynomial.parse("sin:1,cos:2=-1/3,sin:2=1/2"), 0),
+    # RATIONAL's 3 n_u - n_v = (109 - 9) / 2 = 50 is high, yet below 2 deg |c| = 54
+    "a = 2, b = 5, a high frequency under 2 deg |c|":
+        (lambda: crafted_certificate(2, 5, [(9, 3)], 109), RATIONAL, 0),
+    # the later block's c lands on n_v - n_u of pair 1, which stays in the prefix
+    "a later c on an earlier high frequency": (low_on_high_certificate, COS12, 2),
+    # n_u = 4 n_v(previous) leaves no room: every pair is expanded one by one
+    "gap 4, all prefix": (lambda: crafted_certificate(1, 2, SUFFIX_BLOCKS, 4), COS12, 12),
+}
+
+
+@pytest.mark.parametrize("case", list(SEPARATED_CASES))
+def test_mixture_profile_separated_tail_matches_fraction_oracle(case):
+    build, poly, start = SEPARATED_CASES[case]
+    seq, perm, cert = build()
+    values = [(seq.term(u), seq.term(v)) for u, v in cert.all_pairs]
+    cutoff = max(abs(c) for c in cert.constants())
+    assert _separated_start(poly.degree, cert, values, cutoff) == start
+    for p in (poly, COS12, RATIONAL):
+        for cutoff in ORACLE_CUTOFFS:
+            assert_matches_oracle(p, seq, perm, cert, cutoff)
+
+
+def test_mixture_profile_pairing_input_tail_starts_at_second_pair():
+    # the pairing-mixture input: every pair but the colliding (1, 2) is
+    # separated, so the 5460-slot profile expands 1 pair plus 6 blocks
+    seq = gen_power(2, -1, 11000)
+    perm, cert = build_pairing_counterexample(
+        seq, 1, 2, BlockSchedule.geometric_dominant(6, factor=4, base_len=4), gap_ratio=8)
+    values = [(seq.term(u), seq.term(v)) for u, v in cert.all_pairs]
+    assert len(values) == 2730
+    assert _separated_start(COS12.degree, cert, values, 1) == 1
+    profile = mixture_profile(COS12, seq, perm, cert)
+    assert profile.cosine_terms == {1: Fraction(2731, 5460)} and profile.constant == 1
 
 
 # ---------------- Kac variance ----------------
