@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InsufficientWitnesses, SpacingUnsatisfiable
 from .rng import CounterRng
-from .seqgen import IntegerSequence, gap_profile
+from .seqgen import IntegerSequence
 
 PERM_FILE_HEADER = "# lacunaria-perm v1"
 
@@ -100,7 +100,6 @@ class BlockSchedule:
     """Block lengths |Delta_1| .. |Delta_M|; all even, final block dominant."""
 
     lengths: list[int]
-    mode: str  # "paper" or "geometric"
 
     def __post_init__(self):
         if not self.lengths:
@@ -108,9 +107,8 @@ class BlockSchedule:
         for L in self.lengths:
             if L < 2 or L % 2:
                 raise ValueError(f"block length {L} must be even and >= 2")
-        if self.mode == "geometric" and len(self.lengths) > 1:
-            if self.lengths[-1] <= sum(self.lengths[:-1]):
-                raise ValueError("final block must dominate the sum of the others")
+        if len(self.lengths) > 1 and self.lengths[-1] <= sum(self.lengths[:-1]):
+            raise ValueError("final block must dominate the sum of the others")
 
     @property
     def total_slots(self) -> int:
@@ -121,7 +119,7 @@ class BlockSchedule:
         """Lengths 2^(2^m), m = 1..num_blocks; capped at 4 blocks (65536)."""
         if not 1 <= num_blocks <= 4:
             raise ValueError("doubly exponential blocks are capped at 4")
-        return cls([2 ** (2**m) for m in range(1, num_blocks + 1)], "paper")
+        return cls([2 ** (2**m) for m in range(1, num_blocks + 1)])
 
     @classmethod
     def geometric_dominant(cls, num_blocks: int, factor: int = 4,
@@ -134,7 +132,7 @@ class BlockSchedule:
             raise ValueError("dominance requires factor >= 4")
         if base_len < 2 or base_len % 2:
             raise ValueError("base length must be even and >= 2")
-        return cls([base_len * factor**m for m in range(num_blocks)], "geometric")
+        return cls([base_len * factor**m for m in range(num_blocks)])
 
 
 # ----------------------------------------------------------------------
@@ -256,14 +254,19 @@ def _span_bound(seq: IntegerSequence, a: int, b: int) -> int:
     n = len(seq)
     power = seq.power_form()
     if power is not None:
-        q = float(power[0])  # base^k + offset has every ratio >= base
+        log_q = math.log(power[0])  # base^k + offset has every ratio >= base
     elif n >= 2:
-        q = float(gap_profile(seq).min_ratio)
+        terms = seq.terms
+        q = min(Fraction(terms[i + 1], terms[i]) for i in range(n - 1))  # exact
+        try:
+            log_q = math.log(float(q))
+        except OverflowError:  # q is past the float range; its log is not
+            log_q = math.log(q.numerator) - math.log(q.denominator)
     else:
-        q = 2.0
-    if q <= 1.0:
+        log_q = math.log(2.0)
+    if log_q <= 0.0:
         return n - 1
-    return max(1, math.ceil(math.log(max(abs(b / a), 1.0)) / math.log(q))) + 2
+    return max(1, math.ceil(math.log(max(abs(b / a), 1.0)) / log_q)) + 2
 
 
 def _last_partner(u: int, n: int, max_span: int, head: int) -> int:
@@ -334,19 +337,20 @@ def _constant(key: tuple[int, int, bool]) -> int:
 
 
 def _greedy_pick(pairs: list[tuple[int, int]], want: int, seq: IntegerSequence,
-                 gap_ratio: Fraction, used: set[int], last_value: int | None):
-    """Left-to-right selection honoring disjointness and value-ratio spacing.
+                 gap_ratio: Fraction, last_value: int | None):
+    """Left-to-right selection honoring value-ratio spacing.
 
     Returns everything it could pick (possibly fewer than ``want``) and the
-    largest placed value.
+    largest placed value.  Spacing alone keeps the picks disjoint: terms are
+    positive and strictly increasing and ``gap_ratio`` >= 2, so a pick's
+    n_u >= gap_ratio * (last placed n_v) puts u past every index placed
+    before it, and v > u.
     """
     picked = []
     lv = last_value
     num, den = gap_ratio.numerator, gap_ratio.denominator
     terms = seq.terms  # pairs come from _witness_groups, so indices are in range
     for u, v in pairs:
-        if u in used or v in used:
-            continue
         # require n_u >= gap_ratio * (largest value already placed)
         if lv is not None and terms[u - 1] * den < num * lv:
             continue
@@ -365,7 +369,6 @@ def build_pairing_counterexample(
     gap_ratio=None,
     *,
     allow_zero_c: bool = False,
-    max_span: int | None = None,
 ) -> tuple[PermutationWindow, PairingCertificate]:
     """Fill the schedule with disjoint witness pairs of a*n_v - b*n_u = c_m.
 
@@ -388,38 +391,36 @@ def build_pairing_counterexample(
             f"{2 * max(abs(a), abs(b))}"
         )
 
-    def witnesses(min_pairs: int):
-        return _witness_groups(seq, a, b, allow_zero_c=allow_zero_c,
-                               max_span=max_span, min_pairs=min_pairs)
-
-    # a group smaller than the shortest block fills none; the error paths
-    # below report on every group
-    groups = witnesses(min(schedule.lengths) // 2)
-    if not groups and not witnesses(1):
-        raise InsufficientWitnesses(
-            f"no witness pairs for a={a}, b={b} "
-            f"({'including' if allow_zero_c else 'excluding'} c = 0)"
-        )
-
+    # a group smaller than the shortest block fills none; only a block that
+    # cannot be filled reads every group
+    groups = _witness_groups(seq, a, b, allow_zero_c=allow_zero_c, max_span=None,
+                             min_pairs=min(schedule.lengths) // 2)
     order = sorted(groups)  # smallest |c| first, c before -c
-    used: set[int] = set()
     last_value: int | None = None
     blocks: list[BlockPairing] = []
     for bi, length in enumerate(schedule.lengths, start=1):
         want = length // 2
         best = None
         for key in order:
-            picked, lv = _greedy_pick(groups[key], want, seq, gap_ratio, used, last_value)
+            picked, lv = _greedy_pick(groups[key], want, seq, gap_ratio, last_value)
             if len(picked) == want:
                 best = (_constant(key), picked, lv)
                 break
         if best is None:
+            # with no pruned group block 1 fails first, so this is the only
+            # place that can find no witnesses at all
+            every = _witness_groups(seq, a, b, allow_zero_c=allow_zero_c, max_span=None)
+            if not every:
+                raise InsufficientWitnesses(
+                    f"no witness pairs for a={a}, b={b} "
+                    f"({'including' if allow_zero_c else 'excluding'} c = 0)"
+                )
             supplies = {
-                _constant(key): len(_greedy_pick(pairs, want, seq, gap_ratio, used, last_value)[0])
-                for key, pairs in witnesses(1).items()
+                _constant(key): len(_greedy_pick(pairs, want, seq, gap_ratio, last_value)[0])
+                for key, pairs in every.items()
             }
             top_c, top = max(supplies.items(), key=lambda kv: (kv[1], -abs(kv[0])))
-            if top == 0 and all(s == 0 for s in supplies.values()):
+            if top == 0:
                 raise SpacingUnsatisfiable(
                     f"block {bi}: witnesses exist but none clears the spacing "
                     f"ratio {gap_ratio}"
@@ -429,9 +430,6 @@ def build_pairing_counterexample(
                 f"c={top_c} supplies only {top}"
             )
         c, picked, last_value = best
-        for u, v in picked:
-            used.add(u)
-            used.add(v)
         blocks.append(BlockPairing(c=c, pairs=picked))
 
     flat = np.array([i for blk in blocks for pair in blk.pairs for i in pair],
@@ -461,11 +459,10 @@ def verify_certificate(
     n = len(seq)
     a, b = cert.a, cert.b
     num, den = cert.gap_ratio.numerator, cert.gap_ratio.denominator
-    flat: list[tuple[int, int]] = []
     # the first spacing violation, reported only after the checks below pass;
-    # only the previous pair's n_v is kept, not every certified term
+    # only the previous pair and its n_v are kept, not every certified term
     spacing_problem = None
-    prev_v = None
+    prev_pair = prev_v = None
     slot = 0
     for m, blk in enumerate(cert.blocks, start=1):
         for u, v in blk.pairs:
@@ -482,20 +479,13 @@ def verify_certificate(
                     f"block {m}: a*n_{v} - b*n_{u} != {blk.c}"
                 )
             if spacing_problem is None and prev_v is not None and nu * den < num * prev_v:
-                spacing_problem = f"spacing violated between pairs {flat[-1]} and {(u, v)}"
-            prev_v = nv
-            flat.append((u, v))
+                spacing_problem = f"spacing violated between pairs {prev_pair} and {(u, v)}"
+            prev_pair, prev_v = (u, v), nv
 
+    # strictly increasing images also rule out a reused index
     for i in range(1, slot):
         if images[i] <= images[i - 1]:
             return False, f"certified images not increasing at slot {i + 1}"
-
-    seen: set[int] = set()
-    for u, v in flat:
-        if u in seen or v in seen or u == v:
-            return False, f"index reuse in pair ({u}, {v})"
-        seen.add(u)
-        seen.add(v)
 
     if spacing_problem is not None:
         return False, spacing_problem

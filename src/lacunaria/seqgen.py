@@ -379,16 +379,21 @@ def gap_profile(seq: IntegerSequence) -> GapProfile:
 
     The fit regresses log(ratio_k - 1) on log k; the returned exponent is
     the negated slope (ratios decaying like 1 + c * k**-alpha).  It is a
-    diagnostic, not a certified bound.
+    diagnostic, not a certified bound, and it is None when some ratio - 1
+    has no positive finite float.
     """
     n = len(seq)
     if n < 2:
         raise ValueError("gap profile needs at least 2 terms")
     ratios = [Fraction(seq.terms[i + 1], seq.terms[i]) for i in range(n - 1)]
     fit = None
-    if len(ratios) >= 3:
+    try:
+        excesses = [float(r - 1) for r in ratios]
+    except OverflowError:
+        excesses = []
+    if len(excesses) >= 3 and min(excesses) > 0.0:  # 0.0 where r - 1 underflows
         xs = [math.log(k) for k in range(1, len(ratios) + 1)]
-        ys = [math.log(float(r - 1)) for r in ratios]
+        ys = [math.log(x) for x in excesses]
         mean_x = sum(xs) / len(xs)
         mean_y = sum(ys) / len(ys)
         sxx = sum((x - mean_x) ** 2 for x in xs)

@@ -141,6 +141,20 @@ def test_perm_insufficient_witnesses_exit(tmp_path):
                 "--blocks", "geometric:1:4:4", "--out-dir", tmp_path]) == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("terms", [
+    [2 ** (2**k) for k in range(13)],  # a ratio past the float range
+    [10**400 + i for i in range(5)],  # every ratio rounds to 1.0
+], ids=["doubly-exponential", "1e400-plus-i"])
+def test_perm_pairing_on_extreme_ratios_exits_domain(tmp_path, capsys, terms):
+    path = tmp_path / "seq.txt"
+    path.write_text("".join(f"{t}\n" for t in terms))
+    assert run(["perm", "--pairing", "1", "3", "--seq", path,
+                "--out-dir", tmp_path / "out"]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "block 1 needs 2 disjoint spaced pairs; best candidate" in err
+    assert "supplies only 1" in err
+
+
 @pytest.mark.parametrize("blocks", ["geometric", "paper", "geometric:2:4:4:9", "paper:2:7",
                                     "doubling:2"])
 def test_perm_blocks_spec_field_count_exits_domain(tmp_path, capsys, blocks):
@@ -240,6 +254,18 @@ def test_lil_cli_one_evaluator_pinned(tmp_path, monkeypatch, args, csv_sha, summ
 def test_variance_out_of_float_range_exits_domain(tmp_path, capsys, command, message):
     assert run([*command, "--out-dir", tmp_path]) == EXIT_DOMAIN
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("spec", ["gaussian:-1", "gaussian:-1/3"])
+def test_negative_ks_variance_fails_before_sampling(tmp_path, capsys, monkeypatch, spec):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before the --ks spec was checked")
+
+    monkeypatch.setattr(simulate, "clt_experiment", no_sampling)
+    assert run(["clt", "--f", "cos:1", "--seq", "pow2", "--count", "64", "--samples", "10",
+                "--seed", "7", "--ks", spec, "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert "variance must be nonnegative" in capsys.readouterr().err
     assert not (tmp_path / "run.json").exists()
 
 

@@ -1,7 +1,10 @@
+import functools
 import hashlib
 import json
 import math
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,15 @@ from lacunaria.permute import (
     write_certificate,
     write_permutation,
 )
-from lacunaria.seqgen import External, IntegerSequence, gen_power, gen_smooth
+from lacunaria.seqgen import (
+    External,
+    IntegerSequence,
+    RStarParams,
+    gen_geometric,
+    gen_power,
+    gen_random_rstar,
+    gen_smooth,
+)
 
 from oracles import cycle_count
 
@@ -161,9 +172,18 @@ def test_geometric_schedule_dominance():
     sched = BlockSchedule.geometric_dominant(5, factor=4, base_len=4)
     assert sched.lengths[-1] > sum(sched.lengths[:-1])
     with pytest.raises(ValueError):
-        BlockSchedule([4, 4, 4], "geometric")  # final block not dominant
+        BlockSchedule([4, 4, 4])  # final block not dominant
     with pytest.raises(ValueError):
-        BlockSchedule([3, 16], "geometric")  # odd length
+        BlockSchedule([3, 16])  # odd length
+
+
+def test_every_schedule_checks_dominance():
+    for lengths in ([2, 2], [4, 4, 4], [2, 4, 6], [4, 16, 20]):
+        with pytest.raises(ValueError, match="^final block must dominate the sum of the others$"):
+            BlockSchedule(lengths)
+    assert BlockSchedule.paper_doubly_exponential(4).lengths == [4, 16, 256, 65536]
+    assert BlockSchedule([2, 4]).lengths == [2, 4]
+    assert BlockSchedule([6]).lengths == [6]
 
 
 # ---------------- pairing builder ----------------
@@ -185,7 +205,7 @@ def test_erdos_fortet_two_block_build():
 def test_erdos_fortet_default_spacing():
     # the default floor 2*max(|a|,|b|) = 4 admits the denser stride (1,2),(4,5),...
     seq = gen_power(2, -1, 64)
-    perm, cert = build_pairing_counterexample(seq, 1, 2, BlockSchedule([8], "geometric"))
+    perm, cert = build_pairing_counterexample(seq, 1, 2, BlockSchedule([8]))
     assert cert.all_pairs[:2] == [(1, 2), (4, 5)]
     ok, problem = verify_certificate(perm, seq, cert)
     assert ok, problem
@@ -193,7 +213,7 @@ def test_erdos_fortet_default_spacing():
 
 def test_single_pair_block():
     seq = gen_power(2, -1, 8)
-    sched = BlockSchedule([2], "geometric")
+    sched = BlockSchedule([2])
     perm, cert = build_pairing_counterexample(seq, 1, 2, sched)
     assert cert.certified_slots == 2
     assert tuple(perm.images[:2].tolist()) == cert.all_pairs[0]
@@ -203,14 +223,14 @@ def test_single_pair_block():
 
 def test_pow2_has_no_nonzero_witnesses():
     seq = gen_power(2, 0, 40)
-    sched = BlockSchedule([4], "geometric")
+    sched = BlockSchedule([4])
     with pytest.raises(InsufficientWitnesses):
         build_pairing_counterexample(seq, 1, 2, sched)
 
 
 def test_pow2_zero_c_allowed():
     seq = gen_power(2, 0, 64)
-    sched = BlockSchedule([4], "geometric")
+    sched = BlockSchedule([4])
     perm, cert = build_pairing_counterexample(seq, 1, 2, sched, allow_zero_c=True)
     assert cert.constants() == [0]
     ok, _ = verify_certificate(perm, seq, cert)
@@ -228,7 +248,7 @@ def test_deficit_is_named():
 def test_gap_ratio_floor_enforced():
     seq = gen_power(2, -1, 64)
     with pytest.raises(ValueError):
-        build_pairing_counterexample(seq, 1, 2, BlockSchedule([2], "geometric"),
+        build_pairing_counterexample(seq, 1, 2, BlockSchedule([2]),
                                      gap_ratio=3)
 
 
@@ -284,7 +304,7 @@ PINNED_PAIRINGS = [
      "866a1c92706f9d987a1ce89085b95172e417832e85cad6d8445e9c78874965bc"),
     ("smooth 2,3: c = 1 via (1, 3) wins over c = -1 via (2, 3)",
      lambda: build_pairing_counterexample(
-         gen_smooth({2, 3}, 300), 1, 2, BlockSchedule([2], "geometric")),
+         gen_smooth({2, 3}, 300), 1, 2, BlockSchedule([2])),
      3, [1],
      "71f1f3cb483cd6f5ca0ab792084ea71eba3416947c5a687cb3167d6b61af25c7",
      "4fa4919270bbdffc7a43f94d83cb2ec8dfce7f2697e0b232a2f5c050f5476ebe"),
@@ -307,21 +327,127 @@ def test_pairing_output_pinned(build, window, constants, images_sha, cert_sha):
 def test_pairing_error_messages_pinned():
     with pytest.raises(InsufficientWitnesses) as err:
         build_pairing_counterexample(gen_smooth({2, 3}, 300), 1, 2,
-                                     BlockSchedule([2, 8], "geometric"))
+                                     BlockSchedule([2, 8]))
     assert str(err.value) == ("block 2 needs 4 disjoint spaced pairs; "
                               "best candidate c=104 supplies only 2")
     with pytest.raises(InsufficientWitnesses) as err:
-        build_pairing_counterexample(gen_power(2, 0, 40), 1, 2, BlockSchedule([4], "geometric"))
+        build_pairing_counterexample(gen_power(2, 0, 40), 1, 2, BlockSchedule([4]))
     assert str(err.value) == ("block 1 needs 2 disjoint spaced pairs; "
                               "best candidate c=4 supplies only 1")
     with pytest.raises(InsufficientWitnesses) as err:
-        build_pairing_counterexample(gen_power(2, 0, 1), 1, 2, BlockSchedule([2], "geometric"))
+        build_pairing_counterexample(gen_power(2, 0, 1), 1, 2, BlockSchedule([2]))
     assert str(err.value) == "no witness pairs for a=1, b=2 (excluding c = 0)"
     with pytest.raises(SpacingUnsatisfiable) as err:
         build_pairing_counterexample(gen_power(2, -1, 8), 1, 2,
-                                     BlockSchedule([2, 2], "paper"), gap_ratio=1000)
+                                     BlockSchedule([2, 4]), gap_ratio=1000)
     assert str(err.value) == ("block 2: witnesses exist but none clears "
                               "the spacing ratio 1000")
+
+
+# ---------------- pairing golden: spans, builds and error texts ----------------
+
+def _fibonacci(count):
+    terms = [1, 2]
+    while len(terms) < count:
+        terms.append(terms[-1] + terms[-2])
+    return terms
+
+
+GOLDEN_SEQUENCES = {
+    "pow2": lambda: gen_power(2, 0, 64),
+    "pow2m1": lambda: gen_power(2, -1, 64),
+    "3^k-1": lambda: gen_power(3, -1, 64),
+    "geometric 3/2": lambda: gen_geometric(Fraction(3, 2), 2, 64),
+    "smooth 2,3": lambda: gen_smooth({2, 3}, 64),
+    "rstar": lambda: gen_random_rstar(RStarParams(alpha=1.0, a=50, count=64, seed=5)),
+    "3*2^k-1 list": lambda: IntegerSequence([3 * 2**k - 1 for k in range(1, 65)],
+                                            External("3*2^k-1")),
+    "fibonacci list": lambda: IntegerSequence(_fibonacci(64), External("fibonacci")),
+}
+GOLDEN_COEFFS = [(1, 2), (2, 1), (1, 3), (1, -4), (3, 4), (1, 6), (4, 9), (-1, 2),
+                 (2, 3), (1, 1)]
+GOLDEN_BUILDS = [([2], None), ([4], None), ([4, 16, 64], None), ([2, 4], 1000)]
+GOLDEN_PATH = Path(__file__).with_name("pairing_golden.json")
+
+
+@functools.cache
+def _golden_runs():
+    """(key, seq, span or build outcome) over the golden sets; a build outcome
+    is (perm, cert) or the exception it raised."""
+    runs = []
+    for name, make in GOLDEN_SEQUENCES.items():
+        seq = make()
+        for a, b in GOLDEN_COEFFS:
+            runs.append((f"span {name} {a},{b}", seq, _span_bound(seq, a, b)))
+            for lengths, gap in GOLDEN_BUILDS:
+                for zero in (False, True):
+                    key = f"build {name} {a},{b} {lengths} gap={gap} zero={zero}"
+                    try:
+                        with warnings.catch_warnings():
+                            warnings.simplefilter("ignore")  # a = b is experimental
+                            outcome = build_pairing_counterexample(
+                                seq, a, b, BlockSchedule(lengths), gap, allow_zero_c=zero)
+                    except (InsufficientWitnesses, SpacingUnsatisfiable) as err:
+                        outcome = err
+                    runs.append((key, seq, outcome))
+    return runs
+
+
+def _golden_value(outcome):
+    if isinstance(outcome, int):
+        return outcome
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    perm, cert = outcome
+    digest = hashlib.sha256(",".join(map(str, perm.images.tolist())).encode())
+    digest.update(json.dumps(cert.to_json_dict(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_pairing_golden_matches_entry_for_entry():
+    # recorded before the used-index set, the reuse loop and the gap-profile
+    # span were removed from the pairing layer
+    want = json.loads(GOLDEN_PATH.read_text())
+    got = {key: _golden_value(outcome) for key, _, outcome in _golden_runs()}
+    assert len(got) == len(want) == 720
+    assert [k for k in want if got[k] != want[k]] == []
+    assert any(v.startswith("SpacingUnsatisfiable") for v in got.values() if isinstance(v, str))
+
+
+def test_pairing_picks_increase_and_keep_spacing():
+    # disjointness needs no bookkeeping: n_u >= gap * (previous n_v) with
+    # gap >= 2 puts every pick past all earlier indices
+    builds = [(seq, out) for _, seq, out in _golden_runs() if isinstance(out, tuple)]
+    assert len(builds) > 100
+    for seq, (perm, cert) in builds:
+        images = perm.images[:cert.certified_slots].tolist()
+        assert all(x < y for x, y in zip(images, images[1:]))
+        pairs = cert.all_pairs
+        for (_, prev_v), (u, _) in zip(pairs, pairs[1:]):
+            assert seq.term(u) >= cert.gap_ratio * seq.term(prev_v)
+        assert verify_certificate(perm, seq, cert) == (True, None)
+
+
+def test_witness_groups_built_at_most_twice(monkeypatch):
+    calls = []  # the min_pairs of each _witness_groups call
+    real = permute._witness_groups
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("min_pairs", 1))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(permute, "_witness_groups", counted)
+    build_pairing_counterexample(gen_power(2, -1, 2000), 1, 2,
+                                 BlockSchedule.geometric_dominant(4), gap_ratio=8)
+    assert calls == [2]  # success: the pruned groups only
+    calls.clear()
+    with pytest.raises(InsufficientWitnesses, match="^block 1 needs 2 "):
+        build_pairing_counterexample(gen_power(2, 0, 40), 1, 2, BlockSchedule([4]))
+    assert calls == [2, 1]  # the unpruned groups once, for the failure report
+    calls.clear()
+    with pytest.raises(InsufficientWitnesses, match="^no witness pairs"):
+        build_pairing_counterexample(gen_power(2, 0, 1), 1, 2, BlockSchedule([2]))
+    assert calls == [1, 1]
 
 
 # ---------------- witness groups: closed form on power forms ----------------
@@ -432,7 +558,7 @@ def test_a_equals_b_flagged_experimental():
     # a = b = 1: n_v - n_u = 1 realized by (3,4), (7,8), (30,31), (90,91)
     with pytest.warns(UserWarning):
         perm, cert = build_pairing_counterexample(
-            seq, 1, 1, BlockSchedule([4], "geometric"), max_span=1
+            seq, 1, 1, BlockSchedule([4])
         )
     ok, problem = verify_certificate(perm, seq, cert)
     assert ok, problem

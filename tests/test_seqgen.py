@@ -237,6 +237,24 @@ def test_gap_profile_erdos_fit_recovers_exponent():
     assert 0.4 < fit < 0.6
 
 
+def test_gap_profile_fit_is_none_past_the_float_range():
+    # the last ratios, 2**1024 and up, are past the float range
+    terms = [2 ** (2**k) for k in range(13)]
+    prof = gap_profile(IntegerSequence(terms, External("doubly exponential")))
+    assert prof.erdos_exponent_fit is None
+    assert prof.min_ratio == 2
+    assert prof.per_k_ratios == [Fraction(terms[k + 1], terms[k]) for k in range(12)]
+
+
+def test_gap_profile_fit_is_none_when_ratio_minus_one_underflows():
+    # ratio - 1 is about 1e-400, which rounds to 0.0
+    terms = [10**400 + i for i in range(5)]
+    prof = gap_profile(IntegerSequence(terms, External("1e400 + i")))
+    assert prof.erdos_exponent_fit is None
+    assert prof.min_ratio == Fraction(10**400 + 4, 10**400 + 3)
+    assert prof.per_k_ratios == [Fraction(terms[k + 1], terms[k]) for k in range(4)]
+
+
 # ---------------- sequence files ----------------
 
 def test_sequence_file_roundtrip(tmp_path):

@@ -46,7 +46,7 @@ def test_sample_points_deterministic():
 
 def test_sample_points_mean():
     pts = sample_points(64, 100_000, 7)
-    mean = np.mean([p.value for p in pts])
+    mean = np.mean([p.mantissa / 2**p.bits for p in pts])
     assert abs(mean - 0.5) < 3 / math.sqrt(12 * 100_000)
 
 
@@ -332,6 +332,12 @@ def test_ks_constant_vs_gaussian():
     emp = EmpiricalDistribution(np.zeros(1000))
     ks = ks_distance(emp, GaussianTarget(1.0))
     assert ks.distance >= 0.5
+
+
+def test_gaussian_target_rejects_negative_and_nan_variance():
+    for variance in (-1.0, -1e-300, math.nan):
+        with pytest.raises(ValueError, match="^variance must be nonnegative$"):
+            GaussianTarget(variance)
 
 
 def test_ks_degenerate_target():

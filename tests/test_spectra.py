@@ -347,7 +347,7 @@ def test_kac_mixed_parity_polynomial():
 
 def erdos_fortet_cert(npairs=8, length=200):
     seq = gen_power(2, -1, length)
-    sched = BlockSchedule([2 * npairs], "geometric")
+    sched = BlockSchedule([2 * npairs])
     perm, cert = build_pairing_counterexample(seq, 1, 2, sched, gap_ratio=8)
     return seq, perm, cert
 
