@@ -1,23 +1,23 @@
 """Solution counting for linear Diophantine equations over sequence prefixes.
 
 Two-term counts cover a*n_k + b*n_l = c over ordered pairs (k, l); profiles
-hash every realized value to expose where the count is bounded uniformly in c
-(condition D2 / D2*) and where it grows with the prefix length.  Multi-term
-counts (condition R / R* / R**) use meet-in-the-middle enumeration with an
-explicit work budget: exceeding it is an error, never a truncation.
+sort every realized value and count its runs to expose where the count is
+bounded uniformly in c (condition D2 / D2*) and where it grows with the prefix
+length.  Multi-term counts (condition R / R* / R**) use meet-in-the-middle
+enumeration with an explicit work budget: exceeding it is an error, never a
+truncation.
 """
 
 from __future__ import annotations
 
 import csv
 from bisect import bisect_left, bisect_right
-from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import combinations, compress, product
+from heapq import nsmallest
+from itertools import chain, combinations, compress, count as count_from, islice, product
 from math import comb
-from operator import neg
-from typing import Iterable
+from operator import itemgetter, ne, neg, sub
 
 from .errors import WorkBudgetExceeded
 from .seqgen import IntegerSequence
@@ -49,9 +49,10 @@ class TwoTermQuery:
 class DioReport:
     """Per-(a, b) profile of ordered-pair solution counts over realized c.
 
-    Read-only: in a profile, (a, b) and (b, a) share one ``histogram``, and
-    the mirrored pairs (-a, -b) / (-b, -a) hold a read-only view of it with
-    every c negated rather than a dict of their own.
+    ``histogram`` is a read-only mapping c -> count: ascending c values and
+    their counts, looked up by bisection rather than hashed.  In a profile,
+    (a, b) and (b, a) share one histogram, and the mirrored pairs (-a, -b) /
+    (-b, -a) hold a read-only view of it with every c negated.
     """
 
     a: int
@@ -66,17 +67,6 @@ class DioReport:
         if self.histogram:
             if self.max_count != max(self.histogram.values()):
                 raise ValueError("max_count inconsistent with histogram")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "max_count": self.max_count,
-            "argmax_c": None if self.argmax_c is None else str(self.argmax_c),
-            "histogram": {str(c): n for c, n in sorted(self.histogram.items())},
-            "witnesses": [[k, l] for k, l in self.witnesses],
-            "prefix_growth": [[n, m] for n, m in self.prefix_growth],
-        }
 
     def csv_row(self) -> list:
         growth = {n: m for n, m in self.prefix_growth}
@@ -149,6 +139,58 @@ def _growth_prefixes(count: int) -> list[int]:
     return sorted({max(1, count // 4), max(1, count // 2), count})
 
 
+class _SortedHistogram(Mapping):
+    """Read-only histogram: ascending c values and their counts, aligned.
+
+    Lookups bisect and iteration is ascending; no c is ever hashed.  (On
+    powers of 2 the int hash, the value mod 2^61 - 1, repeats with period 61
+    in the exponent, so a dict keyed by c degenerates there.)
+    """
+
+    __slots__ = ("_keys", "_counts")
+
+    def __init__(self, keys: Iterable[int], counts: Iterable[int]):
+        self._keys = tuple(keys)  # strictly ascending
+        self._counts = tuple(counts)
+
+    def _index(self, c) -> int:
+        i = bisect_left(self._keys, c)
+        return i if i < len(self._keys) and self._keys[i] == c else -1
+
+    def __getitem__(self, c):
+        i = self._index(c)
+        if i < 0:
+            raise KeyError(c)
+        return self._counts[i]
+
+    def get(self, c, default=None):
+        i = self._index(c)
+        return default if i < 0 else self._counts[i]
+
+    def __contains__(self, c):
+        return self._index(c) >= 0
+
+    def __len__(self):
+        return len(self._keys)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def values(self):
+        return self._counts
+
+    def items(self):
+        return zip(self._keys, self._counts)
+
+
+def _run_lengths(values: list[int]) -> tuple[list[int], list[int]]:
+    """(first index, length) of each run of equal entries of the sorted ``values``."""
+    if not values:
+        return [], []
+    starts = [0, *compress(count_from(1), map(ne, islice(values, 1, None), values))]
+    return starts, list(map(sub, chain(islice(starts, 1, None), (len(values),)), starts))
+
+
 def _pair_histogram(
     terms: list[int],
     a: int,
@@ -157,38 +199,48 @@ def _pair_histogram(
     *,
     include_zero: bool,
     drop_diagonal: bool,
-) -> tuple[dict[int, int], list[int]]:
+) -> tuple[_SortedHistogram, list[int]]:
     """Counts of a*n_k + b*n_l over ordered pairs, keyed by the value c.
 
     Also returns the largest count once each prefix length in ``prefixes``
-    (ascending, the last one ``len(terms)``) is complete: pairs are visited
-    in order of max(k, l), so one pass yields every prefix.  c = 0 is left
-    out unless ``include_zero``; ``drop_diagonal`` leaves the pairs k = l
-    out of c = 0.  Terms are positive, so k = l gives c = 0 iff a + b = 0.
+    (ascending, the last one ``len(terms)``) is complete: the sums are
+    collected in order of max(k, l), so each prefix is a head of one list,
+    sorted (a copy, or the list itself for the last prefix) and counted by
+    runs.  c = 0 is left out unless ``include_zero``; ``drop_diagonal``
+    leaves the pairs k = l out of c = 0.  Terms are positive, so k = l
+    gives c = 0 iff a + b = 0.
     """
-    hist: Counter[int] = Counter()
     left = [a * t for t in terms]
     right = [b * t for t in terms]
     drop = drop_diagonal and a + b == 0
-    zero = 0  # pairs with c = 0 so far, kept out of hist until the end
-    at_zero = 0  # what the histogram counts at c = 0
+    sums: list[int] = []
     maxima = []
     done = 0
     for pfx in prefixes:
         for m in range(done, pfx):
-            hist.update(map(left[m].__add__, right[:m + 1]))  # (m, l), l <= m
-            hist.update(map(right[m].__add__, left[:m]))  # (k, m), k < m
+            sums.extend(map(left[m].__add__, right[:m + 1]))  # (m, l), l <= m
+            sums.extend(map(right[m].__add__, left[:m]))  # (k, m), k < m
         done = pfx
-        zero += hist.pop(0, 0)
-        if include_zero:
-            at_zero = zero - pfx if drop else zero
-        maxima.append(max(max(hist.values(), default=0), at_zero))
+        if pfx < len(terms):
+            ordered = sorted(sums)
+        else:
+            sums.sort()
+            ordered = sums
+        lo = bisect_left(ordered, 0)
+        hi = bisect_right(ordered, 0, lo)
+        del ordered[lo:hi]  # c = 0, counted apart
+        at_zero = (hi - lo - (pfx if drop else 0)) if include_zero else 0
+        starts, counts = _run_lengths(ordered)
+        maxima.append(max(max(counts, default=0), at_zero))
+    keys = list(map(ordered.__getitem__, starts))
     if at_zero:
-        hist[0] = at_zero
-    return dict(hist), maxima
+        at = bisect_left(keys, 0)
+        keys.insert(at, 0)
+        counts.insert(at, at_zero)
+    return _SortedHistogram(keys, counts), maxima
 
 
-def _argmax_c(hist: dict[int, int]) -> tuple[int, int | None]:
+def _argmax_c(hist: Mapping[int, int]) -> tuple[int, int | None]:
     """Largest count and its c; ties go to the smallest |c|, then to c > 0."""
     if not hist:
         return 0, None
@@ -197,7 +249,7 @@ def _argmax_c(hist: dict[int, int]) -> tuple[int, int | None]:
     return top, nearest if hist.get(nearest) == top else -nearest
 
 
-def _mirror_argmax_c(hist: dict[int, int], top: int, arg: int | None) -> int | None:
+def _mirror_argmax_c(hist: Mapping[int, int], top: int, arg: int | None) -> int | None:
     """argmax_c of the negated ``hist`` from its own (top, arg), without a rescan.
 
     Negation keeps the set of |c| at the top count, so the nearest |c| is
@@ -214,7 +266,7 @@ class _NegatedHistogram(Mapping):
 
     __slots__ = ("base",)
 
-    def __init__(self, base: dict[int, int]):
+    def __init__(self, base: Mapping[int, int]):
         self.base = base
 
     def __getitem__(self, c):
@@ -357,13 +409,7 @@ def _estimate_entries(n: int, p: int, n_coeffs: int) -> int:
     return comb(n, h) * n_coeffs**h + comb(n, p - h) * n_coeffs**(p - h)
 
 
-def _half_sums(terms: list[int], size: int, coeffs: list[int]) -> Iterable[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """(sum, indices, coeffs) over all increasing index tuples of given size."""
-    n = len(terms)
-    for idx in combinations(range(n), size):
-        values = [terms[i] for i in idx]
-        for cs in product(coeffs, repeat=size):
-            yield sum(c * v for c, v in zip(values, cs)), idx, cs
+_FIRST_INDEX = itemgetter(1)  # of a right-half entry (rank, first index, indices, coefficients)
 
 
 def count_multi_term(
@@ -372,12 +418,17 @@ def count_multi_term(
 ) -> tuple[int, list[tuple[tuple[int, ...], tuple[int, ...]]]]:
     """Exact number of solutions of sum_i a_i n_{k_i} = 0, k_1 < ... < k_p <= N.
 
-    Coefficients range over 0 < |a_i| <= coeff_bound.  The left half's
-    partial sums are hashed keyed by sum and last index; the right half
-    probes with its negated sums, respecting the k_h < k_{h+1} interleave.
-    Witnesses are (1-based indices, coefficients), at most ``WITNESS_CAP`` of
-    them; the count itself is always exact.  Nondegenerate signed solutions
-    are counted by :func:`count_signed_nondegenerate`.
+    Coefficients range over 0 < |a_i| <= coeff_bound.  The smaller half,
+    the last p - h indices (h = ceil(p/2)), is stored keyed by its negated
+    sum; the left half's sums stream past it one (h-1)-index prefix and
+    coefficient vector at a time, and only the hits are visited.  A hit
+    with last index k_h solves the equation with every right entry whose
+    first index exceeds k_h.  Witnesses are (1-based indices, coefficients),
+    at most ``WITNESS_CAP`` of them, ordered by the right tuple, then by the
+    first left tuple with the hit's (sum, last index), then by the left
+    tuple, each in enumeration order; the count itself is always exact.
+    Nondegenerate signed solutions are counted by
+    :func:`count_signed_nondegenerate`.
     """
     n = query.count
     if n > len(seq):
@@ -391,37 +442,47 @@ def count_multi_term(
 
     terms = seq.prefix(n)
     h = (query.p + 1) // 2
-    # sum -> last-index -> (count, sample witnesses)
-    table: dict[int, dict[int, list]] = {}
-    for s, idx, cs in _half_sums(terms, h, coeffs):
-        slot = table.setdefault(s, {})
-        entry = slot.get(idx[-1])
-        if entry is None:
-            slot[idx[-1]] = [1, [(idx, cs)]]
-        else:
-            entry[0] += 1
-            if len(entry[1]) < WITNESS_CAP:
-                entry[1].append((idx, cs))
+    # -sum -> right entries in enumeration order, so their first index never decreases
+    right: dict[int, list] = {}
+    rank = 0
+    for idx in combinations(range(n), query.p - h):  # p - h >= 1 since p >= 2
+        values = [terms[i] for i in idx]
+        for cs in product(coeffs, repeat=query.p - h):
+            right.setdefault(-sum(map(int.__mul__, cs, values)), []).append((rank, idx[0], idx, cs))
+            rank += 1
 
-    total = 0
-    witnesses: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    rsize = query.p - h  # >= 1 since p >= 2
-    for s, idx, cs in _half_sums(terms, rsize, coeffs):
-        slot = table.get(-s)
-        if not slot:
-            continue
-        first = idx[0]
-        for last, (cnt, wits) in slot.items():
-            if last < first:
-                total += cnt
-                if len(witnesses) < WITNESS_CAP:
-                    for lidx, lcs in wits:
-                        if len(witnesses) >= WITNESS_CAP:
-                            break
-                        witnesses.append(
-                            (tuple(i + 1 for i in lidx + idx), lcs + cs)
-                        )
-    return total, witnesses
+    # The left tuple (prefix + (j,), cp + (c,)) has rank (tuple rank, cp, c)
+    # in enumeration order; tuples sharing a prefix are consecutive.
+    scaled = [[c * t for t in terms] for c in coeffs]
+    width = len(coeffs)
+    per_tuple = width**h
+    hits = []  # (left rank, (sum, last index), indices, coefficients, right entries it solves with)
+    base = 0  # rank of the first index tuple with this prefix
+    for prefix in combinations(range(n), h - 1):
+        lo = prefix[-1] + 1 if prefix else 0
+        values = [terms[i] for i in prefix]
+        for cp_rank, cp in enumerate(product(coeffs, repeat=h - 1)):
+            head = sum(map(int.__mul__, cp, values))
+            for ci, row in enumerate(scaled):
+                sums = map(head.__add__, islice(row, lo, None))
+                for j in compress(range(lo, n), map(right.__contains__, sums)):
+                    entries = right[head + row[j]]
+                    matches = entries[bisect_right(entries, j, key=_FIRST_INDEX):]
+                    if matches:
+                        hits.append(((base + j - lo) * per_tuple + cp_rank * width + ci,
+                                     (head + row[j], j), (*prefix, j), (*cp, coeffs[ci]), matches))
+        base += n - lo
+
+    hits.sort()  # by left rank
+    first: dict[tuple[int, int], int] = {}  # (sum, last index) -> its smallest left rank
+    for lrank, group, *_ in hits:
+        first.setdefault(group, lrank)
+    total = sum(len(matches) for *_, matches in hits)
+    best = nsmallest(WITNESS_CAP, (
+        (rrank, first[group], lrank, lidx + ridx, lcs + rcs)
+        for lrank, group, lidx, lcs, matches in hits
+        for rrank, _, ridx, rcs in matches))
+    return total, [(tuple(i + 1 for i in idx), cs) for _, _, _, idx, cs in best]
 
 
 def _proper_subsum_zero(values: list[int]) -> bool:
@@ -456,6 +517,8 @@ def count_signed_nondegenerate(
         raise ValueError(f"prefix {count} exceeds sequence length {len(seq)}")
     if p < 2:
         raise ValueError("need at least 2 terms")
+    if count < 1:
+        raise ValueError("prefix length must be at least 1")
     if p > count:
         return 0, []
     estimated = comb(count, p) * 2 ** (p - 1)
@@ -497,9 +560,13 @@ def _histogram_rows(histogram: Mapping[int, int]) -> tuple[list[str], list[str],
 
     This is the only place a c is turned into decimal; both orientations of
     a histogram are laid out from the same rows by :func:`_histogram_parts`.
+    A mapping other than a sorted histogram is sorted into one first.
     """
-    keys = sorted(histogram)
-    rows = list(map('%d": %d'.__mod__, zip(map(abs, keys), map(histogram.__getitem__, keys))))
+    if not isinstance(histogram, _SortedHistogram):
+        keys = sorted(histogram)
+        histogram = _SortedHistogram(keys, map(histogram.__getitem__, keys))
+    keys = histogram._keys
+    rows = list(map('%d": %d'.__mod__, zip(map(abs, keys), histogram._counts)))
     lo = bisect_left(keys, 0)
     hi = bisect_right(keys, 0, lo)
     return rows[:lo], rows[lo:hi], rows[hi:]
@@ -526,14 +593,15 @@ def _histogram_parts(rows: tuple[list[str], list[str], list[str]], mirrored: boo
 def _profile_json_parts(reports: dict[tuple[int, int], DioReport]) -> Iterator[str]:
     """The text of :func:`profile_to_json` in pieces, in order.
 
-    Each base dict is turned into rows once (a mirror view reads the rows
-    of its base) and each histogram object is laid out once: reports that
-    share one object, as the swapped pairs of a profile do, share its text.
+    Each base histogram is turned into rows once (a mirror view reads the
+    rows of its base) and each histogram object is laid out once: reports
+    that share one object, as the swapped pairs of a profile do, share its
+    text.
     """
     if not reports:
         yield "[]"
         return
-    rows: dict[int, tuple] = {}  # id(base dict) -> rows; reports, or a view in it, keeps it alive
+    rows: dict[int, tuple] = {}  # id(base) -> rows; reports, or a view in it, keeps it alive
     laid_out: dict[int, list[str]] = {}  # id(histogram) -> its parts
     lead = "[\n"
     for key in sorted(reports):
@@ -556,9 +624,11 @@ def _profile_json_parts(reports: dict[tuple[int, int], DioReport]) -> Iterator[s
 
 
 def profile_to_json(reports: dict[tuple[int, int], DioReport]) -> str:
-    """``json.dumps([r.to_json_dict() ...], indent=2)`` in key order, written directly.
+    """The reports in key order as ``json.dumps(..., indent=2)`` lays them out, written directly.
 
-    The text is built from f-strings and joins (the ``indent`` path of the
+    Each report is the object {a, b, max_count, argmax_c (decimal string or
+    null), histogram (decimal c -> count, ascending c), witnesses,
+    prefix_growth}.  The text is built from f-strings and joins (the ``indent`` path of the
     json module is pure Python and slow at 10^7 histogram entries), and the
     document is joined once.
     """

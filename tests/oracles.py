@@ -1,10 +1,12 @@
 """Brute-force oracles shared by the unit and acceptance suites.
 
-These deliberately avoid the library's hash-based counting: two-term counts
-go through sort-and-run-length, multi-term counts through exhaustive tuple
-enumeration, signed nondegenerate solutions with a subset-by-subset
-degeneracy check.  The spectral oracles merge ``Fraction`` coefficients under
-plain frequency keys, term by term, where the library merges scaled ints.
+These deliberately avoid the library's counting paths: two-term counts go
+through a pair-by-pair sort-and-run-length, multi-term counts through
+exhaustive tuple enumeration (and, for witness order, a table of the whole
+left half), signed nondegenerate solutions with a subset-by-subset
+degeneracy check, and profile reports through ``json.dumps`` of plain dicts.
+The spectral oracles merge ``Fraction`` coefficients under plain frequency
+keys, term by term, where the library merges scaled ints.
 """
 
 import math
@@ -83,6 +85,53 @@ def brute_multi_term(terms, p, bound):
             if s == 0:
                 total += 1
     return total
+
+
+def table_multi_term(terms, p, bound, cap=100):
+    """(count, first ``cap`` witnesses) of sum_i a_i n_{k_i} = 0, k_1 < ... < k_p.
+
+    Meet in the middle the other way round: every left-half sum (h = ceil(p/2)
+    indices) goes into a table keyed by sum and then last index, in order of
+    first insertion, and each right-half tuple probes it with its negated sum.
+    Witnesses come out in that probe order; the library must match it.
+    """
+    coeffs = [v for v in range(-bound, bound + 1) if v != 0]
+
+    def half_sums(size):
+        for idx in combinations(range(len(terms)), size):
+            values = [terms[i] for i in idx]
+            for cs in product(coeffs, repeat=size):
+                yield sum(c * v for c, v in zip(values, cs)), idx, cs
+
+    h = (p + 1) // 2
+    table = {}  # sum -> last index -> [count, first witnesses]
+    for s, idx, cs in half_sums(h):
+        entry = table.setdefault(s, {}).setdefault(idx[-1], [0, []])
+        entry[0] += 1
+        if len(entry[1]) < cap:
+            entry[1].append((idx, cs))
+    total = 0
+    witnesses = []
+    for s, idx, cs in half_sums(p - h):
+        for last, (cnt, wits) in table.get(-s, {}).items():
+            if last < idx[0]:
+                total += cnt
+                for lidx, lcs in wits[:cap - len(witnesses)]:
+                    witnesses.append((tuple(i + 1 for i in lidx + idx), lcs + cs))
+    return total, witnesses
+
+
+def report_json_dict(report):
+    """One profile report as the plain dict whose ``json.dumps`` the writer reproduces."""
+    return {
+        "a": report.a,
+        "b": report.b,
+        "max_count": report.max_count,
+        "argmax_c": None if report.argmax_c is None else str(report.argmax_c),
+        "histogram": {str(c): n for c, n in sorted(report.histogram.items())},
+        "witnesses": [[k, l] for k, l in report.witnesses],
+        "prefix_growth": [[n, m] for n, m in report.prefix_growth],
+    }
 
 
 def brute_signed_nondegenerate(terms, p):

@@ -28,7 +28,12 @@ from lacunaria.seqgen import (
     gen_random_rstar,
     gen_smooth,
 )
-from oracles import brute_profile_report, brute_signed_nondegenerate
+from oracles import (
+    brute_profile_report,
+    brute_signed_nondegenerate,
+    report_json_dict,
+    table_multi_term,
+)
 
 
 # ---------------- independent oracles ----------------
@@ -186,8 +191,8 @@ def test_mirrored_class_keeps_tie_break():
 
 
 def test_swapped_pairs_share_one_histogram():
-    # one dict per orientation of a class: (b, a) holds the dict of (a, b),
-    # the mirror (-a, -b) a negated dict of its own (unless it is the swap)
+    # one histogram per orientation of a class: (b, a) holds the histogram of
+    # (a, b), the mirror (-a, -b) a negated one of its own (unless it is the swap)
     seq = gen_power(2, -1, 60)
     for reports in (d2_profile(seq, 3, 60), d2star_profile(seq, 3, 60)):
         assert len(reports) == 36
@@ -203,21 +208,22 @@ def _negated(hist):
 
 
 def test_mirror_reads_through_its_base_histogram():
-    # one dict per class; every mirrored orientation is a view of that dict
-    # that behaves as the negated dict would
+    # one base histogram per class; every mirrored orientation is a view of
+    # it that behaves as the negated dict would
     for seq in corpus():
         for reports in (d2_profile(seq, 3, 60), d2star_profile(seq, 3, 60)):
-            dicts = {id(r.histogram) for r in reports.values() if type(r.histogram) is dict}
-            assert len(dicts) == 12, seq.provenance
+            bases = {id(r.histogram) for r in reports.values()
+                     if not isinstance(r.histogram, diophantine._NegatedHistogram)}
+            assert len(bases) == 12, seq.provenance
             views = 0
             for (a, b), rep in reports.items():
                 want = _negated(reports[(-a, -b)].histogram)
                 hist = rep.histogram
                 assert hist == want and want == hist, (seq.provenance, a, b)
-                if type(hist) is dict:
+                if not isinstance(hist, diophantine._NegatedHistogram):
                     continue
                 views += 1
-                assert id(hist.base) in dicts
+                assert id(hist.base) in bases
                 assert dict(hist) == want and len(hist) == len(want)
                 assert sorted(hist.values()) == sorted(want.values())
                 for c in [*list(want)[:20], 0, 1, -1, 10**30]:
@@ -225,6 +231,39 @@ def test_mirror_reads_through_its_base_histogram():
                 assert rep.max_count == max(want.values(), default=0)
                 assert (rep.max_count, rep.argmax_c) == diophantine._argmax_c(dict(hist))
             assert views == 15, seq.provenance  # (a, -a) is its own mirror: 21 direct
+
+
+def test_sorted_histogram_is_a_read_only_mapping():
+    # n_k - 2 n_l on 2^k - 1 at N = 6: c < 0, c = 1 five times, big c > 0
+    hist = d2_profile(gen_power(2, -1, 6), 2, 6)[(1, -2)].histogram
+    want = brute_two_term_histogram(gen_power(2, -1, 6).prefix(6), 1, -2)
+    assert isinstance(hist, diophantine._SortedHistogram)
+    assert list(hist) == sorted(want) and list(hist.keys()) == sorted(want)
+    assert list(hist.values()) == [want[c] for c in sorted(want)]
+    assert list(hist.items()) == sorted(want.items())
+    assert min(hist) < 0 < max(hist) and hist[1] == 5 and len(hist) == len(want)
+    for c in [*want, 0, 2, -(10**30), 10**30]:
+        assert (c in hist) == (c in want)
+        assert hist.get(c) == want.get(c) and hist.get(c, -1) == want.get(c, -1)
+        if c in want:
+            assert hist[c] == want[c]
+        else:
+            with pytest.raises(KeyError):
+                hist[c]
+    assert hist == want and want == hist
+    assert hist != {**want, 1: 4} and {**want, 1: 4} != hist
+    with pytest.raises(TypeError):
+        hist[1] = 4
+    with pytest.raises(TypeError):
+        del hist[1]
+    assert hist[1] == 5
+    # an empty histogram: N = 1 and a + b = 0, whose only pair solves c = 0
+    empty = d2_profile(gen_power(2, 0, 1), 1, 1)[(1, -1)].histogram
+    assert isinstance(empty, diophantine._SortedHistogram)
+    assert len(empty) == 0 and not empty and list(empty) == [] and list(empty.values()) == []
+    assert empty == {} and {} == empty and 0 not in empty and empty.get(0) is None
+    with pytest.raises(KeyError):
+        empty[0]
 
 
 def test_mirror_view_is_read_only():
@@ -244,11 +283,11 @@ def test_mirror_argmax_keeps_tie_break_without_rescan():
     # (-1, 2) ties at |c| = 1 and must pick c = +1; on 2^k, d2* peaks at c = 0
     tie = d2_profile(gen_power(2, -1, 2), 2, 2)
     mirror = tie[(-1, 2)]
-    assert type(mirror.histogram) is not dict
+    assert isinstance(mirror.histogram, diophantine._NegatedHistogram)
     assert mirror.histogram[1] == mirror.histogram[-1] == mirror.max_count == 1
     assert mirror.argmax_c == 1 == tie[(1, -2)].argmax_c
     star = d2star_profile(gen_power(2, 0, 50), 2, 50)
-    assert type(star[(-1, 2)].histogram) is not dict
+    assert isinstance(star[(-1, 2)].histogram, diophantine._NegatedHistogram)
     assert star[(-1, 2)].argmax_c == 0 and star[(-1, 2)].max_count == 49
     for reports in (tie, star, d2_profile(gen_power(2, -1, 60), 3, 60)):
         for rep in reports.values():
@@ -260,7 +299,8 @@ def test_argmax_scans_each_enumerated_class_once(monkeypatch):
     scan = diophantine._argmax_c
     monkeypatch.setattr(diophantine, "_argmax_c", lambda hist: calls.append(hist) or scan(hist))
     d2_profile(gen_power(2, -1, 60), 3, 60)
-    assert len(calls) == 12 and all(type(h) is dict for h in calls)
+    assert len(calls) == 12
+    assert not any(isinstance(h, diophantine._NegatedHistogram) for h in calls)
 
 
 def test_d2_violation_on_erdos_fortet():
@@ -355,6 +395,35 @@ def test_multi_term_matches_exhaustive_on_corpus():
             got, _ = count_multi_term(seq, MultiTermQuery(p=p, coeff_bound=bound, count=n))
             want = brute_multi_term(seq.prefix(n), p, bound)
             assert got == want, (seq.provenance, p, bound, n)
+
+
+MULTI_SEQS = {
+    "pow2": lambda n: gen_power(2, 0, n),
+    "pow2m1": lambda n: gen_power(2, -1, n),
+    "smooth 2,3": lambda n: gen_smooth({2, 3}, n),
+    "geometric 3/2": lambda n: gen_geometric("3/2", 2, n),
+}
+MULTI_PREFIX = {2: 40, 3: 24, 4: 18, 5: 13}  # per p; the oracle enumerates every left sum
+
+
+@pytest.mark.parametrize("name", sorted(MULTI_SEQS))
+def test_multi_term_matches_table_oracle(name):
+    # count and witnesses, in order, against the whole-left-half table
+    for p, n in MULTI_PREFIX.items():
+        seq = MULTI_SEQS[name](n)
+        for bound in (1, 2, 3):
+            got = count_multi_term(seq, MultiTermQuery(p=p, coeff_bound=bound, count=n))
+            assert got == table_multi_term(seq.prefix(n), p, bound), (name, p, bound)
+
+
+def test_multi_term_witnesses_capped_in_table_order():
+    seq = gen_smooth({2, 3}, 60)
+    count, wits = count_multi_term(seq, MultiTermQuery(p=3, coeff_bound=3, count=60))
+    assert count == 5600 and len(wits) == diophantine.WITNESS_CAP
+    assert (count, wits) == table_multi_term(seq.prefix(60), 3, 3)
+    terms = seq.prefix(60)
+    for idx, cs in wits:
+        assert sum(c * terms[k - 1] for k, c in zip(idx, cs)) == 0
 
 
 def test_multi_term_rstar_near_zero():
@@ -491,6 +560,12 @@ def test_counting_outputs_pinned(run, count, sha):
     assert hashlib.sha256(repr(result).encode()).hexdigest() == sha
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_signed_nondegenerate_rejects_empty_prefix(count):
+    with pytest.raises(ValueError, match="prefix length must be at least 1"):
+        count_signed_nondegenerate(gen_power(2, 0, 10), 3, count)
+
+
 def test_signed_budget():
     seq = gen_power(2, 0, 40)
     with pytest.raises(WorkBudgetExceeded):
@@ -537,7 +612,7 @@ def test_profile_csv(tmp_path):
 
 def test_report_json_uses_decimal_strings():
     reports = d2_profile(gen_power(2, 0, 80), 1, 80)
-    payload = reports[(1, 1)].to_json_dict()
+    payload = report_json_dict(reports[(1, 1)])
     assert all(isinstance(k, str) for k in payload["histogram"])
     big = max(int(k) for k in payload["histogram"])
     assert big > 2**63  # big-int c values survive as strings
@@ -553,7 +628,7 @@ def test_profile_json_is_json_dumps_text():
         "d2star literal": d2star_profile(star, 2, 40, diagonal="literal"),
     }
     for name, reports in cases.items():
-        want = json.dumps([reports[k].to_json_dict() for k in sorted(reports)], indent=2)
+        want = json.dumps([report_json_dict(reports[k]) for k in sorted(reports)], indent=2)
         assert profile_to_json(reports) == want, name
     # the cases reach the edges they are named for
     empty = cases["count 1"][(1, -1)]  # a + b = 0: the only pair solves c = 0
@@ -565,7 +640,7 @@ def test_profile_json_is_json_dumps_text():
 
 
 def test_profile_json_renders_each_histogram_once(monkeypatch):
-    # c is turned into decimal once per base dict: the 12 classes of a
+    # c is turned into decimal once per base histogram: the 12 classes of a
     # bound-3 profile, the mirror views reading the rows of their base
     reports = d2_profile(gen_power(2, 0, 60), 3, 60)
     calls = []
@@ -580,7 +655,7 @@ def test_profile_json_renders_each_histogram_once(monkeypatch):
               for key, r in reports.items()}
     assert profile_to_json(copied) == shared
     assert len(calls) == 36
-    assert shared == json.dumps([reports[k].to_json_dict() for k in sorted(reports)], indent=2)
+    assert shared == json.dumps([report_json_dict(reports[k]) for k in sorted(reports)], indent=2)
 
 
 def test_profile_json_mirrors_without_their_base():
@@ -589,10 +664,11 @@ def test_profile_json_mirrors_without_their_base():
              (d2star_profile(gen_power(2, 0, 40), 2, 40, diagonal="literal"), True),
              (d2star_profile(gen_smooth({2, 3}, 40), 3, 40), True)]
     for reports, with_zero in cases:
-        mirrors = {key: r for key, r in reports.items() if type(r.histogram) is not dict}
+        mirrors = {key: r for key, r in reports.items()
+                   if isinstance(r.histogram, diophantine._NegatedHistogram)}
         assert mirrors and len(mirrors) < len(reports)
         assert any(0 in r.histogram for r in mirrors.values()) == with_zero
-        want = json.dumps([mirrors[k].to_json_dict() for k in sorted(mirrors)], indent=2)
+        want = json.dumps([report_json_dict(mirrors[k]) for k in sorted(mirrors)], indent=2)
         assert profile_to_json(mirrors) == want
 
 
