@@ -49,10 +49,12 @@ class TwoTermQuery:
 class DioReport:
     """Per-(a, b) profile of ordered-pair solution counts over realized c.
 
-    ``histogram`` is a read-only mapping c -> count: ascending c values and
-    their counts, looked up by bisection rather than hashed.  In a profile,
-    (a, b) and (b, a) share one histogram, and the mirrored pairs (-a, -b) /
-    (-b, -a) hold a read-only view of it with every c negated.
+    ``histogram`` is a read-only mapping c -> count that iterates in
+    ascending c and is looked up by bisection rather than hashed.  In a
+    profile, one sorted table of c values and counts serves a whole symmetry
+    class: (a, b) and (b, a) hold the same histogram, and the mirrored pairs
+    (-a, -b) / (-b, -a) hold one that reads the same table with every c
+    negated.
     """
 
     a: int
@@ -64,19 +66,22 @@ class DioReport:
     prefix_growth: list[tuple[int, int]]  # (prefix length, max count)
 
     def __post_init__(self):
-        if self.histogram:
-            if self.max_count != max(self.histogram.values()):
-                raise ValueError("max_count inconsistent with histogram")
+        if self.max_count != max(self.histogram.values(), default=0):
+            raise ValueError("max_count inconsistent with histogram")
 
     def csv_row(self) -> list:
-        growth = {n: m for n, m in self.prefix_growth}
-        prefixes = sorted(growth)
+        """a, b, max_count, argmax_c, then the growth at N/4, N/2 and N.
+
+        Where two of those prefixes coincide (N <= 3) the value repeats.
+        """
+        growth = dict(self.prefix_growth)
+        n = max(growth)
         return [
             self.a,
             self.b,
             self.max_count,
             "" if self.argmax_c is None else str(self.argmax_c),
-            *[growth[p] for p in prefixes],
+            growth[max(1, n // 4)], growth[max(1, n // 2)], growth[n],
         ]
 
 
@@ -103,23 +108,23 @@ class MultiTermQuery:
 def count_two_term(seq: IntegerSequence, query: TwoTermQuery) -> tuple[int, list[tuple[int, int]]]:
     """Exact count of ordered pairs (k, l) in [1, N]^2 with a*n_k + b*n_l = c.
 
-    Terms are strictly increasing, so for each k there is at most one l;
-    the scan is O(N) after building a value -> index map.
+    Terms are strictly increasing, so for each k there is at most one l,
+    found by bisecting the prefix (no term is hashed).
     """
     n = query.count
     if n > len(seq):
         raise ValueError(f"prefix {n} exceeds sequence length {len(seq)}")
     terms = seq.prefix(n)
-    index_of = {v: i + 1 for i, v in enumerate(terms)}
     witnesses = []
-    for k in range(1, n + 1):
-        rest = query.c - query.a * terms[k - 1]
+    for k, term in enumerate(terms, 1):
+        rest = query.c - query.a * term
         if rest % query.b:
             continue
         target = rest // query.b
-        l = index_of.get(target)
-        if l is None:
+        l = bisect_left(terms, target)
+        if l == n or terms[l] != target:
             continue
+        l += 1
         if query.require_distinct and l == k:
             continue
         witnesses.append((k, l))
@@ -144,16 +149,24 @@ class _SortedHistogram(Mapping):
 
     Lookups bisect and iteration is ascending; no c is ever hashed.  (On
     powers of 2 the int hash, the value mod 2^61 - 1, repeats with period 61
-    in the exponent, so a dict keyed by c degenerates there.)
+    in the exponent, so a dict keyed by c degenerates there.)  A negated
+    histogram reads the same two tuples with every c negated.
     """
 
-    __slots__ = ("_keys", "_counts")
+    __slots__ = ("_keys", "_counts", "_negated")
 
-    def __init__(self, keys: Iterable[int], counts: Iterable[int]):
-        self._keys = tuple(keys)  # strictly ascending
+    def __init__(self, keys: Iterable[int], counts: Iterable[int], negated: bool = False):
+        self._keys = tuple(keys)  # strictly ascending; a tuple is kept, not copied
         self._counts = tuple(counts)
+        self._negated = negated
+
+    def negated(self) -> _SortedHistogram:
+        """This histogram with every c negated, sharing its keys and counts."""
+        return _SortedHistogram(self._keys, self._counts, not self._negated)
 
     def _index(self, c) -> int:
+        if self._negated:
+            c = -c
         i = bisect_left(self._keys, c)
         return i if i < len(self._keys) and self._keys[i] == c else -1
 
@@ -174,13 +187,13 @@ class _SortedHistogram(Mapping):
         return len(self._keys)
 
     def __iter__(self):
-        return iter(self._keys)
+        return map(neg, reversed(self._keys)) if self._negated else iter(self._keys)
 
     def values(self):
-        return self._counts
+        return reversed(self._counts) if self._negated else iter(self._counts)
 
     def items(self):
-        return zip(self._keys, self._counts)
+        return zip(self, self.values())
 
 
 def _run_lengths(values: list[int]) -> tuple[list[int], list[int]]:
@@ -240,64 +253,28 @@ def _pair_histogram(
     return _SortedHistogram(keys, counts), maxima
 
 
-def _argmax_c(hist: Mapping[int, int]) -> tuple[int, int | None]:
-    """Largest count and its c; ties go to the smallest |c|, then to c > 0."""
-    if not hist:
-        return 0, None
-    top = max(hist.values())
-    nearest = min(map(abs, compress(hist, map(top.__eq__, hist.values()))))
-    return top, nearest if hist.get(nearest) == top else -nearest
+def _argmax_c(hist: _SortedHistogram, top: int) -> int | None:
+    """The c at the largest count ``top``; ties go to the smallest |c|, then to c > 0.
 
-
-def _mirror_argmax_c(hist: Mapping[int, int], top: int, arg: int | None) -> int | None:
-    """argmax_c of the negated ``hist`` from its own (top, arg), without a rescan.
-
-    Negation keeps the set of |c| at the top count, so the nearest |c| is
-    the same; only the sign under the tie-break of :func:`_argmax_c` moves.
+    Only the entries next to c = 0 are read: from the bisection point of 0,
+    the first entry at the top count upwards, and the first one downwards
+    that is no farther from 0.
     """
-    if arg is None:
+    if not top:
         return None
-    nearest = abs(arg)
-    return nearest if hist.get(-nearest) == top else -nearest
-
-
-class _NegatedHistogram(Mapping):
-    """Read-only view of a histogram with every c negated: ``view[c] == base[-c]``."""
-
-    __slots__ = ("base",)
-
-    def __init__(self, base: Mapping[int, int]):
-        self.base = base
-
-    def __getitem__(self, c):
-        return self.base[-c]
-
-    def get(self, c, default=None):
-        return self.base.get(-c, default)
-
-    def __contains__(self, c):
-        return -c in self.base
-
-    def __len__(self):
-        return len(self.base)
-
-    def __iter__(self):
-        return map(neg, self.base)
-
-    def values(self):
-        return self.base.values()
-
-
-def _symmetry_class(a: int, b: int) -> tuple[tuple[int, int], bool]:
-    """(representative, mirrored) of the class {(a,b), (b,a), (-a,-b), (-b,-a)}.
-
-    hist(b, a) == hist(a, b) (swap k and l), and hist(-a, -b) is hist(a, b)
-    with every c negated; both diagonal rules are invariant under the two
-    maps, so one enumeration of the smallest pair serves the whole class.
-    """
-    direct = min((a, b), (b, a))
-    mirror = min((-a, -b), (-b, -a))
-    return (direct, False) if direct <= mirror else (mirror, True)
+    keys, counts = hist._keys, hist._counts
+    at = bisect_left(keys, 0)
+    try:
+        up = counts.index(top, at)
+    except ValueError:
+        up, lo = None, 0
+    else:
+        lo = bisect_left(keys, -keys[up], 0, at)  # a c < 0 farther from 0 cannot win
+    down = range(at - 1, lo - 1, -1)
+    down = next(compress(down, map(top.__eq__, map(counts.__getitem__, down))), None)
+    sign = -1 if hist._negated else 1
+    nearest = (sign * keys[i] for i in (up, down) if i is not None)
+    return min(nearest, key=lambda c: (abs(c), c < 0))
 
 
 def _profile(
@@ -315,39 +292,39 @@ def _profile(
         raise ValueError(f"prefix {count} exceeds sequence length {len(seq)}")
     if diagonal not in ("sum_zero", "literal"):
         raise ValueError("diagonal must be 'sum_zero' or 'literal'")
-    classes = {pair: _symmetry_class(*pair) for pair in _coefficient_pairs(coeff_bound)}
-    representatives = [pair for pair, (rep, _) in classes.items() if pair == rep]
+    pairs = _coefficient_pairs(coeff_bound)
+    # hist(b, a) == hist(a, b) (swap k and l), and hist(-a, -b) is hist(a, b)
+    # with every c negated; both diagonal rules are invariant under the two
+    # maps, so one enumeration of the least pair serves the whole class
+    representatives = [(a, b) for a, b in pairs if (a, b) <= min((b, a), (-a, -b), (-b, -a))]
     estimated = len(representatives) * count * count
     if estimated > budget:
         raise WorkBudgetExceeded(estimated, budget)
     terms = seq.prefix(count)
     prefixes = _growth_prefixes(count)
-    enumerated = {}
+    reports: dict[tuple[int, int], DioReport] = {}
     for a, b in representatives:
         drop_diag = a + b == 0 if diagonal == "sum_zero" else a == b
         hist, maxima = _pair_histogram(terms, a, b, prefixes, include_zero=include_zero,
                                        drop_diagonal=drop_diag)
-        enumerated[(a, b)] = (hist, list(zip(prefixes, maxima)), drop_diag, *_argmax_c(hist))
-    reports: dict[tuple[int, int], DioReport] = {}
-    # one histogram per orientation: the swapped pair shares it
-    views: dict[tuple[tuple[int, int], bool], tuple[Mapping[int, int], int | None]] = {}
-    for (a, b), (rep, mirrored) in classes.items():
-        hist, growth, drop_diag, max_count, arg = enumerated[rep]
-        if (rep, mirrored) not in views:
-            views[(rep, mirrored)] = (
-                (_NegatedHistogram(hist), _mirror_argmax_c(hist, max_count, arg)) if mirrored
-                else (hist, arg))
-        hist, arg = views[(rep, mirrored)]
-        witnesses = []
-        if arg is not None:
-            q = TwoTermQuery(a=a, b=b, c=arg, count=count,
-                             require_distinct=include_zero and drop_diag and arg == 0)
-            _, witnesses = count_two_term(seq, q)
-        reports[(a, b)] = DioReport(
-            a=a, b=b, max_count=max_count, argmax_c=arg,
-            histogram=hist, witnesses=witnesses, prefix_growth=list(growth),
-        )
-    return reports
+        growth = list(zip(prefixes, maxima))
+        # (a, -a) is its own mirror: its swap (-a, a) already holds the negation
+        orientations = [(hist, (a, b), (b, a))]
+        if a + b:
+            orientations.append((hist.negated(), (-a, -b), (-b, -a)))
+        for oriented, *members in orientations:
+            arg = _argmax_c(oriented, maxima[-1])
+            for pa, pb in dict.fromkeys(members):
+                witnesses = []
+                if arg is not None:
+                    q = TwoTermQuery(a=pa, b=pb, c=arg, count=count,
+                                     require_distinct=include_zero and drop_diag and arg == 0)
+                    _, witnesses = count_two_term(seq, q)
+                reports[(pa, pb)] = DioReport(
+                    a=pa, b=pb, max_count=maxima[-1], argmax_c=arg,
+                    histogram=oriented, witnesses=witnesses, prefix_growth=list(growth),
+                )
+    return {pair: reports[pair] for pair in pairs}
 
 
 def d2_profile(
@@ -555,18 +532,14 @@ _NEGATIVE_SEP = ',\n      "-'  # between two histogram rows at report depth, c <
 _POSITIVE_SEP = ',\n      "'  # the same, c >= 0
 
 
-def _histogram_rows(histogram: Mapping[int, int]) -> tuple[list[str], list[str], list[str]]:
-    """Rows ``'<|c|>": <n>'`` in order of c, split into (c < 0, c = 0, c > 0).
+def _histogram_rows(hist: _SortedHistogram) -> tuple[list[str], list[str], list[str]]:
+    """Rows ``'<|c|>": <n>'`` of the stored table, split into (c < 0, c = 0, c > 0).
 
     This is the only place a c is turned into decimal; both orientations of
-    a histogram are laid out from the same rows by :func:`_histogram_parts`.
-    A mapping other than a sorted histogram is sorted into one first.
+    a table are laid out from the same rows by :func:`_histogram_parts`.
     """
-    if not isinstance(histogram, _SortedHistogram):
-        keys = sorted(histogram)
-        histogram = _SortedHistogram(keys, map(histogram.__getitem__, keys))
-    keys = histogram._keys
-    rows = list(map('%d": %d'.__mod__, zip(map(abs, keys), histogram._counts)))
+    keys = hist._keys
+    rows = list(map('%d": %d'.__mod__, zip(map(abs, keys), hist._counts)))
     lo = bisect_left(keys, 0)
     hi = bisect_right(keys, 0, lo)
     return rows[:lo], rows[lo:hi], rows[hi:]
@@ -593,26 +566,30 @@ def _histogram_parts(rows: tuple[list[str], list[str], list[str]], mirrored: boo
 def _profile_json_parts(reports: dict[tuple[int, int], DioReport]) -> Iterator[str]:
     """The text of :func:`profile_to_json` in pieces, in order.
 
-    Each base histogram is turned into rows once (a mirror view reads the
-    rows of its base) and each histogram object is laid out once: reports
-    that share one object, as the swapped pairs of a profile do, share its
-    text.
+    Each sorted table is turned into rows once, whichever orientations
+    read it, and each histogram object is laid out once: reports that share
+    one object, as the swapped pairs of a profile do, share its text.  A
+    histogram other than a sorted one is sorted into a table first.
     """
     if not reports:
         yield "[]"
         return
-    rows: dict[int, tuple] = {}  # id(base) -> rows; reports, or a view in it, keeps it alive
-    laid_out: dict[int, list[str]] = {}  # id(histogram) -> its parts
+    # id(keys) -> (keys, rows); holding keys keeps the id valid after a
+    # temporary table sorted from a plain mapping is gone
+    rows: dict[int, tuple[tuple[int, ...], tuple]] = {}
+    laid_out: dict[int, list[str]] = {}  # id(histogram) -> its parts; reports keeps it alive
     lead = "[\n"
     for key in sorted(reports):
         r = reports[key]
         hist = r.histogram
         if id(hist) not in laid_out:
-            mirrored = isinstance(hist, _NegatedHistogram)
-            base = hist.base if mirrored else hist
-            if id(base) not in rows:
-                rows[id(base)] = _histogram_rows(base)
-            laid_out[id(hist)] = _histogram_parts(rows[id(base)], mirrored)
+            table = hist
+            if not isinstance(table, _SortedHistogram):
+                keys = sorted(hist)
+                table = _SortedHistogram(keys, map(hist.__getitem__, keys))
+            if id(table._keys) not in rows:
+                rows[id(table._keys)] = (table._keys, _histogram_rows(table))
+            laid_out[id(hist)] = _histogram_parts(rows[id(table._keys)][1], table._negated)
         argmax = "null" if r.argmax_c is None else f'"{r.argmax_c}"'
         yield (f'{lead}  {{\n    "a": {r.a},\n    "b": {r.b},\n    "max_count": {r.max_count},\n'
                f'    "argmax_c": {argmax},\n    "histogram": ')

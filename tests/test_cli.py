@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -81,6 +82,19 @@ def test_dio_profile_cli(tmp_path):
     assert csv_text.splitlines()[0] == "a,b,max_count,argmax_c,count_N4,count_N2,count_N"
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_dio_profile_csv_rows_have_every_column(tmp_path, count):
+    # at N <= 3 the prefixes N/4, N/2 and N coincide: the row repeats the value
+    assert run(["dio", "--seq", "pow2m1:5", "--profile", "--coeff-bound", "1",
+                "--count", count, "--out-dir", tmp_path]) == EXIT_OK
+    with open(tmp_path / "dio_profile.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert len(header) == 7 and len(rows) == 4
+    for row in rows:
+        fields = dict(zip(header, row, strict=True))
+        assert fields["count_N"] == fields["max_count"], row
+
+
 def test_dio_budget_exit_code(tmp_path):
     assert run(["dio", "--seq", "pow2:60", "--multi", "3", "--coeff-bound", "3",
                 "--count", "60", "--budget", "10", "--out-dir", tmp_path]) == EXIT_RESOURCE
@@ -103,7 +117,8 @@ def test_dio_profile_artifact_is_profile_to_json(tmp_path):
     reports = diophantine.d2star_profile(resolve_sequence("pow2m1:40", None, None), 2, 40,
                                          diagonal="literal")
     assert any(0 in r.histogram for r in reports.values())
-    assert any(isinstance(r.histogram, diophantine._NegatedHistogram) for r in reports.values())
+    mirror, base = reports[(-1, 2)].histogram, reports[(1, -2)].histogram
+    assert min(mirror) < 0 < max(mirror) and mirror == {-c: n for c, n in base.items()}
     text = diophantine.profile_to_json(reports)
     assert (tmp_path / "dio_profile.json").read_bytes() == text.encode("utf-8")
     assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK

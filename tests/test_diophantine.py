@@ -7,6 +7,7 @@ import pytest
 
 from lacunaria import diophantine
 from lacunaria.diophantine import (
+    DioReport,
     MultiTermQuery,
     TwoTermQuery,
     aibe_ratio,
@@ -115,6 +116,24 @@ def test_two_term_monotone_in_prefix():
     assert counts == sorted(counts)
 
 
+def test_two_term_matches_brute_force():
+    # every ordered pair (k, l) solving a n_k + b n_l = c, in order of k,
+    # at realized c (c = 0 among them when a + b = 0) and at a few others
+    n = 40
+    for seq in corpus():
+        terms = seq.prefix(n)
+        for a, b in ((1, -1), (1, -2), (2, -1), (-3, 2), (1, 1), (2, 3)):
+            realized = {a * terms[k] + b * terms[l]
+                        for k in (0, 3, 17, n - 1) for l in (0, 5, n - 1)}
+            for c in sorted(realized | {0, 1, -1, 7}):
+                for distinct in (False, True):
+                    want = [(k + 1, l + 1) for k in range(n) for l in range(n)
+                            if a * terms[k] + b * terms[l] == c and not (distinct and k == l)]
+                    got = count_two_term(seq, TwoTermQuery(a=a, b=b, c=c, count=n,
+                                                           require_distinct=distinct))
+                    assert got == (len(want), want), (seq.provenance, a, b, c, distinct)
+
+
 # ---------------- profiles vs oracle ----------------
 
 CORPUS = None
@@ -207,30 +226,32 @@ def _negated(hist):
     return {-c: n for c, n in hist.items()}
 
 
+def _mirrored(reports):
+    """The reports that read their class's table with every c negated."""
+    return {(a, b): r for (a, b), r in reports.items()
+            if r.histogram is not reports[min((a, b), (b, a), (-a, -b), (-b, -a))].histogram}
+
+
 def test_mirror_reads_through_its_base_histogram():
-    # one base histogram per class; every mirrored orientation is a view of
-    # it that behaves as the negated dict would
+    # one sorted table per class; every mirrored orientation reads it with
+    # every c negated, and behaves as the negated dict would, ascending
     for seq in corpus():
         for reports in (d2_profile(seq, 3, 60), d2star_profile(seq, 3, 60)):
-            bases = {id(r.histogram) for r in reports.values()
-                     if not isinstance(r.histogram, diophantine._NegatedHistogram)}
-            assert len(bases) == 12, seq.provenance
-            views = 0
+            mirrors = _mirrored(reports)
+            assert len(mirrors) == 15, seq.provenance  # (a, -a) is its own mirror: 21 direct
             for (a, b), rep in reports.items():
                 want = _negated(reports[(-a, -b)].histogram)
                 hist = rep.histogram
                 assert hist == want and want == hist, (seq.provenance, a, b)
-                if not isinstance(hist, diophantine._NegatedHistogram):
-                    continue
-                views += 1
-                assert id(hist.base) in bases
-                assert dict(hist) == want and len(hist) == len(want)
-                assert sorted(hist.values()) == sorted(want.values())
+                assert list(hist) == sorted(want) and len(hist) == len(want)
+                assert list(hist.values()) == [want[c] for c in sorted(want)]
+                assert list(hist.items()) == sorted(want.items())
                 for c in [*list(want)[:20], 0, 1, -1, 10**30]:
                     assert hist.get(c) == want.get(c) and (c in hist) == (c in want)
                 assert rep.max_count == max(want.values(), default=0)
-                assert (rep.max_count, rep.argmax_c) == diophantine._argmax_c(dict(hist))
-            assert views == 15, seq.provenance  # (a, -a) is its own mirror: 21 direct
+            for (a, b), rep in mirrors.items():  # nothing is copied
+                base = reports[(-a, -b)].histogram
+                assert rep.histogram._keys is base._keys and rep.histogram._counts is base._counts
 
 
 def test_sorted_histogram_is_a_read_only_mapping():
@@ -269,13 +290,20 @@ def test_sorted_histogram_is_a_read_only_mapping():
 def test_mirror_view_is_read_only():
     reports = d2star_profile(gen_power(2, 0, 30), 2, 30)
     view = reports[(-1, 2)].histogram
-    base = dict(view.base)
+    before = dict(view)
     c = next(iter(view))
     with pytest.raises(TypeError):
         view[c] = 5
     with pytest.raises(TypeError):
         del view[c]
-    assert view.base == base
+    assert dict(view) == before and reports[(1, -2)].histogram == _negated(before)
+
+
+def _brute_argmax(terms, reports, include_zero, diagonal="sum_zero"):
+    for (a, b), rep in reports.items():
+        drop = include_zero and (a + b == 0 if diagonal == "sum_zero" else a == b)
+        want = brute_profile_report(terms, a, b, include_zero, drop)
+        assert (rep.max_count, rep.argmax_c) == (want["max_count"], want["argmax_c"]), (a, b)
 
 
 def test_mirror_argmax_keeps_tie_break_without_rescan():
@@ -283,24 +311,42 @@ def test_mirror_argmax_keeps_tie_break_without_rescan():
     # (-1, 2) ties at |c| = 1 and must pick c = +1; on 2^k, d2* peaks at c = 0
     tie = d2_profile(gen_power(2, -1, 2), 2, 2)
     mirror = tie[(-1, 2)]
-    assert isinstance(mirror.histogram, diophantine._NegatedHistogram)
     assert mirror.histogram[1] == mirror.histogram[-1] == mirror.max_count == 1
     assert mirror.argmax_c == 1 == tie[(1, -2)].argmax_c
     star = d2star_profile(gen_power(2, 0, 50), 2, 50)
-    assert isinstance(star[(-1, 2)].histogram, diophantine._NegatedHistogram)
     assert star[(-1, 2)].argmax_c == 0 and star[(-1, 2)].max_count == 49
-    for reports in (tie, star, d2_profile(gen_power(2, -1, 60), 3, 60)):
-        for rep in reports.values():
-            assert (rep.max_count, rep.argmax_c) == diophantine._argmax_c(dict(rep.histogram))
+    _brute_argmax(gen_power(2, -1, 2).prefix(2), tie, False)
+    _brute_argmax(gen_power(2, 0, 50).prefix(50), star, True)
+    for seq in corpus():
+        terms = seq.prefix(60)
+        _brute_argmax(terms, d2_profile(seq, 3, 60), False)
+        _brute_argmax(terms, d2star_profile(seq, 3, 60, diagonal="literal"), True, "literal")
 
 
-def test_argmax_scans_each_enumerated_class_once(monkeypatch):
-    calls = []
-    scan = diophantine._argmax_c
-    monkeypatch.setattr(diophantine, "_argmax_c", lambda hist: calls.append(hist) or scan(hist))
-    d2_profile(gen_power(2, -1, 60), 3, 60)
-    assert len(calls) == 12
-    assert not any(isinstance(h, diophantine._NegatedHistogram) for h in calls)
+class _ReadCounts(tuple):
+    """Counts that record which entries are read one by one."""
+
+    def __getitem__(self, i):
+        self.read.append(i)
+        return tuple.__getitem__(self, i)
+
+
+def test_argmax_reads_outward_from_zero():
+    # c = -900 .. 900 once each, 4 times at c = -2, 5 and -800: both
+    # orientations stop at the first top-count entry on each side of c = 0
+    keys = range(-900, 901)
+    counts = [4 if c in (-2, 5, -800) else 1 for c in keys]
+    hist = diophantine._SortedHistogram(keys, counts)
+    for oriented, want in ((hist, -2), (hist.negated(), 2)):
+        oriented._counts = _ReadCounts(counts)
+        oriented._counts.read = []
+        assert diophantine._argmax_c(oriented, 4) == want
+        assert len(oriented._counts.read) <= 3  # c = -1, -2 below 0
+        assert oriented[want] == 4
+    # ties at the same |c| go to c > 0 in either orientation
+    tied = diophantine._SortedHistogram([-3, -1, 1, 3], [2, 1, 1, 2])
+    assert diophantine._argmax_c(tied, 2) == 3 == diophantine._argmax_c(tied.negated(), 2)
+    assert diophantine._argmax_c(diophantine._SortedHistogram([], []), 0) is None
 
 
 def test_d2_violation_on_erdos_fortet():
@@ -601,6 +647,15 @@ def test_aibe_ratio_single_term():
 
 # ---------------- serialization ----------------
 
+def test_report_rejects_max_count_of_empty_histogram():
+    fields = dict(a=1, b=-1, argmax_c=5, witnesses=[], prefix_growth=[(1, 0)])
+    with pytest.raises(ValueError, match="max_count inconsistent"):
+        DioReport(max_count=7, histogram={}, **fields)
+    with pytest.raises(ValueError, match="max_count inconsistent"):
+        DioReport(max_count=2, histogram={5: 3}, **fields)
+    assert DioReport(max_count=0, histogram={}, **fields).max_count == 0
+
+
 def test_profile_csv(tmp_path):
     reports = d2_profile(gen_power(2, -1, 40), 1, 40)
     path = tmp_path / "profile.csv"
@@ -640,8 +695,8 @@ def test_profile_json_is_json_dumps_text():
 
 
 def test_profile_json_renders_each_histogram_once(monkeypatch):
-    # c is turned into decimal once per base histogram: the 12 classes of a
-    # bound-3 profile, the mirror views reading the rows of their base
+    # c is turned into decimal once per sorted table: the 12 classes of a
+    # bound-3 profile, the mirrored orientations laid out from their class's rows
     reports = d2_profile(gen_power(2, 0, 60), 3, 60)
     calls = []
     render = diophantine._histogram_rows
@@ -659,13 +714,12 @@ def test_profile_json_renders_each_histogram_once(monkeypatch):
 
 
 def test_profile_json_mirrors_without_their_base():
-    # a reports dict of mirror views alone (their base reports left out)
+    # a reports dict of mirrored orientations alone (their class's least pair left out)
     cases = [(d2_profile(gen_power(2, 0, 80), 2, 80), False),
              (d2star_profile(gen_power(2, 0, 40), 2, 40, diagonal="literal"), True),
              (d2star_profile(gen_smooth({2, 3}, 40), 3, 40), True)]
     for reports, with_zero in cases:
-        mirrors = {key: r for key, r in reports.items()
-                   if isinstance(r.histogram, diophantine._NegatedHistogram)}
+        mirrors = _mirrored(reports)
         assert mirrors and len(mirrors) < len(reports)
         assert any(0 in r.histogram for r in mirrors.values()) == with_zero
         want = json.dumps([report_json_dict(mirrors[k]) for k in sorted(mirrors)], indent=2)
