@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -334,7 +335,7 @@ def run_clt(params: dict, out_dir: Path) -> list[Path]:
         "f": poly.format(), "count": count, "samples": params["samples"],
         "seed": params["seed"], "sampling_stream_seed": seed,
         "mantissa_bits": emp.meta["mantissa_bits"],
-        "statistics": stats.to_json_dict(),
+        "statistics": dataclasses.asdict(stats),
         "error_bounds": {
             "per_term_eval_abs": per_term_bound,
             "sum_eval_abs": per_term_bound * count / (count ** 0.5),
@@ -366,26 +367,20 @@ def run_lil(params: dict, out_dir: Path) -> list[Path]:
     evaluator = simulate.PartialSumEvaluator(poly, seq, perm, n_max)
     xs = simulate.sample_points(evaluator.required, params["points"],
                                 derive_seed(params["seed"], "x"))
-    rows = []
-    for i, x in enumerate(xs):
-        traj = evaluator.lil_trajectory(x, variance)
-        for n, ratio in traj.checkpoints:
-            rows.append((i, n, ratio))
+    trajectories = [evaluator.lil_trajectory(x, variance) for x in xs]
     cpath = out_dir / "lil_trajectories.csv"
     with open(cpath, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["point", "N", "running_max_ratio"])
-        for i, n, ratio in rows:
-            writer.writerow([i, n, repr(ratio)])
-    finals = {}
-    for i, n, ratio in rows:
-        finals[i] = ratio
+        for i, traj in enumerate(trajectories):
+            for n, ratio in traj.checkpoints:
+                writer.writerow([i, n, repr(ratio)])
     jpath = out_dir / "lil_summary.json"
     _write_json(jpath, {
         "f": poly.format(), "n_max": n_max, "points": params["points"],
         "variance": params["variance"],
         "normalization": "|S_N| / sqrt(2 * variance * N * ln(ln(N)))",
-        "final_ratios": {str(i): finals[i] for i in sorted(finals)},
+        "final_ratios": {str(i): traj.final_ratio() for i, traj in enumerate(trajectories)},
     })
     return [cpath, jpath]
 
@@ -737,10 +732,7 @@ def main(argv: list[str] | None = None) -> int:
     except WorkBudgetExceeded as err:
         print(f"resource limit: {err}", file=sys.stderr)
         return EXIT_RESOURCE
-    except LacunariaError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except (ValueError, KeyError) as err:
+    except (LacunariaError, ValueError, KeyError, ZeroDivisionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DOMAIN
     except OSError as err:

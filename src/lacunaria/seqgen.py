@@ -183,10 +183,6 @@ class IntegerSequence:
             raise IndexError(f"index {k} outside 1..{len(self.terms)}")
         return self.terms[k - 1]
 
-    @property
-    def max_term(self) -> int:
-        return self.terms[len(self.terms) - 1]
-
     def prefix(self, n: int) -> list:
         if not 1 <= n <= len(self.terms):
             raise ValueError(f"prefix length {n} outside 1..{len(self.terms)}")
@@ -202,17 +198,6 @@ class IntegerSequence:
         return f"IntegerSequence(len={len(self)}, provenance={self.provenance})"
 
 
-@dataclass
-class GapProfile:
-    min_ratio: Fraction
-    per_k_ratios: list[Fraction]
-    erdos_exponent_fit: float | None = None
-
-    def __post_init__(self):
-        if self.per_k_ratios and self.min_ratio != min(self.per_k_ratios):
-            raise ValueError("min_ratio does not match per_k_ratios")
-
-
 @dataclass(frozen=True)
 class RStarParams:
     alpha: float
@@ -222,8 +207,8 @@ class RStarParams:
     interval_form: str = "trailing"
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (0 < self.alpha < math.inf):  # NaN fails both comparisons
+            raise ValueError("alpha must be positive and finite")
         if self.a < 2:
             raise ValueError("scale a must be at least 2")
         if self.count < 1:
@@ -372,35 +357,6 @@ def gen_random_rstar(params: RStarParams) -> IntegerSequence:
             interval_form=params.interval_form,
         ),
     )
-
-
-def gap_profile(seq: IntegerSequence) -> GapProfile:
-    """Exact ratio profile n_{k+1}/n_k, plus a rough fit of the gap exponent.
-
-    The fit regresses log(ratio_k - 1) on log k; the returned exponent is
-    the negated slope (ratios decaying like 1 + c * k**-alpha).  It is a
-    diagnostic, not a certified bound, and it is None when some ratio - 1
-    has no positive finite float.
-    """
-    n = len(seq)
-    if n < 2:
-        raise ValueError("gap profile needs at least 2 terms")
-    ratios = [Fraction(seq.terms[i + 1], seq.terms[i]) for i in range(n - 1)]
-    fit = None
-    try:
-        excesses = [float(r - 1) for r in ratios]
-    except OverflowError:
-        excesses = []
-    if len(excesses) >= 3 and min(excesses) > 0.0:  # 0.0 where r - 1 underflows
-        xs = [math.log(k) for k in range(1, len(ratios) + 1)]
-        ys = [math.log(x) for x in excesses]
-        mean_x = sum(xs) / len(xs)
-        mean_y = sum(ys) / len(ys)
-        sxx = sum((x - mean_x) ** 2 for x in xs)
-        if sxx > 0:
-            slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / sxx
-            fit = -slope
-    return GapProfile(min_ratio=min(ratios), per_k_ratios=ratios, erdos_exponent_fit=fit)
 
 
 # ----------------------------------------------------------------------

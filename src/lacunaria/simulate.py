@@ -32,7 +32,7 @@ from .spectra import MixtureProfile, TrigPolynomial
 
 _TWO_PI = 2.0 * math.pi
 _INV64 = 2.0 ** -64
-MIXTURE_GRID = 1024  # midpoints on U of MixtureTarget.cdf; the check doubles it
+MIXTURE_GRID = 1024  # midpoints on U of MixtureTarget's CDF; the check doubles it
 
 
 # ----------------------------------------------------------------------
@@ -170,16 +170,7 @@ class PartialSumEvaluator:
         while n <= n_max:
             checkpoints.append((n, float(running[n - 16])))
             n *= 2
-        return LilTrajectory(
-            checkpoints=checkpoints,
-            variance=variance,
-            meta={
-                "normalization": "|S_N| / sqrt(2 * variance * N * ln(ln(N)))",
-                "log": "natural",
-                "scan_start": 16,
-                "mantissa_bits": x.bits,
-            },
-        )
+        return LilTrajectory(checkpoints=checkpoints, variance=variance)
 
 
 def partial_sum(poly: TrigPolynomial, seq: IntegerSequence,
@@ -214,18 +205,6 @@ class SummaryStats:
     se_variance: float
     se_kurtosis: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "variance": self.variance,
-            "fourth_moment": self.fourth_moment,
-            "kurtosis_ratio": self.kurtosis_ratio,
-            "se_mean": self.se_mean,
-            "se_variance": self.se_variance,
-            "se_kurtosis": self.se_kurtosis,
-        }
-
 
 @dataclass
 class EmpiricalDistribution:
@@ -234,12 +213,6 @@ class EmpiricalDistribution:
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-    def sorted_samples(self) -> np.ndarray:
-        return np.sort(self.samples)
 
     def summary(self) -> SummaryStats:
         x = self.samples
@@ -337,7 +310,8 @@ class MixtureTarget:
     """Variance mixture: Z * sqrt(v(U)), Z standard normal, U uniform.
 
     The CDF integrates Gaussian CDFs over a midpoint grid on U with a
-    Richardson doubling check; ``cdf_tol`` reports |Q_grid - Q_2grid|.
+    Richardson doubling check; ``cdf_with_tolerance`` returns the doubled
+    grid's CDF with |Q_grid - Q_2grid| as its tolerance.
     """
 
     profile: MixtureProfile
@@ -354,9 +328,6 @@ class MixtureTarget:
             blk = xs[i:i + step, None] / sig[None, :]
             out[i:i + step] = ndtr(blk).mean(axis=1)
         return out
-
-    def cdf(self, xs: np.ndarray) -> np.ndarray:
-        return self._cdf_on(xs, MIXTURE_GRID)
 
     def cdf_with_tolerance(self, xs: np.ndarray) -> tuple[np.ndarray, float]:
         coarse = self._cdf_on(xs, MIXTURE_GRID)
@@ -377,7 +348,7 @@ def ks_distance(emp: EmpiricalDistribution, target) -> KsResult:
     refinement of the usual formula would overstate the distance there, so
     the atom is compared directly.
     """
-    xs = emp.sorted_samples()
+    xs = np.sort(emp.samples)
     m = len(xs)
     if isinstance(target, GaussianTarget) and target.variance == 0:
         below = float(np.mean(xs < 0))
@@ -434,7 +405,6 @@ class LilTrajectory:
 
     checkpoints: list[tuple[int, float]]
     variance: float
-    meta: dict = field(default_factory=dict)
 
     def final_ratio(self) -> float:
         return self.checkpoints[-1][1]

@@ -220,11 +220,6 @@ class MixtureProfile:
             total += float(s) * np.sin(2.0 * np.pi * f * xs)
         return total
 
-    def min_value(self, grid: int = 1 << 16) -> float:
-        """Numerical minimum over a period (nonnegativity diagnostic)."""
-        xs = (np.arange(grid) + 0.5) / grid
-        return float(self.values(xs).min())
-
     def to_json_dict(self) -> dict:
         return {
             "constant": str(self.constant),

@@ -298,6 +298,35 @@ def test_window_not_positive_exits_domain(tmp_path, capsys, command, window):
 
 
 @pytest.mark.parametrize("command", [
+    ["var", "--f", "cos:1=1/0", "--seq", "pow2:20", "--count", "8"],
+    ["clt", "--f", "cos:1", "--seq", "pow2", "--count", "64", "--samples", "10",
+     "--seed", "7", "--ks", "gaussian:1/0"],
+    ["lil", "--f", "cos:1", "--seq", "pow2", "--count", "256", "--points", "2",
+     "--variance", "1/0", "--seed", "5"],
+    ["perm", "--pairing", "1", "2", "--seq", "pow2m1:200", "--gap-ratio", "1/0"],
+    ["seq", "--kind", "geometric", "--q", "1/0", "--count", "4"],
+    ["dio", "--seq", "geometric:1/0:1:5", "--profile", "--count", "5"],
+])
+def test_zero_denominator_exits_domain(tmp_path, capsys, command):
+    assert run([*command, "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["seq", "--kind", "rstar", "--alpha", "nan", "--count", "5"],
+    ["seq", "--kind", "rstar", "--alpha", "inf", "--count", "5"],
+    ["seq", "--kind", "rstar", "--alpha=-inf", "--count", "5"],
+    ["dio", "--seq", "rstar:inf:50:10", "--profile", "--count", "5"],
+    ["dio", "--seq", "rstar:nan:50:10", "--profile", "--count", "5"],
+])
+def test_rstar_alpha_not_finite_exits_domain(tmp_path, capsys, command):
+    assert run([*command, "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert "alpha must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("command", [
     ["perm", "--random", "5", "x"],
     ["perm", "--pairing", "1", "b", "--seq", "pow2:50"],
     ["dio", "--seq", "pow2:10", "--count", "5", "--two-term", "1", "2", "z"],

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,6 @@ from lacunaria.seqgen import (
     IntegerSequence,
     Power,
     RStarParams,
-    gap_profile,
     gen_geometric,
     gen_power,
     gen_random_rstar,
@@ -40,8 +38,8 @@ def test_geometric_single_term():
 def test_geometric_ratio_invariant():
     for q in (Fraction(3, 2), Fraction(7, 5), 2, Fraction(21, 20)):
         seq = gen_geometric(q, 3, 40)
-        for r in gap_profile(seq).per_k_ratios:
-            assert r >= q
+        for k in range(1, len(seq)):
+            assert Fraction(seq.term(k + 1), seq.term(k)) >= q
 
 
 def test_geometric_rejects_bad_q():
@@ -69,7 +67,7 @@ def test_power_is_lazy_for_huge_counts():
     seq = gen_power(2, 0, 1 << 20)
     assert len(seq) == 1 << 20
     assert seq.term(20) == 1 << 20
-    assert seq.max_term == 1 << (1 << 20)
+    assert seq.term(len(seq)) == 1 << (1 << 20)
 
 
 @pytest.mark.parametrize("base", [2, 3, 4, 8])
@@ -213,46 +211,10 @@ def test_rstar_small_scale_fails():
         gen_random_rstar(RStarParams(alpha=3.0, a=2, count=50, seed=4))
 
 
-# ---------------- gap_profile ----------------
-
-def test_gap_profile_values():
-    assert gap_profile(gen_power(2, 0, 4)).min_ratio == 2
-    assert gap_profile(gen_power(2, -1, 4)).min_ratio == Fraction(15, 7)
-    assert gap_profile(gen_geometric(Fraction(3, 2), 2, 4)).min_ratio == Fraction(3, 2)
-
-
-def test_gap_profile_needs_two_terms():
-    with pytest.raises(ValueError):
-        gap_profile(gen_power(2, 0, 1))
-
-
-def test_gap_profile_erdos_fit_recovers_exponent():
-    # ratios ~ 1 + 0.01 * k^{-1/2}; large terms keep ceiling distortion small
-    terms = [10**9]
-    for k in range(1, 40):
-        terms.append(math.ceil(terms[-1] * (1 + 0.01 * k**-0.5)))
-    seq = IntegerSequence(terms, External("synthetic"))
-    fit = gap_profile(seq).erdos_exponent_fit
-    assert fit is not None
-    assert 0.4 < fit < 0.6
-
-
-def test_gap_profile_fit_is_none_past_the_float_range():
-    # the last ratios, 2**1024 and up, are past the float range
-    terms = [2 ** (2**k) for k in range(13)]
-    prof = gap_profile(IntegerSequence(terms, External("doubly exponential")))
-    assert prof.erdos_exponent_fit is None
-    assert prof.min_ratio == 2
-    assert prof.per_k_ratios == [Fraction(terms[k + 1], terms[k]) for k in range(12)]
-
-
-def test_gap_profile_fit_is_none_when_ratio_minus_one_underflows():
-    # ratio - 1 is about 1e-400, which rounds to 0.0
-    terms = [10**400 + i for i in range(5)]
-    prof = gap_profile(IntegerSequence(terms, External("1e400 + i")))
-    assert prof.erdos_exponent_fit is None
-    assert prof.min_ratio == Fraction(10**400 + 4, 10**400 + 3)
-    assert prof.per_k_ratios == [Fraction(terms[k + 1], terms[k]) for k in range(4)]
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_rstar_rejects_alpha_not_positive_and_finite(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        RStarParams(alpha=alpha, a=50, count=10, seed=1)
 
 
 # ---------------- sequence files ----------------

@@ -445,7 +445,7 @@ def test_lil_one_evaluator_many_points():
     for x in sample_points(ev.required, 3, seed=9):
         got = ev.lil_trajectory(x, 1.0)
         want = lil_trajectory(COS12, seq, perm, x, n, 1.0)
-        assert got.checkpoints == want.checkpoints and got.meta == want.meta
+        assert got.checkpoints == want.checkpoints
 
 
 def test_lil_denominator_cached_per_variance():

@@ -391,11 +391,11 @@ def test_mixture_profile_erdos_fortet_block():
     assert prof.constant == 1
     beta = prof.cosine_terms[1]
     assert beta == Fraction(2, 3)
-    assert prof.min_value() >= -1e-9  # bona fide variance profile
     # oracle: midpoint quadrature of the full normalized square; all
     # frequencies (max 2 * 1023 doubled by squaring ~ 4092) sit below the grid
     grid = 1 << 13
     xs = (np.arange(grid) + 0.5) / grid
+    assert prof.values(xs).min() >= -1e-9  # bona fide variance profile
     acc = np.zeros(grid)
     for u, v in cert.all_pairs:
         pair_sum = np.zeros(grid)
