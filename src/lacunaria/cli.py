@@ -308,19 +308,25 @@ def _finite_float(spec: str, what: str) -> float:
 
 
 def _ks_target(spec: str):
+    """The KS target of ``spec`` and its name in the artifact.
+
+    A mixture file is named by the SHA-256 of its bytes, not by its path,
+    so the artifact does not depend on where the file lies.
+    """
     kind, _, arg = spec.partition(":")
     if kind == "gaussian":
-        return simulate.GaussianTarget(_finite_float(arg, "ks variance"))
+        return simulate.GaussianTarget(_finite_float(arg, "ks variance")), spec
     if kind == "mixture":
-        with open(arg, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        return simulate.MixtureTarget(spectra.MixtureProfile.from_json_dict(data["profile"]))
+        raw = Path(arg).read_bytes()
+        data = json.loads(raw.decode("utf-8"))
+        target = simulate.MixtureTarget(spectra.MixtureProfile.from_json_dict(data["profile"]))
+        return target, f"mixture:sha256:{hashlib.sha256(raw).hexdigest()}"
     raise ValueError("ks spec is gaussian:VAR or mixture:FILE")
 
 
 def run_clt(params: dict, out_dir: Path) -> list[Path]:
     poly = spectra.TrigPolynomial.parse(params["f"])
-    target = _ks_target(params["ks"]) if params.get("ks") else None
+    target, target_name = _ks_target(params["ks"]) if params.get("ks") else (None, None)
     count = params["count"]
     seq = resolve_sequence(params["seq"], params.get("window", count), params.get("seed"))
     perm = resolve_permutation(params.get("perm"), params.get("window", count),
@@ -343,7 +349,7 @@ def run_clt(params: dict, out_dir: Path) -> list[Path]:
     }
     if target is not None:
         ks = simulate.ks_distance(emp, target)
-        payload["ks"] = {"target": params["ks"], "distance": ks.distance,
+        payload["ks"] = {"target": target_name, "distance": ks.distance,
                          "cdf_tolerance": ks.cdf_tolerance}
     outputs = []
     if params.get("keep_samples"):

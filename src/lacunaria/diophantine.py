@@ -16,7 +16,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import chain, combinations, compress, count as count_from, islice, product
-from math import comb
+from math import comb, gcd
 from operator import itemgetter, ne, neg, sub
 
 from .errors import WorkBudgetExceeded
@@ -54,7 +54,8 @@ class DioReport:
     profile, one sorted table of c values and counts serves a whole symmetry
     class: (a, b) and (b, a) hold the same histogram, and the mirrored pairs
     (-a, -b) / (-b, -a) hold one that reads the same table with every c
-    negated.
+    negated.  A class with g = gcd(a, b) > 1 reads the table of (a, b)/g
+    with every c multiplied by g.
     """
 
     a: int
@@ -66,7 +67,12 @@ class DioReport:
     prefix_growth: list[tuple[int, int]]  # (prefix length, max count)
 
     def __post_init__(self):
-        if self.max_count != max(self.histogram.values(), default=0):
+        hist = self.histogram  # a sorted table knows its largest count
+        if isinstance(hist, _SortedHistogram):
+            top = hist.max_count
+        else:
+            top = max(hist.values(), default=0)
+        if self.max_count != top:
             raise ValueError("max_count inconsistent with histogram")
 
     def csv_row(self) -> list:
@@ -150,19 +156,32 @@ class _SortedHistogram(Mapping):
     Lookups bisect and iteration is ascending; no c is ever hashed.  (On
     powers of 2 the int hash, the value mod 2^61 - 1, repeats with period 61
     in the exponent, so a dict keyed by c degenerates there.)  A negated
-    histogram reads the same two tuples with every c negated.
+    histogram reads the same two tuples with every c negated; a scaled one
+    shares the counts.  ``max_count``, the largest count, is found once per
+    table and carried by every view of it.
     """
 
-    __slots__ = ("_keys", "_counts", "_negated")
+    __slots__ = ("_keys", "_counts", "_negated", "max_count")
 
-    def __init__(self, keys: Iterable[int], counts: Iterable[int], negated: bool = False):
+    def __init__(self, keys: Iterable[int], counts: Iterable[int]):
         self._keys = tuple(keys)  # strictly ascending; a tuple is kept, not copied
         self._counts = tuple(counts)
-        self._negated = negated
+        self._negated = False
+        self.max_count = max(self._counts, default=0)
+
+    def _view(self, keys: tuple[int, ...], negated: bool) -> _SortedHistogram:
+        view = object.__new__(_SortedHistogram)
+        view._keys, view._counts, view._negated = keys, self._counts, negated
+        view.max_count = self.max_count
+        return view
 
     def negated(self) -> _SortedHistogram:
         """This histogram with every c negated, sharing its keys and counts."""
-        return _SortedHistogram(self._keys, self._counts, not self._negated)
+        return self._view(self._keys, not self._negated)
+
+    def scaled(self, g: int) -> _SortedHistogram:
+        """This histogram with every c multiplied by ``g`` > 0, sharing its counts."""
+        return self._view(tuple(g * c for c in self._keys), self._negated)
 
     def _index(self, c) -> int:
         if self._negated:
@@ -253,13 +272,14 @@ def _pair_histogram(
     return _SortedHistogram(keys, counts), maxima
 
 
-def _argmax_c(hist: _SortedHistogram, top: int) -> int | None:
-    """The c at the largest count ``top``; ties go to the smallest |c|, then to c > 0.
+def _argmax_c(hist: _SortedHistogram) -> int | None:
+    """The c at the largest count; ties go to the smallest |c|, then to c > 0.
 
     Only the entries next to c = 0 are read: from the bisection point of 0,
     the first entry at the top count upwards, and the first one downwards
     that is no farther from 0.
     """
+    top = hist.max_count
     if not top:
         return None
     keys, counts = hist._keys, hist._counts
@@ -303,17 +323,25 @@ def _profile(
     terms = seq.prefix(count)
     prefixes = _growth_prefixes(count)
     reports: dict[tuple[int, int], DioReport] = {}
-    for a, b in representatives:
+    # g*a*n_k + g*b*n_l = g*c iff a*n_k + b*n_l = c, and both diagonal rules
+    # hold under scaling, so only primitive classes are enumerated; each is
+    # done before the classes g times it, whose least pair is g times its own
+    for a, b in sorted(representatives, key=lambda pair: gcd(*pair) > 1):
+        g = gcd(a, b)
         drop_diag = a + b == 0 if diagonal == "sum_zero" else a == b
-        hist, maxima = _pair_histogram(terms, a, b, prefixes, include_zero=include_zero,
-                                       drop_diagonal=drop_diag)
-        growth = list(zip(prefixes, maxima))
+        if g == 1:
+            hist, maxima = _pair_histogram(terms, a, b, prefixes, include_zero=include_zero,
+                                           drop_diagonal=drop_diag)
+            growth = list(zip(prefixes, maxima))
+        else:
+            primitive = reports[(a // g, b // g)]
+            hist, growth = primitive.histogram.scaled(g), primitive.prefix_growth
         # (a, -a) is its own mirror: its swap (-a, a) already holds the negation
         orientations = [(hist, (a, b), (b, a))]
         if a + b:
             orientations.append((hist.negated(), (-a, -b), (-b, -a)))
         for oriented, *members in orientations:
-            arg = _argmax_c(oriented, maxima[-1])
+            arg = _argmax_c(oriented)
             for pa, pb in dict.fromkeys(members):
                 witnesses = []
                 if arg is not None:
@@ -321,7 +349,7 @@ def _profile(
                                      require_distinct=include_zero and drop_diag and arg == 0)
                     _, witnesses = count_two_term(seq, q)
                 reports[(pa, pb)] = DioReport(
-                    a=pa, b=pb, max_count=maxima[-1], argmax_c=arg,
+                    a=pa, b=pb, max_count=hist.max_count, argmax_c=arg,
                     histogram=oriented, witnesses=witnesses, prefix_growth=list(growth),
                 )
     return {pair: reports[pair] for pair in pairs}

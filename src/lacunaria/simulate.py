@@ -277,14 +277,7 @@ def clt_experiment(
             chunks = list(pool.map(_clt_values, repeat(evaluator), repeat(seed),
                                    bounds[:-1], bounds[1:]))
         values = np.concatenate(chunks)
-    meta = {
-        "count": count,
-        "samples": samples,
-        "seed": seed,
-        "mantissa_bits": evaluator.required,
-        "normalization": "S_N / sqrt(N)",
-    }
-    return EmpiricalDistribution(values, meta)
+    return EmpiricalDistribution(values, {"mantissa_bits": evaluator.required})
 
 
 # ----------------------------------------------------------------------

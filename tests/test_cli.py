@@ -209,6 +209,30 @@ def test_clt_cli_small(tmp_path):
     assert payload["ks"]["distance"] < 0.2
 
 
+def test_clt_mixture_summary_is_the_same_from_any_cwd(tmp_path, monkeypatch):
+    # the summary names the mixture file by its bytes; run.json keeps the
+    # resolved path, which differs between the two directories
+    mixture = json.dumps({"profile": {"constant": "1", "cosine_terms": {"1": "11/20"}}})
+    summaries, manifests = [], []
+    for name in ("one", "two"):
+        work = tmp_path / name
+        work.mkdir()
+        (work / "mixture.json").write_text(mixture)
+        monkeypatch.chdir(work)
+        assert run(["clt", "--f", "cos:1,cos:2", "--seq", "pow2m1", "--count", "32",
+                    "--samples", "200", "--seed", "5", "--ks", "mixture:mixture.json",
+                    "--out-dir", "out"]) == EXIT_OK
+        summaries.append((work / "out" / "clt_summary.json").read_bytes())
+        manifests.append(json.loads((work / "out" / "run.json").read_text()))
+    assert summaries[0] == summaries[1]
+    digest = hashlib.sha256(mixture.encode()).hexdigest()
+    assert json.loads(summaries[0])["ks"]["target"] == f"mixture:sha256:{digest}"
+    assert [m["params"]["ks"] for m in manifests] == \
+        [f"mixture:{tmp_path / name / 'mixture.json'}" for name in ("one", "two")]
+    for name in ("one", "two"):
+        assert run(["verify", "--manifest", tmp_path / name / "out" / "run.json"]) == EXIT_OK
+
+
 def test_clt_random_perm_spec(tmp_path):
     assert run(["clt", "--f", "cos:1", "--seq", "pow2", "--perm", "random:seed=7",
                 "--count", "32", "--samples", "100", "--seed", "3",

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 from itertools import combinations, product
+from math import gcd
 
 import pytest
 
@@ -196,6 +197,75 @@ def test_symmetry_classes_match_oracle_reports():
                 assert _fields(rep) == want, (seq.provenance, include_zero, diagonal, a, b)
 
 
+SCALING_CORPUS = {
+    "pow2": lambda n: gen_power(2, 0, n),
+    "pow2m1": lambda n: gen_power(2, -1, n),
+    "pow3": lambda n: gen_power(3, 0, n),
+    "smooth": lambda n: gen_smooth({2, 3}, n),
+    "rstar": lambda n: gen_random_rstar(RStarParams(alpha=1.0, a=50, count=n, seed=20260810)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALING_CORPUS))
+def test_scaled_classes_match_oracle_reports(name):
+    # at bound 4, (2, 4), (4, 4), (-2, 4), (2, 2), ... read the tables of
+    # (1, 2), (1, 1), (-1, 2), (1, 1) scaled; every report still equals its
+    # own brute-force report, and its witnesses those count_two_term finds
+    for n in (1, 2, 7, 30):
+        seq = SCALING_CORPUS[name](n)
+        terms = seq.prefix(n)
+        runs = [
+            (d2_profile(seq, 4, n), False, "sum_zero"),
+            (d2star_profile(seq, 4, n), True, "sum_zero"),
+            (d2star_profile(seq, 4, n, diagonal="literal"), True, "literal"),
+        ]
+        for reports, include_zero, diagonal in runs:
+            assert len(reports) == 64
+            for (a, b), rep in reports.items():
+                drop = include_zero and (a + b == 0 if diagonal == "sum_zero" else a == b)
+                want = brute_profile_report(terms, a, b, include_zero, drop)
+                assert _fields(rep) == want, (name, n, include_zero, diagonal, a, b)
+                if rep.argmax_c is not None:
+                    q = TwoTermQuery(a=a, b=b, c=rep.argmax_c, count=n,
+                                     require_distinct=drop and rep.argmax_c == 0)
+                    assert count_two_term(seq, q) == (rep.max_count, rep.witnesses)
+
+
+def test_scaled_class_shares_its_primitive_counts():
+    reports = d2star_profile(gen_smooth({2, 3}, 40), 4, 40)
+    for (a, b), g in (((2, 4), 2), ((4, 4), 4), ((-2, 4), 2), ((3, -3), 3), ((-4, -2), 2)):
+        hist, base = reports[(a, b)].histogram, reports[(a // g, b // g)].histogram
+        assert hist._counts is base._counts and hist.max_count == base.max_count
+        assert list(hist) == [g * c for c in base]
+        assert reports[(a, b)].argmax_c == g * reports[(a // g, b // g)].argmax_c
+
+
+@pytest.mark.parametrize("profile,bound,tables", [(d2_profile, 3, 8), (d2star_profile, 2, 4)])
+def test_only_primitive_classes_are_enumerated(monkeypatch, profile, bound, tables):
+    # 12 classes at bound 3, 6 at bound 2; those with gcd(a, b) > 1 are scaled
+    calls = []
+    enumerate_class = diophantine._pair_histogram
+    monkeypatch.setattr(diophantine, "_pair_histogram",
+                        lambda terms, a, b, *args, **kw:
+                        calls.append((a, b)) or enumerate_class(terms, a, b, *args, **kw))
+    profile(gen_power(2, -1, 40), bound, 40)
+    assert len(calls) == tables
+    assert all(gcd(a, b) == 1 for a, b in calls)
+
+
+def test_report_checks_max_count_of_sorted_histogram():
+    # a sorted table's largest count is found when it is built, and every
+    # view of it carries that count; a report is still checked against it
+    hist = diophantine._SortedHistogram([-4, 1, 9], [2, 5, 3])
+    for view in (hist, hist.negated(), hist.scaled(3), hist.scaled(3).negated()):
+        assert view.max_count == 5 == max(view.values())
+        fields = dict(a=1, b=-1, argmax_c=None, witnesses=[], prefix_growth=[(1, 0)])
+        assert DioReport(max_count=5, histogram=view, **fields).max_count == 5
+        with pytest.raises(ValueError, match="max_count inconsistent"):
+            DioReport(max_count=3, histogram=view, **fields)
+    assert diophantine._SortedHistogram([], []).max_count == 0
+
+
 def test_mirrored_class_keeps_tie_break():
     # n_k - 2 n_l = 1 and = -1 both have 3 solutions, the maximum; the
     # mirrored pairs must still pick c = +1, not the negated -1
@@ -340,13 +410,13 @@ def test_argmax_reads_outward_from_zero():
     for oriented, want in ((hist, -2), (hist.negated(), 2)):
         oriented._counts = _ReadCounts(counts)
         oriented._counts.read = []
-        assert diophantine._argmax_c(oriented, 4) == want
+        assert diophantine._argmax_c(oriented) == want
         assert len(oriented._counts.read) <= 3  # c = -1, -2 below 0
         assert oriented[want] == 4
     # ties at the same |c| go to c > 0 in either orientation
     tied = diophantine._SortedHistogram([-3, -1, 1, 3], [2, 1, 1, 2])
-    assert diophantine._argmax_c(tied, 2) == 3 == diophantine._argmax_c(tied.negated(), 2)
-    assert diophantine._argmax_c(diophantine._SortedHistogram([], []), 0) is None
+    assert diophantine._argmax_c(tied) == 3 == diophantine._argmax_c(tied.negated())
+    assert diophantine._argmax_c(diophantine._SortedHistogram([], [])) is None
 
 
 def test_d2_violation_on_erdos_fortet():
@@ -784,3 +854,32 @@ def test_profile_json_corpus_pinned(seq_name, run_name):
     text = profile_to_json(PROFILE_RUNS[run_name](PROFILE_SEQS[seq_name]()))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         PROFILE_JSON_CORPUS_PINNED[(seq_name, run_name)]
+
+
+# SHA-256 of profile_to_json text at bound 4, N = 60, recorded while every
+# symmetry class was enumerated; bound 4 is the least at which (2, 4),
+# (4, 4) and (-2, 4) read the scaled tables of (1, 2), (1, 1) and (-1, 2)
+PROFILE_JSON_BOUND4_PINNED = {
+    ("pow2m1", "d2"): "f14eba5e45f6c83af6640e6a9451894bab857466bd1da837aeb123f012123cc4",
+    ("pow2m1", "d2star"): "da05d6dc1845e1e1a193cc77f9b6e293e24c2bf756abeb2302fa43713364bd2a",
+    ("pow2m1", "d2star literal"): "74dceefae1345cee09037b3cbeb38a722730819b33d78b298c96aa56d5e5c381",
+    ("smooth", "d2"): "2feea3a0a3eeaa3fad1c2a4b0e0be80f17baa61a82207861d9877463ace9a4be",
+    ("smooth", "d2star"): "6c9a290f97700f1498f3b880e1e984ca503f8f381b1613127316a5dae1d9f5cc",
+    ("smooth", "d2star literal"): "667864cd3f88b05a49080950e4bd0e99aa3903c9c4861225e43dee22aab7f8c2",
+    ("rstar", "d2"): "c8e0ba73f8f4203b778d1f26a962dfe8233f7653e3502090d791aa83d43404a8",
+    ("rstar", "d2star"): "717d6dee0fefdbf385689eb5d16bfd0081c4e617af5bfc526f9e651bcfd9ca91",
+    ("rstar", "d2star literal"): "34927ba526e6e5e36fdf72531269b9c4acc7c5e6917a3968e7eb80795f65ea58",
+}
+BOUND4_RUNS = {
+    "d2": lambda seq: d2_profile(seq, 4, 60),
+    "d2star": lambda seq: d2star_profile(seq, 4, 60),
+    "d2star literal": lambda seq: d2star_profile(seq, 4, 60, diagonal="literal"),
+}
+
+
+@pytest.mark.parametrize("seq_name,run_name", sorted(PROFILE_JSON_BOUND4_PINNED),
+                         ids=[" ".join(key) for key in sorted(PROFILE_JSON_BOUND4_PINNED)])
+def test_profile_json_bound4_pinned(seq_name, run_name):
+    text = profile_to_json(BOUND4_RUNS[run_name](PROFILE_SEQS[seq_name]()))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        PROFILE_JSON_BOUND4_PINNED[(seq_name, run_name)]
