@@ -23,13 +23,16 @@ class CounterRng:
     def __init__(self, seed: int, stream: str = ""):
         self.seed = seed & _MASK64
         self.stream = stream
-        self._key = self.seed.to_bytes(8, "big")
         self._prefix = stream.encode("utf-8") + b"\x00"
+        # Keyed set-up done once; each block hashes on a copy.  A hashlib
+        # object does not pickle, so a CounterRng is not sent to workers.
+        self._keyed = hashlib.blake2b(key=self.seed.to_bytes(8, "big"), digest_size=64)
 
     def block(self, index: int, counter: int) -> bytes:
         """64 raw bytes for (index, counter)."""
-        msg = self._prefix + index.to_bytes(16, "big") + counter.to_bytes(8, "big")
-        return hashlib.blake2b(msg, key=self._key, digest_size=64).digest()
+        h = self._keyed.copy()
+        h.update(self._prefix + index.to_bytes(16, "big") + counter.to_bytes(8, "big"))
+        return h.digest()
 
     def bits(self, index: int, nbits: int) -> int:
         """Uniform integer in [0, 2**nbits) for stream element ``index``."""
@@ -53,7 +56,10 @@ class CounterRng:
         group = (nbits + 511) // 512
         counter = 0
         while True:
-            raw = b"".join(self.block(index, counter + c) for c in range(group))
+            if group == 1:
+                raw = self.block(index, counter)
+            else:
+                raw = b"".join(self.block(index, counter + c) for c in range(group))
             value = int.from_bytes(raw, "big") >> (group * 512 - nbits)
             if value < bound:
                 return value

@@ -12,9 +12,10 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import Context, Decimal, getcontext
 from fractions import Fraction
-from typing import Sequence, Union
+from itertools import count as count_from
+from typing import Iterator, Sequence, Union
 
 from .errors import IntervalEmpty
 from .rng import CounterRng
@@ -288,12 +289,40 @@ def gen_smooth(primes, count: int, include_one: bool = True) -> IntegerSequence:
     return IntegerSequence(out, Smooth(primes=tuple(ps), include_one=include_one))
 
 
-def _omega(k: int, alpha: Decimal) -> Decimal:
-    """(ln k)**alpha; zero at k = 1."""
-    lk = Decimal(k).ln()
-    if lk <= 0:
-        return Decimal(0)
-    return (alpha * lk.ln()).exp()
+def _rstar_right(k: int, alpha: Decimal, a: Decimal,
+                 ctx: Context) -> tuple[Decimal, Decimal, Decimal]:
+    """(ln k, omega_k, a * k**omega_k) in ``ctx``; omega_k = (ln k)**alpha, omega_1 = 0."""
+    lk = ctx.ln(Decimal(k))
+    w = ctx.exp(ctx.multiply(alpha, ctx.ln(lk))) if lk > 0 else Decimal(0)
+    return lk, w, ctx.multiply(a, ctx.exp(ctx.multiply(w, lk)))
+
+
+def _rstar_intervals(params: RStarParams, first: int = 1) -> Iterator[tuple[int, int]]:
+    """I_first, I_first+1, ... as inclusive integer ranges, without end.
+
+    Each ln k and each right endpoint is evaluated once: the trailing form's
+    left endpoint of I_k is the right endpoint of I_{k-1}, and the current
+    form's reuses ln(k-1) from the step before.  Decimal ln, exp and
+    multiply are correctly rounded in a fixed context, so every endpoint is
+    the one a fresh evaluation of k alone gives.
+    """
+    if first == 1:
+        yield (1, params.a)
+        first = 2
+    ctx = getcontext().copy()  # explicit, so nothing leaks to the caller between yields
+    ctx.prec = _ENDPOINT_PRECISION
+    alpha = Decimal(repr(params.alpha))
+    a = Decimal(params.a)
+    ln_prev, _, right_prev = _rstar_right(first - 1, alpha, a, ctx)
+    for k in count_from(first):
+        lk, w, right = _rstar_right(k, alpha, a, ctx)
+        if params.interval_form == "trailing":
+            left = right_prev
+        else:
+            left = ctx.multiply(a, ctx.exp(ctx.multiply(w, ln_prev)))
+        yield (int(left.to_integral_value(rounding="ROUND_CEILING")),
+               int(right.to_integral_value(rounding="ROUND_CEILING")) - 1)
+        ln_prev, right_prev = lk, right
 
 
 def rstar_interval(k: int, params: RStarParams) -> tuple[int, int]:
@@ -305,22 +334,7 @@ def rstar_interval(k: int, params: RStarParams) -> tuple[int, int]:
     integers are ceil(L) .. ceil(R) - 1.  Endpoints are evaluated at fixed
     decimal precision, so the classification is deterministic.
     """
-    if k == 1:
-        return (1, params.a)
-    with localcontext() as ctx:
-        ctx.prec = _ENDPOINT_PRECISION
-        alpha = Decimal(repr(params.alpha))
-        a = Decimal(params.a)
-        w_right = _omega(k, alpha)
-        right = a * (w_right * Decimal(k).ln()).exp()
-        w_left = w_right if params.interval_form == "current" else _omega(k - 1, alpha)
-        if k - 1 == 1:
-            left = a
-        else:
-            left = a * (w_left * Decimal(k - 1).ln()).exp()
-        lo = int(left.to_integral_value(rounding="ROUND_CEILING"))
-        hi = int(right.to_integral_value(rounding="ROUND_CEILING")) - 1
-    return (lo, hi)
+    return next(_rstar_intervals(params, k))
 
 
 def gen_random_rstar(params: RStarParams) -> IntegerSequence:
@@ -334,8 +348,7 @@ def gen_random_rstar(params: RStarParams) -> IntegerSequence:
     """
     rng = CounterRng(params.seed, "rstar")
     terms: list[int] = []
-    for k in range(1, params.count + 1):
-        lo, hi = rstar_interval(k, params)
+    for k, (lo, hi) in zip(range(1, params.count + 1), _rstar_intervals(params)):
         if hi < lo:
             raise IntervalEmpty(
                 f"I_{k} = [{lo}, {hi}] contains no integer; increase a (a={params.a})"

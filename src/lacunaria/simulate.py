@@ -10,6 +10,10 @@ the exact fractional part plus float64 rounding), i.e. ~4e-16 per term.
 All sample values are pure functions of (seed, sample index); reductions use
 fixed numpy pipelines, so replays reproduce results bit-for-bit on one
 platform regardless of worker count.
+
+scipy is imported only where a normal or mixture CDF is evaluated
+(``GaussianTarget.cdf``, ``MixtureTarget``), so a run that draws samples or
+sums without a KS target never loads it.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import MantissaWidthError
 from .mod1 import FracTopEngine, required_bits
@@ -295,6 +298,8 @@ class GaussianTarget:
     def cdf(self, xs: np.ndarray) -> np.ndarray:
         if self.variance == 0:
             return (xs >= 0).astype(np.float64)
+        from scipy.special import ndtr
+
         return ndtr(xs / math.sqrt(self.variance))
 
 
@@ -310,6 +315,8 @@ class MixtureTarget:
     profile: MixtureProfile
 
     def _cdf_on(self, xs: np.ndarray, grid: int) -> np.ndarray:
+        from scipy.special import ndtr
+
         ts = (np.arange(grid) + 0.5) / grid
         v = self.profile.values(ts)
         if v.min() < 0:

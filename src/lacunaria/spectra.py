@@ -2,7 +2,8 @@
 
 Frequencies are exact big integers, coefficients exact rationals; nothing
 here touches floating point except :func:`mixture_charfn`, which integrates
-the limiting characteristic function numerically.
+the limiting characteristic function numerically.  scipy is imported only
+inside that function, so the exact computations never load it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import QuadratureError
 from .permute import PairingCertificate, PermutationWindow, verify_certificate
@@ -414,6 +414,8 @@ def mixture_charfn(profile: MixtureProfile, s: float, quad_tol: float = 1e-10) -
     """phi(s) = integral_0^1 exp(-s^2 v(t) / 2) dt by adaptive quadrature."""
     if quad_tol <= 0:
         raise ValueError("quad_tol must be positive")
+    from scipy.integrate import quad
+
     s2 = s * s
 
     def integrand(t: float) -> float:

@@ -467,3 +467,32 @@ def test_console_entry_point(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sequence.txt").exists()
+
+
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import lacunaria.cli
+from lacunaria import diophantine, mod1, permute, rng, seqgen, simulate, spectra
+
+out = sys.argv[1]
+assert lacunaria.cli.main(["seq", "--kind", "rstar", "--alpha", "1.0", "--scale", "50",
+                           "--count", "40", "--seed", "11", "--out-dir", out + "/seq"]) == 0
+assert lacunaria.cli.main(["dio", "--seq", "pow2m1:40", "--profile", "--count", "40",
+                           "--coeff-bound", "2", "--out-dir", out + "/dio"]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+emp = simulate.EmpiricalDistribution(np.linspace(-2.0, 2.0, 101))
+simulate.ks_distance(emp, simulate.GaussianTarget(1.0))
+print("scipy.special" in sys.modules, "scipy.integrate" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_where_a_cdf_is_evaluated(tmp_path):
+    # the exact pipeline (seq, dio) never evaluates a normal CDF or integrates
+    src = str(Path(lacunaria.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["[]", "True False"]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lacunaria.seqgen import (
     rstar_interval,
     write_sequence,
     _PowerTerms,
+    _rstar_intervals,
 )
 
 
@@ -207,8 +209,19 @@ def test_rstar_interval_forms_differ():
 def test_rstar_small_scale_fails():
     # alpha=3, a=2 leaves I_2 = {2}; seed 4 draws n_1 = 2, so the strict-
     # increase adjustment pushes n_2 past the right endpoint
-    with pytest.raises(IntervalEmpty):
+    with pytest.raises(IntervalEmpty, match=r"^I_2 exhausted after enforcing strict "
+                                            r"increase; increase a \(a=2\)$"):
         gen_random_rstar(RStarParams(alpha=3.0, a=2, count=50, seed=4))
+
+
+@pytest.mark.parametrize("form", ["trailing", "current"])
+@pytest.mark.parametrize("alpha, a", [(0.25, 2), (1.0, 50), (2.0, 3), (0.5, 7)])
+def test_rstar_one_pass_walk_matches_fresh_intervals(form, alpha, a):
+    # the walk carries ln(k-1) and the right endpoint of I_{k-1} forward;
+    # rstar_interval evaluates both afresh for each k
+    params = RStarParams(alpha=alpha, a=a, count=600, seed=0, interval_form=form)
+    walked = list(islice(_rstar_intervals(params), 600))
+    assert walked == [rstar_interval(k, params) for k in range(1, 601)]
 
 
 @pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
