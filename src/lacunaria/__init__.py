@@ -14,4 +14,4 @@ Subpackages:
 * :mod:`lacunaria.cli` -- command-line driver with reproducible manifests
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

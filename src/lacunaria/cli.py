@@ -121,9 +121,9 @@ def _sha256(path: Path) -> str:
 
 
 def _write_json(path: Path, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Serialize first, so a non-finite number (no JSON) leaves no partial file."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _config_sha256(subcommand: str, params: dict) -> str:
@@ -689,6 +689,8 @@ def _params_from_args(args: argparse.Namespace) -> dict:
         params = {"f": args.f, "seq": args.seq, "perm": args.perm,
                   "cert": args.cert, "seed": args.seed,
                   "quad_tol": args.quad_tol}
+        if not 0 < args.quad_tol < math.inf:
+            raise ValueError("--quad-tol must be positive and finite")
         if args.cutoff is not None:
             params["cutoff"] = args.cutoff
         if args.charfn:

@@ -40,14 +40,3 @@ class MantissaWidthError(LacunariaError):
         self.need = need
         super().__init__(f"mantissa has {have} bits, evaluation needs at least {need}")
 
-
-class QuadratureError(LacunariaError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, requested: float, achieved: float):
-        self.requested = requested
-        self.achieved = achieved
-        super().__init__(
-            f"quadrature reached absolute error {achieved:.3e}, "
-            f"requested {requested:.3e}"
-        )

@@ -12,7 +12,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from decimal import Context, Decimal, getcontext
+from decimal import Context, Decimal, Overflow, getcontext
 from fractions import Fraction
 from itertools import count as count_from
 from typing import Iterator, Sequence, Union
@@ -293,8 +293,12 @@ def _rstar_right(k: int, alpha: Decimal, a: Decimal,
                  ctx: Context) -> tuple[Decimal, Decimal, Decimal]:
     """(ln k, omega_k, a * k**omega_k) in ``ctx``; omega_k = (ln k)**alpha, omega_1 = 0."""
     lk = ctx.ln(Decimal(k))
-    w = ctx.exp(ctx.multiply(alpha, ctx.ln(lk))) if lk > 0 else Decimal(0)
-    return lk, w, ctx.multiply(a, ctx.exp(ctx.multiply(w, lk)))
+    try:
+        w = ctx.exp(ctx.multiply(alpha, ctx.ln(lk))) if lk > 0 else Decimal(0)
+        return lk, w, ctx.multiply(a, ctx.exp(ctx.multiply(w, lk)))
+    except Overflow:
+        raise ValueError(f"right endpoint of I_{k} exceeds the decimal range; "
+                         f"lower alpha (alpha={alpha})") from None
 
 
 def _rstar_intervals(params: RStarParams, first: int = 1) -> Iterator[tuple[int, int]]:
@@ -320,8 +324,9 @@ def _rstar_intervals(params: RStarParams, first: int = 1) -> Iterator[tuple[int,
             left = right_prev
         else:
             left = ctx.multiply(a, ctx.exp(ctx.multiply(w, ln_prev)))
-        yield (int(left.to_integral_value(rounding="ROUND_CEILING")),
-               int(right.to_integral_value(rounding="ROUND_CEILING")) - 1)
+        # exact ceilings; int() of a Decimal with a huge exponent takes seconds
+        (ln, ld), (rn, rd) = left.as_integer_ratio(), right.as_integer_ratio()
+        yield -(-ln // ld), -(-rn // rd) - 1
         ln_prev, right_prev = lk, right
 
 

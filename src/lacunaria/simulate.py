@@ -11,9 +11,10 @@ All sample values are pure functions of (seed, sample index); reductions use
 fixed numpy pipelines, so replays reproduce results bit-for-bit on one
 platform regardless of worker count.
 
-scipy is imported only where a normal or mixture CDF is evaluated
-(``GaussianTarget.cdf``, ``MixtureTarget``), so a run that draws samples or
-sums without a KS target never loads it.
+The mixture CDF is one midpoint rule over the profile's period
+(:func:`lacunaria.spectra.midpoint_rule`) and reports a proven bound as its
+tolerance.  scipy (``scipy.special.ndtr`` alone) is imported only where a
+normal or mixture CDF is evaluated, so a run without a KS target never loads it.
 """
 
 from __future__ import annotations
@@ -31,11 +32,10 @@ from .mod1 import FracTopEngine, required_bits
 from .permute import PermutationWindow
 from .rng import CounterRng
 from .seqgen import IntegerSequence
-from .spectra import MixtureProfile, TrigPolynomial
+from .spectra import EPS, MixtureProfile, TrigPolynomial, midpoint_rule
 
 _TWO_PI = 2.0 * math.pi
 _INV64 = 2.0 ** -64
-MIXTURE_GRID = 1024  # midpoints on U of MixtureTarget's CDF; the check doubles it
 
 
 # ----------------------------------------------------------------------
@@ -196,17 +196,18 @@ class SummaryStats:
         Var(k) ~ [ (m8 - m4^2)/m2^4 - 4 m4 (m6 - m2 m4)/m2^5
                    + 4 m4^2 (m4 - m2^2)/m2^6 ] / M,
 
-    which reduces to the familiar 24/M under a Gaussian null.
+    which reduces to the familiar 24/M under a Gaussian null.  Both are None
+    (null in an artifact) when the sample variance is 0.
     """
 
     count: int
     mean: float
     variance: float
     fourth_moment: float
-    kurtosis_ratio: float
+    kurtosis_ratio: float | None
     se_mean: float
     se_variance: float
-    se_kurtosis: float
+    se_kurtosis: float | None
 
 
 @dataclass
@@ -226,12 +227,12 @@ class EmpiricalDistribution:
         m4 = float(np.mean(d**4))
         m6 = float(np.mean(d**6))
         m8 = float(np.mean(d**8))
-        kurt = m4 / (m2 * m2) if m2 > 0 else float("nan")
-        var_k = (
-            (m8 - m4**2) / m2**4
-            - 4 * m4 * (m6 - m2 * m4) / m2**5
-            + 4 * m4**2 * (m4 - m2**2) / m2**6
-        ) / m if m2 > 0 else float("nan")
+        kurt = se_kurt = None  # undefined at zero variance
+        if m2 > 0:
+            kurt = m4 / (m2 * m2)
+            var_k = ((m8 - m4**2) / m2**4 - 4 * m4 * (m6 - m2 * m4) / m2**5
+                     + 4 * m4**2 * (m4 - m2**2) / m2**6) / m
+            se_kurt = math.sqrt(max(var_k, 0.0))
         return SummaryStats(
             count=m,
             mean=mean,
@@ -240,7 +241,7 @@ class EmpiricalDistribution:
             kurtosis_ratio=kurt,
             se_mean=math.sqrt(m2 / m),
             se_variance=math.sqrt(max(m4 - m2 * m2, 0.0) / m),
-            se_kurtosis=math.sqrt(max(var_k, 0.0)),
+            se_kurtosis=se_kurt,
         )
 
 
@@ -307,32 +308,28 @@ class GaussianTarget:
 class MixtureTarget:
     """Variance mixture: Z * sqrt(v(U)), Z standard normal, U uniform.
 
-    The CDF integrates Gaussian CDFs over a midpoint grid on U with a
-    Richardson doubling check; ``cdf_with_tolerance`` returns the doubled
-    grid's CDF with |Q_grid - Q_2grid| as its tolerance.
+    Its CDF at x is the integral over U of Phi(x / sqrt(v(U))).  Where
+    Re v > 0, |Phi(w) - 1/2| <= 1 / (2 sqrt(cos(arg v))) <= sqrt(hi / lo) / 2
+    (integrate e^(-u^2/2) along the ray to w), so :func:`midpoint_rule`
+    bounds the truncation by 2^-53.  The tolerance adds the float evaluation,
+    eval_err / (8 floor) + (M + 5) 2^-53: x / sqrt(v)'s relative error moves
+    Phi by at most 1/4 of it (|w| phi(w) < 1/4), ndtr is taken within 4 ulps,
+    and the mean of M values in [0, 1] within M ulps.
     """
 
     profile: MixtureProfile
 
-    def _cdf_on(self, xs: np.ndarray, grid: int) -> np.ndarray:
+    def cdf_with_tolerance(self, xs: np.ndarray) -> tuple[np.ndarray, float]:
         from scipy.special import ndtr
 
-        ts = (np.arange(grid) + 0.5) / grid
-        v = self.profile.values(ts)
-        if v.min() < 0:
-            raise ValueError("mixture profile dips below zero")
+        v, floor, eval_err, truncation = midpoint_rule(
+            self.profile, lambda lo, hi: np.log(hi / lo) / 2 - math.log(2), EPS)
         sig = np.sqrt(v)
         out = np.zeros(len(xs))
-        step = max(1, (1 << 22) // grid)
+        step = max(1, (1 << 20) // len(sig))
         for i in range(0, len(xs), step):
-            blk = xs[i:i + step, None] / sig[None, :]
-            out[i:i + step] = ndtr(blk).mean(axis=1)
-        return out
-
-    def cdf_with_tolerance(self, xs: np.ndarray) -> tuple[np.ndarray, float]:
-        coarse = self._cdf_on(xs, MIXTURE_GRID)
-        fine = self._cdf_on(xs, 2 * MIXTURE_GRID)
-        return fine, float(np.max(np.abs(fine - coarse)))
+            out[i:i + step] = ndtr(xs[i:i + step, None] / sig[None, :]).mean(axis=1)
+        return out, truncation + eval_err / (8 * floor) + (len(sig) + 5) * EPS
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
 """Exact L2 / variance computations via frequency-multiset expansion.
 
-Frequencies are exact big integers, coefficients exact rationals; nothing
-here touches floating point except :func:`mixture_charfn`, which integrates
-the limiting characteristic function numerically.  scipy is imported only
-inside that function, so the exact computations never load it.
+Frequencies are exact big integers, coefficients exact rationals.  Floating
+point enters only in the integrals over one period of a mixture profile
+(:func:`midpoint_rule`, read by :func:`mixture_charfn` and the mixture CDF),
+each returned with a proven bound.  Nothing here loads scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import QuadratureError
 from .permute import PairingCertificate, PermutationWindow, verify_certificate
 from .seqgen import IntegerSequence
 
@@ -204,13 +203,9 @@ class MixtureProfile:
     residual_count: int = 0
     freq_cutoff: int | None = None
 
-    def value(self, x: float) -> float:
-        total = float(self.constant)
-        for f, c in self.cosine_terms.items():
-            total += float(c) * math.cos(2.0 * math.pi * f * x)
-        for f, s in self.sine_terms.items():
-            total += float(s) * math.sin(2.0 * math.pi * f * x)
-        return total
+    def __post_init__(self):
+        if min((*self.cosine_terms, *self.sine_terms), default=1) < 1:
+            raise ValueError("mixture profile frequencies must be >= 1")
 
     def values(self, xs: np.ndarray) -> np.ndarray:
         total = np.full_like(xs, float(self.constant), dtype=np.float64)
@@ -407,23 +402,70 @@ def mixture_profile(
 
 
 # ----------------------------------------------------------------------
-# Mixture characteristic function
+# Integrals over one period of a mixture profile
 # ----------------------------------------------------------------------
 
+EPS = 2.0 ** -53  # unit roundoff of float64
+MAX_NODES = 1 << 16  # a profile whose integral needs more midpoints is refused
+
+
+def midpoint_rule(profile: MixtureProfile, log_bound, target: float):
+    """(v at the midpoints (j + 1/2) / M, floor, eval_err, truncation) for the fewest M.
+
+    Where g(v(t)) is analytic on the strip |Im t| < a and at most K there,
+    the M-node rule is off by at most truncation = 2K / (e^(2 pi M a) - 1)
+    (Trefethen & Weideman, SIAM Review 56(3), 2014, Thm 3.2); M is the least
+    that meets ``target`` over 64 strip widths.  For v = C + sum_f r_f
+    cos(2 pi f t - phi_f) the strip has Re v >= lo = floor - sum_f r_f
+    (cosh(2 pi f a) - 1) and |v| <= hi = |C| + sum_f r_f cosh(2 pi f a);
+    ``log_bound(lo, hi)`` (on arrays) is ln K, or NaN / inf for no bound.
+    floor <= v on the reals: the least v on G grid points, less
+    pi sum_f f r_f / G (the most v moves between them) and eval_err.  Float
+    v is within eval_err = 2^-53 sum_f (8 pi f + T + 2) |coefficient| over
+    the T coefficients (f = 0 for the constant): the rounded angle 2 pi f t,
+    then cos / sin (under 1 ulp), the products and the sum.
+    """
+    cos, sin = profile.cosine_terms, profile.sine_terms
+    freqs = sorted(set(cos) | set(sin)) or [1]
+    if freqs[-1] > MAX_NODES:
+        raise ValueError(f"mixture profile frequency {freqs[-1]} needs over {MAX_NODES} midpoints")
+    f = np.array(freqs, dtype=np.float64)
+    r = np.array([math.hypot(cos.get(k, 0), sin.get(k, 0)) for k in freqs])
+    coefs = [(0, profile.constant), *cos.items(), *sin.items()]
+    eval_err = EPS * sum((8 * math.pi * k + len(coefs) + 2) * abs(float(c)) for k, c in coefs)
+    grid = 4096
+    floor = (float(profile.values(np.arange(grid) / grid).min())
+             - math.pi * float(f @ r) / grid - eval_err)
+    a = 2.0 ** (2 - np.arange(64) / 4) / (2 * math.pi * freqs[-1])  # 2 pi a f_max: 4 to 7e-5
+    cosh = np.cosh(2 * math.pi * np.outer(a, f))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_k = log_bound(floor - (cosh - 1) @ r, abs(float(profile.constant)) + cosh @ r)
+        need = np.logaddexp(0.0, math.log(2) - math.log(target) + log_k) / (2 * math.pi * a)
+    nodes = np.where(np.isfinite(need), np.maximum(1.0, np.ceil(need)), np.inf)
+    j = int(np.argmin(nodes))
+    if not nodes[j] <= MAX_NODES:
+        raise ValueError(f"no rule of at most {MAX_NODES} midpoints is bounded for this "
+                         f"mixture profile (v >= {floor:.3e} is all that is proven)")
+    m = int(nodes[j])
+    x = 2 * math.pi * a[j] * m  # ln(e^x - 1) = x + ln(1 - e^-x)
+    truncation = math.exp(math.log(2) + log_k[j] - x - math.log(-math.expm1(-x)))
+    return profile.values((np.arange(m) + 0.5) / m), floor, eval_err, truncation
+
+
 def mixture_charfn(profile: MixtureProfile, s: float, quad_tol: float = 1e-10) -> float:
-    """phi(s) = integral_0^1 exp(-s^2 v(t) / 2) dt by adaptive quadrature."""
-    if quad_tol <= 0:
-        raise ValueError("quad_tol must be positive")
-    from scipy.integrate import quad
+    """phi(s) = integral_0^1 exp(-s^2 v(t) / 2) dt, within ``quad_tol``.
 
-    s2 = s * s
-
-    def integrand(t: float) -> float:
-        return math.exp(-s2 * profile.value(t) / 2.0)
-
-    value, abserr = quad(integrand, 0.0, 1.0, epsabs=quad_tol, epsrel=0.0, limit=400)
-    if abserr > quad_tol:
-        raise QuadratureError(requested=quad_tol, achieved=abserr)
-    return value
-
-
+    The integrand is entire, at most exp(-s^2 lo / 2) on a strip, so its
+    :func:`midpoint_rule` meets quad_tol / 2.  Float evaluation adds at most
+    exp(-s^2 floor / 2) (s^2 eval_err + 4 * 2^-53) (the argument, exp's ulp,
+    the exactly rounded sum, the division); a quad_tol below twice that is refused.
+    """
+    if not (math.isfinite(s) and 0 < quad_tol < math.inf):
+        raise ValueError("s must be finite and quad_tol positive and finite")
+    h = s * s / 2
+    v, floor, eval_err, _ = midpoint_rule(profile, lambda lo, hi: -h * lo, quad_tol / 2)
+    float_err = float(np.exp(-h * floor)) * (s * s * eval_err + 4 * EPS)
+    if not float_err <= quad_tol / 2:
+        raise ValueError(f"quad_tol {quad_tol:.3e} is below twice the float "
+                         f"evaluation bound {float_err:.3e}")
+    return math.fsum(np.exp(-h * v)) / len(v)

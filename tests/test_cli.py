@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from lacunaria.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY_MISMATCH,
+    _write_json,
     main,
     resolve_sequence,
 )
@@ -351,6 +353,80 @@ def test_rstar_alpha_not_finite_exits_domain(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", [
+    ["seq", "--kind", "rstar", "--alpha", "20", "--scale", "50", "--count", "30"],
+    ["dio", "--seq", "rstar:20:50:30", "--profile", "--count", "30"],
+])
+def test_rstar_endpoint_past_the_decimal_range_exits_domain(tmp_path, capsys, command):
+    assert run([*command, "--out-dir", tmp_path]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "right endpoint of I_8 exceeds the decimal range; lower alpha" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.fixture(scope="module")
+def pairing_files(tmp_path_factory):
+    """The mix options naming a small pairing on 2^k - 1 (as in the README tour)."""
+    base = tmp_path_factory.mktemp("pairing")
+    assert run(["seq", "--kind", "power", "--base", "2", "--offset", "-1",
+                "--count", "80", "--out-dir", base / "s"]) == EXIT_OK
+    assert run(["perm", "--pairing", "1", "2", "--seq", base / "s" / "sequence.txt",
+                "--blocks", "geometric:2:4:4", "--gap-ratio", "8",
+                "--out-dir", base / "p"]) == EXIT_OK
+    return ["--f", "cos:1,cos:2", "--seq", base / "s" / "sequence.txt",
+            "--perm", base / "p" / "permutation.txt", "--cert", base / "p" / "certificate.json"]
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--charfn", "nan"], "s must be finite"),
+    (["--charfn", "1,inf"], "s must be finite"),
+    (["--quad-tol", "nan"], "--quad-tol must be positive and finite"),
+    (["--quad-tol", "inf", "--charfn", "1"], "--quad-tol must be positive and finite"),
+    (["--quad-tol", "1e-20", "--charfn", "1"], "below twice the float evaluation bound"),
+])
+def test_mix_charfn_without_a_finite_bound_exits_domain(tmp_path, capsys, pairing_files,
+                                                         options, message):
+    assert run(["mix", *pairing_files, *options, "--out-dir", tmp_path / "m"]) == EXIT_DOMAIN
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m").exists() or not list((tmp_path / "m").iterdir())
+
+
+def test_clt_one_sample_writes_null_for_undefined_kurtosis(tmp_path):
+    assert run(["clt", "--f", "cos:1", "--seq", "pow2", "--count", "16", "--samples", "1",
+                "--seed", "1", "--out-dir", tmp_path]) == EXIT_OK
+    stats = json.loads((tmp_path / "clt_summary.json").read_text())["statistics"]
+    assert stats["variance"] == 0.0
+    assert stats["kurtosis_ratio"] is None and stats["se_kurtosis"] is None
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
+def test_write_json_refuses_a_non_finite_number_before_opening(tmp_path):
+    path = tmp_path / "out.json"
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            _write_json(path, {"value": bad})
+        assert not path.exists()
+
+
+@pytest.mark.parametrize("profile, message", [
+    ({"constant": "1", "cosine_terms": {"0": "1/2"}}, "frequencies must be >= 1"),
+    ({"constant": "1", "cosine_terms": {"1": "1/4"}, "sine_terms": {"-2": "1/4"}},
+     "frequencies must be >= 1"),
+    # v = 1 + cos 2 pi x touches 0: no strip, so no proven CDF bound
+    ({"constant": "1", "cosine_terms": {"1": "1"}}, "is bounded for this mixture profile"),
+])
+def test_clt_mixture_file_without_a_bound_exits_domain(tmp_path, capsys, profile, message):
+    (tmp_path / "mixture.json").write_text(json.dumps({"profile": profile}))
+    out = tmp_path / "out"
+    assert run(["clt", "--f", "cos:1", "--seq", "pow2", "--count", "64", "--samples", "20",
+                "--seed", "7", "--ks", f"mixture:{tmp_path / 'mixture.json'}",
+                "--out-dir", out]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists() or not list(out.iterdir())
+
+
+@pytest.mark.parametrize("command", [
     ["perm", "--random", "5", "x"],
     ["perm", "--pairing", "1", "b", "--seq", "pow2:50"],
     ["dio", "--seq", "pow2:10", "--count", "5", "--two-term", "1", "2", "z"],
@@ -471,28 +547,38 @@ def test_console_entry_point(tmp_path):
 
 _IMPORT_PROBE = """
 import sys
+from fractions import Fraction
 import numpy as np
 import lacunaria.cli
 from lacunaria import diophantine, mod1, permute, rng, seqgen, simulate, spectra
 
+SUBPACKAGES = {"cluster", "constants", "datasets", "differentiate", "fft", "fftpack",
+               "integrate", "interpolate", "io", "linalg", "ndimage", "odr", "optimize",
+               "signal", "sparse", "spatial", "special", "stats"}
 out = sys.argv[1]
 assert lacunaria.cli.main(["seq", "--kind", "rstar", "--alpha", "1.0", "--scale", "50",
                            "--count", "40", "--seed", "11", "--out-dir", out + "/seq"]) == 0
 assert lacunaria.cli.main(["dio", "--seq", "pow2m1:40", "--profile", "--count", "40",
                            "--coeff-bound", "2", "--out-dir", out + "/dio"]) == 0
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+profile = spectra.MixtureProfile(constant=Fraction(1), cosine_terms={1: Fraction(1, 2)})
+spectra.mixture_charfn(profile, 1.0)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 emp = simulate.EmpiricalDistribution(np.linspace(-2.0, 2.0, 101))
+simulate.ks_distance(emp, simulate.MixtureTarget(profile))
+print(sorted({m.split(".")[1] for m in sys.modules if m.startswith("scipy.")} & SUBPACKAGES))
 simulate.ks_distance(emp, simulate.GaussianTarget(1.0))
 print("scipy.special" in sys.modules, "scipy.integrate" in sys.modules)
 """
 
 
 def test_scipy_loads_only_where_a_cdf_is_evaluated(tmp_path):
-    # the exact pipeline (seq, dio) never evaluates a normal CDF or integrates
+    # the exact pipeline (seq, dio) never evaluates a normal CDF, mixture_charfn
+    # loads no scipy at all, and the mixture CDF loads scipy.special alone
     src = str(Path(lacunaria.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-2:] == ["[]", "True False"]
+    assert proc.stdout.splitlines()[-4:] == ["[]", "[]", "['special']", "True False"]

@@ -185,6 +185,16 @@ def test_rstar_invariants():
             assert nk <= hi  # hi = ceil(a * k**omega_k) - 1 < a * k**omega_k
 
 
+
+def test_rstar_endpoint_past_the_decimal_range_names_k():
+    # (ln 8)^21 is about 5e6, and e to that is past the decimal exponent range
+    params = RStarParams(alpha=20.0, a=50, count=30, seed=0)
+    with pytest.raises(ValueError, match="^right endpoint of I_8 exceeds the decimal range"):
+        gen_random_rstar(params)
+    with pytest.raises(ValueError, match="I_8"):
+        rstar_interval(8, params)
+    assert rstar_interval(7, params)[1].bit_length() > 10**6  # the last endpoint that fits
+
 def test_rstar_determinism():
     params = RStarParams(alpha=1.0, a=50, count=30, seed=11)
     assert gen_random_rstar(params).prefix(30) == gen_random_rstar(params).prefix(30)

@@ -318,6 +318,15 @@ def test_summary_gaussian_null_kurtosis_se():
     assert abs(stats.se_kurtosis - math.sqrt(24 / m)) < 0.3 * math.sqrt(24 / m)
 
 
+
+def test_summary_kurtosis_is_none_at_zero_variance():
+    for samples in (np.zeros(1), np.full(7, 0.25)):
+        stats = EmpiricalDistribution(samples).summary()
+        assert stats.variance == 0.0
+        assert stats.kurtosis_ratio is None and stats.se_kurtosis is None
+        assert stats.se_mean == 0.0 and stats.se_variance == 0.0
+
+
 # ---------------- KS distance ----------------
 
 def test_ks_gaussian_self():

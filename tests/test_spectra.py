@@ -2,6 +2,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -17,7 +18,9 @@ from lacunaria.permute import (
     verify_certificate,
 )
 from lacunaria.seqgen import External, IntegerSequence, gen_geometric, gen_power, gen_smooth
+from lacunaria.simulate import MixtureTarget
 from lacunaria.spectra import (
+    MAX_NODES,
     MixtureProfile,
     TrigPolynomial,
     _expand_scaled,
@@ -25,6 +28,7 @@ from lacunaria.spectra import (
     exact_variance,
     kac_variance,
     l2_norm_sq,
+    midpoint_rule,
     mixture_charfn,
     mixture_profile,
 )
@@ -504,3 +508,90 @@ def test_charfn_bad_tolerance():
     prof = MixtureProfile(constant=Fraction(1), cosine_terms={1: Fraction(1, 2)})
     with pytest.raises(ValueError):
         mixture_charfn(prof, 1.0, quad_tol=0.0)
+
+
+def test_charfn_rejects_non_finite_s_and_tolerance():
+    prof = MixtureProfile(constant=Fraction(1), cosine_terms={1: Fraction(1, 2)})
+    for s, quad_tol in ((math.nan, 1e-10), (math.inf, 1e-10), (1.0, math.nan),
+                        (1.0, math.inf), (1.0, -1e-10)):
+        with pytest.raises(ValueError, match="s must be finite and quad_tol positive"):
+            mixture_charfn(prof, s, quad_tol)
+
+
+def test_charfn_refuses_a_tolerance_below_the_float_floor():
+    prof = MixtureProfile(constant=Fraction(1), cosine_terms={1: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="below twice the float evaluation bound"):
+        mixture_charfn(prof, 1.0, 1e-17)
+
+
+def test_mixture_profile_rejects_frequency_keys_below_one():
+    for key in ("0", "-3"):
+        with pytest.raises(ValueError, match="frequencies must be >= 1"):
+            MixtureProfile.from_json_dict(
+                {"constant": "1", "cosine_terms": {"1": "1/4"}, "sine_terms": {key: "1/5"}})
+
+
+def test_midpoint_rule_refuses_what_it_cannot_bound():
+    high = MixtureProfile(constant=Fraction(1), cosine_terms={MAX_NODES + 1: Fraction(1, 4)})
+    with pytest.raises(ValueError, match="needs over"):
+        mixture_charfn(high, 1.0)
+    touching = MixtureProfile(constant=Fraction(1), cosine_terms={1: Fraction(1)})
+    with pytest.raises(ValueError, match="is bounded for this mixture profile"):
+        MixtureTarget(touching).cdf_with_tolerance(np.zeros(3))
+
+
+# ---------------- the midpoint rule against a 30-digit oracle ----------------
+
+ORACLE_PROFILES = {
+    "criterion 5": MixtureProfile(constant=Fraction(1), cosine_terms={1: Fraction(2731, 5460)}),
+    "sine terms": MixtureProfile(constant=Fraction(3, 2),
+                                 cosine_terms={1: Fraction(1, 3), 2: Fraction(-1, 5)},
+                                 sine_terms={1: Fraction(1, 4), 3: Fraction(1, 7)}),
+    "min v 0.05": MixtureProfile(constant=Fraction(1), cosine_terms={1: Fraction(19, 20)}),
+    "frequencies 4 and 5": MixtureProfile(constant=Fraction(1), cosine_terms={4: Fraction(3, 10)},
+                                          sine_terms={5: Fraction(1, 5)}),
+}
+
+
+def _mp_profile(profile):
+    """t -> v(t) in mpmath at the working precision."""
+    def v(t):
+        total = mpmath.mpf(profile.constant.numerator) / profile.constant.denominator
+        for f, c in profile.cosine_terms.items():
+            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.cos(2 * mpmath.pi * f * t)
+        for f, c in profile.sine_terms.items():
+            total += mpmath.mpf(c.numerator) / c.denominator * mpmath.sin(2 * mpmath.pi * f * t)
+        return total
+    return v
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PROFILES))
+def test_midpoint_rule_within_its_bound_of_a_30_digit_oracle(name):
+    profile = ORACLE_PROFILES[name]
+    v = _mp_profile(profile)
+    top = max((*profile.cosine_terms, *profile.sine_terms))
+    with mpmath.workdps(30):
+        # split the period where the integrands turn, for mpmath's quadrature
+        breaks = [mpmath.mpf(k) / (4 * top) for k in range(4 * top + 1)]
+        xs = np.array([-3.0, -1.0, -0.25, 0.0, 0.4, 1.3, 2.7])
+        cdf, tol = MixtureTarget(profile).cdf_with_tolerance(xs)
+        assert tol <= 1e-13
+        for x, got in zip(xs, cdf):
+            want = mpmath.quad(lambda t: mpmath.ncdf(float(x) / mpmath.sqrt(v(t))), breaks)
+            assert abs(got - want) <= tol, (x, got, want)
+        for quad_tol in (1e-10, 1e-12):
+            for s in (0.5, 1.0, 2.0, 3.0):
+                want = mpmath.quad(lambda t: mpmath.exp(-s * s * v(t) / 2), breaks)
+                got = mixture_charfn(profile, s, quad_tol)
+                assert abs(got - want) <= quad_tol, (s, quad_tol, got, want)
+
+
+def test_midpoint_rule_node_counts():
+    # criterion 5: the CDF meets 2^-53 and the charfn 1e-10 with few nodes
+    profile = ORACLE_PROFILES["criterion 5"]
+    cdf_nodes = midpoint_rule(profile, lambda lo, hi: np.log(hi / lo) / 2 - math.log(2),
+                              2.0 ** -53)
+    assert len(cdf_nodes[0]) <= 64 and cdf_nodes[3] <= 2.0 ** -53
+    for s, most in ((1.0, 9), (2.0, 12), (3.0, 15)):
+        v, _, _, truncation = midpoint_rule(profile, lambda lo, hi: -s * s / 2 * lo, 5e-11)
+        assert len(v) <= most and truncation <= 5e-11
