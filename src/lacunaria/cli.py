@@ -507,12 +507,16 @@ def verify_manifest(manifest_path: Path) -> tuple[bool, str | None]:
             if not replayed.exists():
                 return False, f"replay produced no {name}"
             if _sha256(replayed) != digest:
-                original = run_dir / name
+                problem = f"replay diverges in {name}"
                 if name.endswith(".json"):
-                    with open(original) as fa, open(replayed) as fb:
+                    with open(run_dir / name) as fa, open(replayed) as fb:
                         diff = _first_json_divergence(json.load(fa), json.load(fb))
-                    return False, f"replay diverges in {name} at {diff}"
-                return False, f"replay diverges in {name}"
+                    problem += f" at {diff}"
+                if manifest.get("version") != __version__:
+                    # a format changed on purpose reads like lost reproducibility
+                    problem += (f" (the run was made by lacunaria {manifest.get('version')},"
+                                f" the replay by {__version__})")
+                return False, problem
     return True, None
 
 

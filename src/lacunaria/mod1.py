@@ -175,6 +175,8 @@ class FracTopEngine:
             c2 = s_lo < t
             s_hi = a_hi + c_hi + (c1 | c2).astype(np.uint64)
 
+        if shifts == [0]:
+            return s_hi[:, None]
         out = np.empty((len(w), len(shifts)), dtype=np.uint64)
         for col, sh in enumerate(shifts):
             if sh == 0:

@@ -11,10 +11,14 @@ import heapq
 import json
 import math
 import operator
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Context, Decimal, Overflow, getcontext
 from fractions import Fraction
 from itertools import count as count_from
+from pathlib import Path
 from typing import Iterator, Sequence, Union
 
 from .errors import IntervalEmpty
@@ -381,20 +385,46 @@ def gen_random_rstar(params: RStarParams) -> IntegerSequence:
 # Sequence files
 # ----------------------------------------------------------------------
 
+@contextmanager
+def _any_int_digits():
+    """Lift Python's int <-> str digit limit (4300 since 3.10.7): 2^k passes
+    it from k = 14,285 on, and rstar at alpha 20 at its fifth term."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def write_sequence(seq: IntegerSequence, path) -> None:
-    """One decimal integer per line; header comments carry provenance."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(FILE_HEADER + "\n")
-        fh.write("# provenance: " + json.dumps(seq.provenance.to_dict()) + "\n")
-        for t in seq.terms:
-            fh.write(f"{t}\n")
+    """One decimal integer per line; header comments carry provenance.
+
+    The file is written beside path and renamed onto it, so a write that
+    fails leaves no partial file.
+    """
+    path = Path(path)
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "w", encoding="utf-8") as fh, _any_int_digits():
+            fh.write(FILE_HEADER + "\n")
+            fh.write("# provenance: " + json.dumps(seq.provenance.to_dict()) + "\n")
+            for t in seq.terms:
+                fh.write(f"{t}\n")
+        os.replace(partial, path)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def read_sequence(path) -> IntegerSequence:
     """Read a sequence file; the header is optional."""
     provenance: Provenance = External(path=str(path))
     terms: list[int] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _any_int_digits():
         for line in fh:
             line = line.strip()
             if not line:

@@ -92,9 +92,10 @@ class PartialSumEvaluator:
         self.count = count
         # a window of a bijection has distinct images
         if top == count:
-            # count distinct images in 1..count are all of them
+            # count distinct images in 1..count are all of them; in order,
+            # slot k reads row k - 1 and slot_values needs no gather
             self.indices = np.arange(1, count + 1, dtype=np.int64)
-            self._rows = images - 1
+            self._rows = None if np.array_equal(images, self.indices) else images - 1
         else:
             # marking the images lists the sorted indices, and the running
             # count of marks up to an image is that slot's row
@@ -127,31 +128,39 @@ class PartialSumEvaluator:
 
     def slot_values(self, x: FixedPointSample) -> np.ndarray:
         """f(n_sigma(k) x) for slots k = 1..N, in slot order."""
-        tops = self._engine(x.bits).tops(x.mantissa)
-        if len(self.freqs) == 1:
-            # a one-column product is one rounded multiply, so this equals
-            # the matmul bit for bit; two or more columns keep the matmul,
-            # whose BLAS sum may round differently from an explicit one
-            tops = tops[:, 0]
-            dot = np.multiply
-        else:
-            dot = np.matmul
-        angles = tops.astype(np.float64)
+        angles = self._engine(x.bits).tops(x.mantissa).astype(np.float64)
         angles *= _TWO_PI * _INV64
-        if self._has_cos:
-            per_index = dot(np.cos(angles), self._acos)
-            if self._has_sin:
-                per_index += dot(np.sin(angles), self._asin)
+        if len(self.freqs) > 1:
+            # the matmul's BLAS sum may round differently from an explicit one
+            if self._has_cos:
+                per_index = np.cos(angles) @ self._acos
+                if self._has_sin:
+                    per_index += np.sin(angles) @ self._asin
+            else:
+                per_index = np.sin(angles) @ self._asin
         else:
-            per_index = dot(np.sin(angles), self._asin)
-        return per_index[self._rows]
+            # a one-column product is one rounded multiply, so this equals
+            # the matmul bit for bit, and every step can write into angles
+            per_index = angles[:, 0]
+            if self._has_cos:
+                sines = np.sin(per_index) if self._has_sin else None
+                np.cos(per_index, out=per_index)
+                per_index *= self._acos
+                if self._has_sin:
+                    sines *= self._asin
+                    per_index += sines
+            else:
+                np.sin(per_index, out=per_index)
+                per_index *= self._asin
+        return per_index if self._rows is None else per_index[self._rows]
 
     def sum(self, x: FixedPointSample) -> float:
         return float(self.slot_values(x).sum())
 
     def prefix_sums(self, x: FixedPointSample) -> np.ndarray:
         """S_1, ..., S_N in slot order."""
-        return np.cumsum(self.slot_values(x))
+        values = self.slot_values(x)
+        return np.cumsum(values, out=values)
 
     def lil_trajectory(self, x: FixedPointSample, variance: float) -> LilTrajectory:
         """Running LIL ratio at x over the whole window (N_max = count)."""
@@ -160,20 +169,26 @@ class PartialSumEvaluator:
             raise ValueError("variance must be positive and finite")
         if n_max < 16 or n_max & (n_max - 1):
             raise ValueError("n_max must be a power of two, at least 16")
-        prefix = self.prefix_sums(x)
+        ratios = self.prefix_sums(x)[15:]
         if self._lil_denom is None or self._lil_denom[0] != variance:
-            ns = np.arange(16, n_max + 1, dtype=np.float64)
-            denom = np.sqrt(2.0 * variance * ns * np.log(np.log(ns)))
+            # sqrt(((2 variance) N) ln ln N), in that order, in two buffers
+            denom = np.arange(16, n_max + 1, dtype=np.float64)
+            lnln = np.log(denom)
+            np.log(lnln, out=lnln)
+            denom *= 2.0 * variance
+            denom *= lnln
+            np.sqrt(denom, out=denom)
             denom.flags.writeable = False
             self._lil_denom = (variance, denom)
-        ratios = np.abs(prefix[15:]) / self._lil_denom[1]
-        running = np.maximum.accumulate(ratios)
-        checkpoints = []
-        n = 16
-        while n <= n_max:
-            checkpoints.append((n, float(running[n - 16])))
-            n *= 2
-        return LilTrajectory(checkpoints=checkpoints, variance=variance)
+        np.abs(ratios, out=ratios)
+        ratios /= self._lil_denom[1]
+        # the max over each N' in [16], (16, 32], ..., (n_max / 2, n_max],
+        # then the running max over those: the running max at each 2^e
+        ns = [16 << e for e in range(n_max.bit_length() - 4)]
+        starts = [0] + [n // 2 - 15 for n in ns[1:]]
+        running = np.maximum.accumulate(np.maximum.reduceat(ratios, starts))
+        return LilTrajectory(checkpoints=[(n, float(r)) for n, r in zip(ns, running)],
+                             variance=variance)
 
 
 def partial_sum(poly: TrigPolynomial, seq: IntegerSequence,

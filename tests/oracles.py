@@ -162,6 +162,22 @@ def sorted_index_rows(images):
     return indices.tolist(), np.searchsorted(indices, images)
 
 
+def lil_running_max_checkpoints(prefix, variance):
+    """LIL checkpoints from the running max over every N' = 16..len(prefix)
+    of |S_N'| / sqrt(2 variance N' ln ln N'), read at each power of two (the
+    evaluator takes segment maxima instead)."""
+    n_max = len(prefix)
+    ns = np.arange(16, n_max + 1, dtype=np.float64)
+    ratios = np.abs(prefix[15:]) / np.sqrt(2.0 * variance * ns * np.log(np.log(ns)))
+    running = np.maximum.accumulate(ratios)
+    out = []
+    n = 16
+    while n <= n_max:
+        out.append((n, float(running[n - 16])))
+        n *= 2
+    return out
+
+
 def cycle_count(perm):
     """Number of cycles of a PermutationWindow."""
     seen = [False] * len(perm.images)

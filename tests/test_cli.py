@@ -440,6 +440,19 @@ def test_malformed_int_argument_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "run.json").exists()
 
 
+def test_seq_past_int_str_digit_limit(tmp_path):
+    # the fifth term has 9,506 digits; Python's int <-> str stops at 4300
+    assert run(["seq", "--kind", "rstar", "--alpha", "20", "--scale", "50",
+                "--count", "5", "--out-dir", tmp_path]) == EXIT_OK
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    assert manifest["outputs"].keys() == {"sequence.txt"}
+    params = manifest["params"]
+    want = resolve_sequence(f"rstar:20:50:5:{params['seed']}", None, None)
+    assert read_sequence(tmp_path / "sequence.txt").terms == want.terms
+    assert want.term(5).bit_length() > 4300 * math.log2(10)
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
 # ---------------- verify ----------------
 
 def test_out_dir_refuses_another_runs_manifest(tmp_path):
@@ -475,6 +488,30 @@ def test_verify_detects_edit(tmp_path):
     path = tmp_path / "sequence.txt"
     path.write_text(path.read_text().replace("1073741824", "1073741825"))
     assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_VERIFY_MISMATCH
+
+
+def test_verify_mismatch_names_both_versions(tmp_path, capsys):
+    assert run(["seq", "--kind", "power", "--base", "2", "--offset", "0",
+                "--count", "30", "--out-dir", tmp_path]) == EXIT_OK
+    manifest_path = tmp_path / "run.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["version"] = "0.0.1"
+    manifest_path.write_text(json.dumps(manifest))
+    # a replay that matches passes, whichever version made the run
+    assert run(["verify", "--manifest", manifest_path]) == EXIT_OK
+    # an output edited with its digest diverges only at the replay
+    path = tmp_path / "sequence.txt"
+    path.write_text(path.read_text().replace("1073741824", "1073741825"))
+    manifest["outputs"]["sequence.txt"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    for version in ("0.0.1", lacunaria.__version__):
+        manifest["version"] = version
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(["verify", "--manifest", manifest_path]) == EXIT_VERIFY_MISMATCH
+        err = capsys.readouterr().err
+        assert "replay diverges in sequence.txt" in err
+        named = f"made by lacunaria 0.0.1, the replay by {lacunaria.__version__}"
+        assert (named in err) == (version == "0.0.1")
 
 
 def test_verify_missing_input_is_io_error(tmp_path):

@@ -266,6 +266,31 @@ def test_sequence_file_power_provenance_checked(tmp_path):
         read_sequence(path)
 
 
+def test_sequence_file_roundtrip_past_int_str_digit_limit(tmp_path):
+    # Python's int <-> str refuses more than 4300 digits by default
+    terms = [3, 10**4300 + 7, 2**20000 - 1]
+    path = tmp_path / "seq.txt"
+    write_sequence(IntegerSequence(terms, External("big")), path)
+    assert read_sequence(path).terms == terms
+    assert [len(line) for line in path.read_text().splitlines()[2:]] == [1, 4301, 6021]
+
+
+def test_failed_sequence_write_leaves_no_file(tmp_path):
+    class Broken:
+        provenance = External("broken")
+
+        @property
+        def terms(self):
+            yield 1
+            yield 2
+            raise OSError("disk full")
+
+    path = tmp_path / "seq.txt"
+    with pytest.raises(OSError, match="disk full"):
+        write_sequence(Broken(), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sequence_file_headerless(tmp_path):
     path = tmp_path / "plain.txt"
     path.write_text("3\n5\n9\n")

@@ -2,6 +2,7 @@ import hashlib
 import math
 import os
 import struct
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -30,7 +31,7 @@ from lacunaria.simulate import (
 from lacunaria.spectra import MixtureProfile, TrigPolynomial, exact_variance
 from fractions import Fraction
 
-from oracles import sorted_index_rows
+from oracles import lil_running_max_checkpoints, sorted_index_rows
 
 COS1 = TrigPolynomial(cos_coeffs={1: 1})
 COS12 = TrigPolynomial(cos_coeffs={1: 1, 2: 1})
@@ -140,7 +141,8 @@ def test_evaluator_rows_on_random_subwindow():
 
 
 # identity windows, full random windows and [3, 1, 2, 5, 4] at 3 are
-# bijections of {1..count}, built without the mark pass; the others are not
+# bijections of {1..count}, built without the mark pass; the others are not.
+# Only the identity windows keep no rows: slot k reads row k - 1.
 @pytest.mark.parametrize("perm, count", [
     (identity(1), 1),
     (identity(300), 300),
@@ -158,7 +160,10 @@ def test_evaluator_rank_pass_matches_sort_oracle(perm, count):
     ev = PartialSumEvaluator(COS1, seq, perm, count)
     indices, rows = sorted_index_rows(perm.images[:count])
     assert ev.indices.dtype == np.int64 and ev.indices.tolist() == indices
-    assert ev._rows.dtype == np.int64 and np.array_equal(ev._rows, rows)
+    if np.array_equal(perm.images[:count], np.arange(1, count + 1)):
+        assert ev._rows is None
+    else:
+        assert ev._rows.dtype == np.int64 and np.array_equal(ev._rows, rows)
     assert ev.required == required_bits(seq.term(indices[-1]), 1)
 
 
@@ -444,6 +449,124 @@ def test_lil_checkpoints_pinned(key):
     traj = lil_trajectory(poly, seq, perm, x, n, 0.5)
     packed = b"".join(struct.pack("<qd", k, r) for k, r in traj.checkpoints)
     assert hashlib.sha256(packed).hexdigest() == LIL_PINNED[key]
+
+
+# SHA-256 of the partial-sum path's bytes, recorded before that path worked
+# in place: per (window, sequence, polynomial), and for N = 2^10 and 2^16,
+# slot_values and prefix_sums at two points and the packed LIL checkpoints
+PATH_POLYS = {
+    "cos": TrigPolynomial(cos_coeffs={1: Fraction(3, 4)}),
+    "sin": TrigPolynomial(sin_coeffs={1: Fraction(-2, 3)}),
+    "cos+sin": TrigPolynomial(cos_coeffs={1: 1}, sin_coeffs={1: Fraction(1, 2)}),
+    "two-freq": TrigPolynomial(cos_coeffs={1: 1, 2: Fraction(1, 2)}, sin_coeffs={2: 1}),
+}
+PATH_PINNED = {
+    ('identity', 'pow2', 'cos'):
+        "31f8712c54f8baf4b1970a29b9b473b78f4a8b16922754436ba4e7a724a33cc1",
+    ('identity', 'pow2', 'cos+sin'):
+        "f673d3533e859aa20859379af127f38a6c28b19c66adcac99e699ebfac782a8a",
+    ('identity', 'pow2', 'sin'):
+        "2c678e558182ea5a28bbe3aac43ae4db815913aa92371be30fdb0637dc33e4e4",
+    ('identity', 'pow2', 'two-freq'):
+        "833bd53a041bbaa7ebff45ee1a15e37e043d5a41b9b0970be20e4ae0c642dfff",
+    ('identity', 'pow2m1', 'cos'):
+        "0661850c098a013e4996fac9fd4de3d70b46b1d77ad2a0dbcaec43e6617e4a44",
+    ('identity', 'pow2m1', 'cos+sin'):
+        "0f1234deedff2020221fb27d810cbeb92d3ae6cae7bc9199d0100b25955c7407",
+    ('identity', 'pow2m1', 'sin'):
+        "30a793830623684060f7a4429a7949c9733fca45d862ae54c27a9a6e9b7c13ec",
+    ('identity', 'pow2m1', 'two-freq'):
+        "4bf7bceb9979fe8df34284313950e4b41b432ee777e54bf3423f5c5defa7be39",
+    ('shuffled', 'pow2', 'cos'):
+        "5f91738a2088d8dc39f4d6b22e223ff2631f3bd5787b87a18947a940af5cbbc5",
+    ('shuffled', 'pow2', 'cos+sin'):
+        "7276224d2812d3a856b7025c09e89c7d66f908333dbf04baa753c63f584e592a",
+    ('shuffled', 'pow2', 'sin'):
+        "5e1461c99f861daab46d712c234b6c3bf3a278011e81871900a18785f973ad9b",
+    ('shuffled', 'pow2', 'two-freq'):
+        "51d182c45598f04f814bf7e80bee55388eb5d7d9e7baa58c40f22acca9cb14f2",
+    ('shuffled', 'pow2m1', 'cos'):
+        "cc75e49ee4504a35d1d90d07e3146130ae7787b9a7fd432596873f06243bdc13",
+    ('shuffled', 'pow2m1', 'cos+sin'):
+        "340e75a98fd5bb64e70df6f69a239b8be3a1ffff7879cf070e7a7a2aa670f5b5",
+    ('shuffled', 'pow2m1', 'sin'):
+        "badcaef96c904c972708c9210a1b9d500b6ee63a346bd9732b32a488aa812da3",
+    ('shuffled', 'pow2m1', 'two-freq'):
+        "c88daeb0b64988acd5bbb91e13dcb80230fa874b2f173184b91709d3ded55769",
+    ('sub', 'pow2', 'cos'):
+        "5d8642ca1d7bec17039892f9d225efc4228a3e8302c5915ddede68ed44e6d341",
+    ('sub', 'pow2', 'cos+sin'):
+        "0b35516d3c9fc7102831fd70b8106d7d9857c5f562d6e7045fda8cd9099a987f",
+    ('sub', 'pow2', 'sin'):
+        "cf6132f1e74e8bdc2687a73cb1dd87d08a1a1df45450bbe9e83b36aa40f3914b",
+    ('sub', 'pow2', 'two-freq'):
+        "f0a938cd4d644c4662d8d0742898e521f75d3d81347eef0ea8d6691d72097e2e",
+    ('sub', 'pow2m1', 'cos'):
+        "1cd4b84e677920240146fce57f36acc04cf9ea5d05b953805a8a5f4a201ed524",
+    ('sub', 'pow2m1', 'cos+sin'):
+        "7b3086d9cd8a15932c9f9a92c4f238a59abc41d88397aa5797dae04b95f7349c",
+    ('sub', 'pow2m1', 'sin'):
+        "a1cc714fdbeb90be5fba4dd72540016a6faa0b9278f4e2f7144f808964a4fddd",
+    ('sub', 'pow2m1', 'two-freq'):
+        "fefedeb793fdf7aff61f641137419841ee3bb97b9d356bd1ff98e932f3bc775c",
+}
+
+
+def _path_digest(window, seq_name, poly_name):
+    poly = PATH_POLYS[poly_name]
+    h = hashlib.sha256()
+    for n in (1 << 10, 1 << 16):
+        seq = gen_power(2, 0 if seq_name == "pow2" else -1, 2 * n)
+        perm = {"identity": identity(n), "shuffled": random_perm(n, 20260810),
+                "sub": random_perm(2 * n, 20260810)}[window]
+        ev = PartialSumEvaluator(poly, seq, perm, n)
+        for x in sample_points(ev.required, 2, seed=n):
+            h.update(ev.slot_values(x).tobytes())
+            h.update(ev.prefix_sums(x).tobytes())
+            traj = ev.lil_trajectory(x, 0.5)
+            h.update(b"".join(struct.pack("<qd", k, r) for k, r in traj.checkpoints))
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("window", ["identity", "shuffled", "sub"])
+@pytest.mark.parametrize("seq_name", ["pow2", "pow2m1"])
+@pytest.mark.parametrize("poly_name", sorted(PATH_POLYS))
+def test_partial_sum_path_bytes_pinned(window, seq_name, poly_name):
+    got = _path_digest(window, seq_name, poly_name)
+    assert got == PATH_PINNED[(window, seq_name, poly_name)]
+
+
+def test_lil_segment_maxima_match_running_max_oracle():
+    n_top = 1 << 16
+    seq = gen_power(2, -1, n_top)
+    for poly, perm in ((COS1, identity(n_top)), (COS12, random_perm(n_top, 7))):
+        n = 16
+        while n <= n_top:
+            ev = PartialSumEvaluator(poly, seq, perm, n)
+            x = sample_points(ev.required, 1, seed=n)[0]
+            want = lil_running_max_checkpoints(ev.prefix_sums(x), 0.5)
+            assert ev.lil_trajectory(x, 0.5).checkpoints == want
+            n *= 2
+
+
+def test_lil_trajectory_peak_memory_in_buffers():
+    # numpy's buffers are traced.  An identity window of 2^18 keeps indices
+    # and the engine's three window arrays; one point adds the values (cumsum
+    # and ratios in place) and the two-buffer denominator build: 7 buffers
+    # of 8N bytes.  A gather through rows, a full running-max array and a
+    # fresh output per float step made it 10.
+    n = 1 << 18
+    seq = gen_power(2, 0, n)
+    perm = identity(n)
+    x = sample_points(required_bits(seq.term(n), 1), 1, seed=1)[0]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        PartialSumEvaluator(COS1, seq, perm, n).lil_trajectory(x, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (8 * n) <= 8.5
 
 
 def test_lil_one_evaluator_many_points():
