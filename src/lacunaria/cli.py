@@ -21,6 +21,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import sys
 import tempfile
 import time
@@ -87,16 +88,20 @@ def resolve_sequence(spec: str, default_count: int | None, seed: int | None):
     raise ValueError(f"cannot resolve sequence spec {spec!r} (no such file, unknown kind)")
 
 
+def _named_permutation(spec: str) -> re.Match | None:
+    """The match when spec is ``identity``, ``random``, ``random:K`` or
+    ``random:seed=K`` (group 1 is K); None when it names a file."""
+    return re.fullmatch(r"identity|random(?::(?:seed=)?([+-]?\d+))?", spec)
+
+
 def resolve_permutation(spec: str | None, window: int, seed: int | None):
     """``identity`` (default), ``random[:seed=K]``, or a permutation file."""
     if spec is None or spec == "identity":
         return permute.identity(window)
-    if spec.startswith("random"):
-        _, _, rest = spec.partition(":")
-        if rest.startswith("seed="):
-            pseed = int(rest[len("seed="):])
-        elif rest:
-            pseed = int(rest)
+    named = _named_permutation(spec)
+    if named:
+        if named[1] is not None:
+            pseed = int(named[1])
         elif seed is not None:
             pseed = derive_seed(seed, "perm")
         else:
@@ -412,7 +417,7 @@ def _resolve_inputs(params: dict) -> tuple[dict, list[Path]]:
     inputs = []
     for key in ("seq", "perm", "cert"):
         value = params.get(key)
-        if key == "perm" and value and (value == "identity" or value.startswith("random")):
+        if key == "perm" and value and _named_permutation(value):
             continue  # a permutation spec, not a file (see resolve_permutation)
         if value and Path(str(value)).exists():
             path = Path(str(value)).resolve()

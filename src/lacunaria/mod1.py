@@ -3,22 +3,23 @@
 x is represented by a B-bit mantissa (x = m / 2^B).  For sequence terms n_k
 and polynomial frequencies j, the quantity {j * n_k * x} is exact on the
 grid: its numerator is j * n_k * m mod 2^B.  Evaluation only ever consumes
-the top 64 bits of that numerator, and the engine computes those top bits
-exactly through one of three strategies:
+the top 64 bits of that numerator.  The sequence and the frequencies pick
+one of two kernels, and either takes any width B per call:
 
 * ``pow2-window`` -- terms 2^k + offset with offset in {0, -1} and power-of-
   two frequencies: the product m << k is a pure bit shift, so the top bits
-  are 64-bit windows of the mantissa at bit offset k.  The mantissa is read
-  once per sample as big-endian 64-bit words; each window is two gathered
-  words joined by shifts.  Offset -1 adds a fixed addend whose carry into
-  the window is decided by one vectorized comparison of the window at
-  k + 128 (exact; rare ties fall back to big-integer comparison).
-* ``power-chain`` -- terms base^k + offset: z_k = base^k * m mod 2^B marches
-  over the needed indices by small multiplications.
-* ``generic`` -- a full modular multiplication per term (gmpy2 when
-  available).
+  are 64-bit windows of the mantissa at bit offset k.  The mantissa, scaled
+  to whole 64-bit words and at least 192 bits, is read once per sample as
+  big-endian words; each window is two gathered words joined by shifts.
+  Offset -1 adds a fixed addend whose carry into the window is decided by
+  one vectorized comparison of the window at k + 128 (exact; rare ties fall
+  back to big-integer comparison).
+* a row loop -- y_k = n_k * m mod 2^B one index at a time: power forms
+  base^k + offset (``power-chain``) march z_k = base^k * m over the needed
+  indices by exact small multiplications; any other sequence (``generic``)
+  takes one full multiplication per term (gmpy2 when available).
 
-All three produce bit-identical uint64 arrays; tests cross-check them.
+All kernels produce bit-identical uint64 arrays; tests cross-check them.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ MASK64 = (1 << 64) - 1
 
 def required_bits(max_term: int, max_freq: int) -> int:
     """Smallest admissible mantissa width: bits(max_freq * max_term) + 64,
-    rounded up to a byte boundary for the windowed fast path."""
+    rounded up to a multiple of 64.
+
+    No kernel needs the rounding; it stays because it fixes the grid that
+    every recorded sample was drawn from."""
     raw = (max_freq * max_term).bit_length() + 64
     return (raw + 63) // 64 * 64
 
@@ -70,76 +74,65 @@ def _window64(words: np.ndarray, w: np.ndarray, r: np.ndarray,
 class FracTopEngine:
     """Top-64-bit fractional parts {j * n_k * x} for a fixed index/frequency set.
 
-    ``indices`` are the 1-based sequence indices actually needed, sorted and
-    unique, as a list or an int64 array (kept without a copy); ``freqs`` the
-    polynomial frequencies.  ``tops(mantissa)`` returns a (len(indices),
-    len(freqs)) uint64 array.
+    ``seq`` is the :class:`~lacunaria.seqgen.IntegerSequence`; its power form
+    and ``freqs`` pick the kernel.  ``indices`` are the 1-based sequence
+    indices actually needed, sorted, unique and not empty, as a list or an
+    int64 array (kept without a copy); ``freqs`` the polynomial frequencies.
+    ``tops(mantissa, bits)`` returns a (len(indices), len(freqs)) uint64
+    array for x = mantissa / 2^bits.
     """
 
-    def __init__(self, terms, indices, freqs: list[int], bits: int,
-                 power_form: tuple[int, int] | None = None):
-        if bits < 64:
-            raise ValueError("need at least 64 bits")
+    def __init__(self, seq, indices, freqs: list[int]):
         ks = np.asarray(indices, dtype=np.int64)
+        if not len(ks):
+            raise ValueError("need at least one index")
         if np.any(ks[1:] <= ks[:-1]):
             raise ValueError("indices must be sorted and unique")
         if not freqs or any(j < 1 for j in freqs):
             raise ValueError("frequencies must be positive")
-        self.terms = terms
+        self.seq = seq
         self.indices = ks
         self.freqs = list(freqs)
-        self.bits = bits
-        self.power_form = power_form
-        self._mask = (1 << bits) - 1
+        self.power_form = seq.power_form()
 
         if (
-            power_form is not None
-            and power_form[0] == 2
-            and power_form[1] in (0, -1)
-            and bits >= 192  # carry compare reads the window at B-192
-            and bits % 8 == 0
+            self.power_form in ((2, 0), (2, -1))
             and all(j & (j - 1) == 0 and j < (1 << 63) for j in freqs)
         ):
             self.strategy = "pow2-window"
-        elif power_form is not None:
-            self.strategy = "power-chain"
-        else:
-            self.strategy = "generic"
-
-        if self.strategy == "pow2-window":
             self._w = ks >> 6
             self._r = (ks & 63).astype(np.uint64)
             self._rc = np.uint64(63) - self._r
             self._shifts = [j.bit_length() - 1 for j in self.freqs]
-            # zero padding through the last word _window64 reads
-            top_word = ((int(ks[-1]) + 128) >> 6) + 1 if len(ks) else 0
-            self._nwords = max(-(-bits // 64), top_word + 1)
-        elif self.strategy == "power-chain":
-            base = power_form[0]
-            mod = 1 << bits
-            steps = []
-            prev = 0
-            for k in ks.tolist():
-                steps.append(pow(base, k - prev, mod))
-                prev = k
-            self._steps = steps
+            # the last word _window64 reads; zero padding reaches it
+            self._top_word = ((int(ks[-1]) + 128) >> 6) + 1
+        elif self.power_form is not None:
+            self.strategy = "power-chain"
+            # base^(k - prev) <= n_k + 1, so the exact steps stay as small
+            # as the terms and serve every mantissa width
+            base, k_list = self.power_form[0], ks.tolist()
+            self._steps = [base ** (k - prev) for k, prev in zip(k_list, [0] + k_list[:-1])]
+        else:
+            self.strategy = "generic"
 
-    # -- strategies ----------------------------------------------------
+    # -- kernels -------------------------------------------------------
 
-    def tops(self, mantissa: int) -> np.ndarray:
-        if not 0 <= mantissa < (1 << self.bits):
+    def tops(self, mantissa: int, bits: int) -> np.ndarray:
+        if bits < 64:
+            raise ValueError("need at least 64 bits")
+        if not 0 <= mantissa < (1 << bits):
             raise ValueError("mantissa outside [0, 2^bits)")
-        if not len(self.indices):
-            return np.empty((0, len(self.freqs)), dtype=np.uint64)
         if self.strategy == "pow2-window":
-            return self._tops_window(mantissa)
-        if self.strategy == "power-chain":
-            return self._tops_chain(mantissa)
-        return self._tops_generic(mantissa)
+            return self._tops_window(mantissa, bits)
+        return self._tops_rows(mantissa, bits)
 
-    def _tops_window(self, m: int) -> np.ndarray:
-        B = self.bits
-        raw = m.to_bytes(B // 8, "big") + bytes(8 * self._nwords - B // 8)
+    def _tops_window(self, m: int, bits: int) -> np.ndarray:
+        # m 2^s on B = bits + s bits has the same tops, since
+        # (n m 2^s mod 2^(bits + s)) >> (B - 64) = (n m mod 2^bits) >> (bits - 64);
+        # B is whole words and leaves room for the carry compare at B - 192
+        B = max(192, -(-bits // 64) * 64)
+        m <<= B - bits
+        raw = m.to_bytes(B // 8, "big") + bytes(max(0, 8 * (self._top_word + 1) - B // 8))
         words = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
         w, r, rc = self._w, self._r, self._rc
         shifts = self._shifts
@@ -152,7 +145,7 @@ class FracTopEngine:
         if not carry_in:
             s_hi, s_lo = a_hi, a_lo
         else:
-            c = (-m) & self._mask  # addend for offset -1: (2^B - m) mod 2^B
+            c = (1 << B) - m  # addend for offset -1: (2^B - m) mod 2^B, m != 0
             c_hi = np.uint64((c >> (B - 64)) & MASK64)
             c_lo = np.uint64((c >> (B - 128)) & MASK64)
             lowc = c & ((1 << (B - 128)) - 1)
@@ -185,19 +178,22 @@ class FracTopEngine:
                 out[:, col] = (s_hi << np.uint64(sh)) | (s_lo >> np.uint64(64 - sh))
         return out
 
-    def _tops_chain(self, m: int) -> np.ndarray:
-        B = self.bits
-        mask = self._mask
-        offset = self.power_form[1]
-        addend = (offset * m) & mask
-        shift_top = B - 64
-        out = np.empty((len(self.indices), len(self.freqs)), dtype=np.uint64)
-        z = m
+    def _tops_rows(self, m: int, bits: int) -> np.ndarray:
+        """One row at a time from y_k = n_k m mod 2^bits: a power form marches
+        y_k along its chain, any other sequence multiplies each term."""
+        mask = (1 << bits) - 1
+        if self.strategy == "power-chain":
+            addend = (self.power_form[1] * m) & mask
+            ys = self._chain(m, mask, addend)
+        else:
+            mm, mmask = _mpz(m), _mpz(mask)
+            terms = self.seq.terms
+            ys = (int((_mpz(terms[k - 1]) * mm) & mmask) for k in self.indices.tolist())
+        shift_top = bits - 64
         freqs = self.freqs
         pow2_shift = [j.bit_length() - 1 if j & (j - 1) == 0 else None for j in freqs]
-        for row, step in enumerate(self._steps):
-            z = (z * step) & mask
-            y = (z + addend) & mask
+        out = np.empty((len(self.indices), len(freqs)), dtype=np.uint64)
+        for row, y in enumerate(ys):
             for col, j in enumerate(freqs):
                 sh = pow2_shift[col]
                 if sh is not None and sh <= shift_top:
@@ -206,14 +202,8 @@ class FracTopEngine:
                     out[row, col] = ((j * y) & mask) >> shift_top
         return out
 
-    def _tops_generic(self, m: int) -> np.ndarray:
-        mask = _mpz(self._mask)
-        mm = _mpz(m)
-        shift_top = self.bits - 64
-        out = np.empty((len(self.indices), len(self.freqs)), dtype=np.uint64)
-        freqs = [_mpz(j) for j in self.freqs]
-        for row, k in enumerate(self.indices.tolist()):
-            y = (_mpz(self.terms[k - 1]) * mm) & mask
-            for col, j in enumerate(freqs):
-                out[row, col] = int(((j * y) & mask) >> shift_top)
-        return out
+    def _chain(self, m: int, mask: int, addend: int):
+        z = m
+        for step in self._steps:
+            z = (z * step) & mask
+            yield (z + addend) & mask

@@ -88,7 +88,6 @@ class PartialSumEvaluator:
         if top > len(seq):
             raise ValueError("permutation window exceeds sequence length")
         self.poly = poly
-        self.seq = seq
         self.count = count
         # a window of a bijection has distinct images
         if top == count:
@@ -112,23 +111,20 @@ class PartialSumEvaluator:
         self._has_sin = bool(poly.sin_coeffs)
         max_used = seq.term(top)
         self.required = required_bits(max_used, max(self.freqs))
-        self._engines: dict[int, FracTopEngine] = {}
+        # The engine reads the indices in sorted order and slot_values gathers
+        # its rows into slot order afterwards.  That is faster, not only
+        # tidier: on a 2-core x86-64 box, np.cos over the 4096 angles of a
+        # full random window of 2^k took 7-10 us less in k order than in
+        # slot order (33-56 against 40-67 us), and the gather costs 4 us.
+        self.engine = FracTopEngine(seq, self.indices, self.freqs)
         # (variance, sqrt(2 variance N ln ln N) for N = 16..count) of the last LIL call
         self._lil_denom: tuple[float, np.ndarray] | None = None
 
-    def _engine(self, bits: int) -> FracTopEngine:
-        if bits < self.required:
-            raise MantissaWidthError(have=bits, need=self.required)
-        eng = self._engines.get(bits)
-        if eng is None:
-            eng = FracTopEngine(self.seq.terms, self.indices, self.freqs, bits,
-                                power_form=self.seq.power_form())
-            self._engines[bits] = eng
-        return eng
-
     def slot_values(self, x: FixedPointSample) -> np.ndarray:
         """f(n_sigma(k) x) for slots k = 1..N, in slot order."""
-        angles = self._engine(x.bits).tops(x.mantissa).astype(np.float64)
+        if x.bits < self.required:
+            raise MantissaWidthError(have=x.bits, need=self.required)
+        angles = self.engine.tops(x.mantissa, x.bits).astype(np.float64)
         angles *= _TWO_PI * _INV64
         if len(self.freqs) > 1:
             # the matmul's BLAS sum may round differently from an explicit one

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import lacunaria
-from lacunaria import diophantine, simulate
+from lacunaria import diophantine, permute, simulate
 from lacunaria.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -191,6 +191,21 @@ def test_var_cli(tmp_path):
     assert payload["kac_variance"] == "2"
     assert payload["exact_variance"] == "127/64"
     assert payload["l2_norm_sq"] == "1"
+
+
+@pytest.mark.parametrize("name", ["my_window.txt", "random_window.txt", "identity.txt"])
+def test_var_permutation_file_named_like_a_spec(tmp_path, monkeypatch, name):
+    # the odd indices 1..63 then the evens: no two consecutive indices in
+    # the first 32 slots, so cos 2pi x + cos 4pi x has variance exactly 1;
+    # the file is passed by its bare name, the way it looks like a spec
+    monkeypatch.chdir(tmp_path)
+    permute.write_permutation(
+        permute.PermutationWindow(list(range(1, 64, 2)) + list(range(2, 65, 2))), name)
+    assert run(["var", "--f", "cos:1,cos:2", "--seq", "pow2:64", "--count", "32",
+                "--window", "64", "--perm", name, "--out-dir", "out"]) == EXIT_OK
+    assert json.loads(Path("out/variance.json").read_text())["exact_variance"] == "1"
+    manifest = json.loads(Path("out/run.json").read_text())
+    assert list(manifest["inputs"]) == [str(tmp_path.resolve() / name)]
 
 
 def test_var_window_beyond_sequence_exit(tmp_path):

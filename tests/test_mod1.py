@@ -1,11 +1,11 @@
-"""Cross-checks of the three fractional-part strategies against direct bigints."""
+"""Cross-checks of the fractional-part kernels against direct bigints."""
 
 import numpy as np
 import pytest
 
 from lacunaria.mod1 import FracTopEngine, required_bits
 from lacunaria.rng import CounterRng
-from lacunaria.seqgen import gen_geometric, gen_power
+from lacunaria.seqgen import External, IntegerSequence, gen_geometric, gen_power
 
 
 def reference_tops(terms, indices, freqs, bits, mantissa):
@@ -30,12 +30,12 @@ def test_window_strategy_matches_reference(offset):
     indices = sorted(set(indices))
     freqs = [1, 2, 4]
     bits = required_bits(seq.term(100), 4)
-    eng = FracTopEngine(seq.terms, indices, freqs, bits, power_form=(2, offset))
+    eng = FracTopEngine(seq, indices, freqs)
     assert eng.strategy == "pow2-window"
     rng = CounterRng(7, "x")
     for i in range(25):
         m = rng.bits(i, bits)
-        got = eng.tops(m)
+        got = eng.tops(m, bits)
         want = reference_tops(seq.terms, indices, freqs, bits, m)
         assert np.array_equal(got, want), f"offset={offset}, sample {i}"
 
@@ -53,13 +53,38 @@ def test_window_word_boundaries_and_largest_index(offset, freqs):
     indices = sorted({1, 63, 64, 65, 127, 128, 129, 191, 192, 255} & set(range(1, k_max))
                      | {k_max})
     assert required_bits(seq.term(k_max), top) == bits
-    eng = FracTopEngine(seq.terms, indices, freqs, bits, power_form=(2, offset))
+    eng = FracTopEngine(seq, indices, freqs)
     assert eng.strategy == "pow2-window"
     rng = CounterRng(9, "x")
     patterns = [0, 1, (1 << bits) - 1, int("10" * (bits // 2), 2)]
     for m in [rng.bits(i, bits) for i in range(20)] + patterns:
-        assert np.array_equal(eng.tops(m),
+        assert np.array_equal(eng.tops(m, bits),
                               reference_tops(seq.terms, indices, freqs, bits, m)), f"m={m:#x}"
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("freqs", [[1], [1, 4]])
+@pytest.mark.parametrize("bits", [128, 129, 150, 191, 192, 203, 257, 330])
+def test_window_any_admissible_width(bits, offset, freqs):
+    # below 192 bits and off whole words the kernel reads m 2^s on wider
+    # words; 129..191 with offset -1 runs the carry compare on the scaled
+    # mantissa; k_max is the largest index admissible at this width
+    top = max(freqs)
+    k_max = max(k for k in range(1, bits) if (top * (2**k + offset)).bit_length() + 64 <= bits)
+    seq = gen_power(2, offset, k_max)
+    indices = sorted({1, 2, 63, 64, 65, 127, 128, 200} & set(range(1, k_max)) | {k_max})
+    eng = FracTopEngine(seq, indices, freqs)
+    assert eng.strategy == "pow2-window"
+    rng = CounterRng(15, "x")
+    patterns = [0, 1, (1 << bits) - 1, 1 << (bits - 1)]
+    for m in [rng.bits(i, bits) for i in range(20)] + patterns:
+        assert np.array_equal(eng.tops(m, bits),
+                              reference_tops(seq.terms, indices, freqs, bits, m)), f"m={m:#x}"
+
+
+def test_engine_rejects_empty_indices():
+    with pytest.raises(ValueError, match="at least one index"):
+        FracTopEngine(gen_power(2, 0, 10), [], [1])
 
 
 def test_window_long_index_set():
@@ -70,13 +95,13 @@ def test_window_long_index_set():
     seq = gen_power(2, -1, n)
     indices = list(range(1, n + 1))
     bits = required_bits(seq.term(n), 2)
-    eng = FracTopEngine(seq.terms, indices, [1, 2], bits, power_form=(2, -1))
+    eng = FracTopEngine(seq, indices, [1, 2])
     assert eng.strategy == "pow2-window"
     rows = sorted(set(range(0, n, 8191)) | set(range((1 << 17) - 2, (1 << 17) + 2)) | {n - 1})
     rng = CounterRng(10, "x")
     for i in range(2):
         m = rng.bits(i, bits)
-        got = eng.tops(m)
+        got = eng.tops(m, bits)
         want = reference_tops(seq.terms, [indices[r] for r in rows], [1, 2], bits, m)
         assert np.array_equal(got[rows], want), f"sample {i}"
 
@@ -100,10 +125,10 @@ def test_window_strategy_carry_ties():
     indices = list(range(1, 151))
     freqs = [1, 2]
     bits = required_bits(seq.term(150), 2)
-    eng = FracTopEngine(seq.terms, indices, freqs, bits, power_form=(2, -1))
+    eng = FracTopEngine(seq, indices, freqs)
     assert eng.strategy == "pow2-window"
     for m in _carry_tie_patterns(bits):
-        got = eng.tops(m)
+        got = eng.tops(m, bits)
         want = reference_tops(seq.terms, indices, freqs, bits, m)
         assert np.array_equal(got, want), f"pattern {m:#x}"
 
@@ -116,17 +141,18 @@ def test_tops_same_from_list_and_int64_array(strategy):
     indices = list(range(1, 151))
     freqs = [1, 2] if strategy == "pow2-window" else [1, 3]
     bits = required_bits(seq.term(150), max(freqs))
-    form = None if strategy == "generic" else (2, -1)
+    if strategy == "generic":
+        seq = IntegerSequence(list(seq.terms), External("2^k - 1"))
     arr = np.array(indices, dtype=np.int64)
-    from_list = FracTopEngine(seq.terms, indices, freqs, bits, power_form=form)
-    from_array = FracTopEngine(seq.terms, arr, freqs, bits, power_form=form)
+    from_list = FracTopEngine(seq, indices, freqs)
+    from_array = FracTopEngine(seq, arr, freqs)
     assert from_list.strategy == from_array.strategy == strategy
     assert from_array.indices is arr
     rng = CounterRng(14, "x")
     for m in [rng.bits(i, bits) for i in range(5)] + _carry_tie_patterns(bits):
         want = reference_tops(seq.terms, indices, freqs, bits, m)
-        assert np.array_equal(from_list.tops(m), want), f"m={m:#x}"
-        assert np.array_equal(from_array.tops(m), want), f"m={m:#x}"
+        assert np.array_equal(from_list.tops(m, bits), want), f"m={m:#x}"
+        assert np.array_equal(from_array.tops(m, bits), want), f"m={m:#x}"
 
 
 def test_chain_strategy_matches_reference():
@@ -136,15 +162,15 @@ def test_chain_strategy_matches_reference():
         indices = [1, 2, 5, 13, 14, 40, 60]
         freqs = [1, 2, 3]
         bits = required_bits(seq.term(60), 3)
-        eng = FracTopEngine(seq.terms, indices, freqs, bits, power_form=(base, offset))
+        eng = FracTopEngine(seq, indices, freqs)
         assert eng.strategy == "power-chain"
         rng = CounterRng(3, "x")
         for i in range(10):
             m = rng.bits(i, bits)
-            assert np.array_equal(eng.tops(m),
+            assert np.array_equal(eng.tops(m, bits),
                                   reference_tops(seq.terms, indices, freqs, bits, m))
             m2 = rng.bits(100 + i, bits)
-            assert np.array_equal(eng.tops(m2),
+            assert np.array_equal(eng.tops(m2, bits),
                                   reference_tops(seq.terms, indices, freqs, bits, m2))
 
 
@@ -153,12 +179,12 @@ def test_generic_strategy_matches_reference():
     indices = [1, 7, 30, 50]
     freqs = [1, 5]
     bits = required_bits(seq.term(50), 5)
-    eng = FracTopEngine(list(seq.terms), indices, freqs, bits)
+    eng = FracTopEngine(seq, indices, freqs)
     assert eng.strategy == "generic"
     rng = CounterRng(11, "x")
     for i in range(10):
         m = rng.bits(i, bits)
-        assert np.array_equal(eng.tops(m),
+        assert np.array_equal(eng.tops(m, bits),
                               reference_tops(list(seq.terms), indices, freqs, bits, m))
 
 
@@ -168,25 +194,25 @@ def test_strategies_agree_pairwise():
     indices = list(range(1, 65, 2))
     freqs = [1, 2]
     bits = required_bits(seq.term(64), 2)
-    window = FracTopEngine(seq.terms, indices, freqs, bits, power_form=(2, -1))
-    chain = FracTopEngine(seq.terms, indices, freqs, bits, power_form=(2, -1))
+    window = FracTopEngine(seq, indices, freqs)
+    chain = FracTopEngine(seq, indices, freqs)
     chain.strategy = "power-chain"
-    chain._steps = [pow(2, k - p, 1 << bits)
-                    for k, p in zip(indices, [0] + indices[:-1])]
-    generic = FracTopEngine(list(seq.terms), indices, freqs, bits)
+    chain._steps = [2 ** (k - p) for k, p in zip(indices, [0] + indices[:-1])]
+    generic = FracTopEngine(IntegerSequence(list(seq.terms), External("2^k - 1")),
+                            indices, freqs)
     assert window.strategy == "pow2-window" and generic.strategy == "generic"
     rng = CounterRng(13, "x")
     for i in range(15):
         m = rng.bits(i, bits)
-        a, b, c = window.tops(m), chain.tops(m), generic.tops(m)
+        a, b, c = window.tops(m, bits), chain.tops(m, bits), generic.tops(m, bits)
         assert np.array_equal(a, b) and np.array_equal(b, c)
 
 
 def test_non_pow2_frequency_falls_back():
     seq = gen_power(2, 0, 30)
     bits = required_bits(seq.term(30), 3)
-    eng = FracTopEngine(seq.terms, [1, 5, 30], [1, 3], bits, power_form=(2, 0))
+    eng = FracTopEngine(seq, [1, 5, 30], [1, 3])
     assert eng.strategy == "power-chain"
     m = CounterRng(1, "x").bits(0, bits)
-    assert np.array_equal(eng.tops(m),
+    assert np.array_equal(eng.tops(m, bits),
                           reference_tops(seq.terms, [1, 5, 30], [1, 3], bits, m))

@@ -65,12 +65,12 @@ def test_frac_part_against_mpmath_oracle():
     bits = 192
     rng = CounterRng(9, "f")
     n = 2**100
-    eng = FracTopEngine([n], [1], [1], bits)
+    eng = FracTopEngine(IntegerSequence([n], External("2^100")), [1], [1])
     assert eng.strategy == "generic"
     with mpmath.workprec(300):
         for i in range(10):
             m = rng.bits(i, bits)
-            got = int(eng.tops(m)[0, 0])
+            got = int(eng.tops(m, bits)[0, 0])
             x = mpmath.mpf(m) / mpmath.power(2, bits)
             expected = mpmath.frac(mpmath.mpf(n) * x)
             assert got == int(mpmath.floor(expected * mpmath.power(2, 64)))
@@ -108,24 +108,27 @@ def test_partial_sum_matches_mpmath_oracle():
 
 
 def test_partial_sum_mixed_poly_oracle():
-    # degree-2 polynomial through the chain path (2^k - 1)
+    # degree-2 polynomial on two offset -1 power forms: 2^k - 1 runs the
+    # window kernel with its carry, 3^k - 1 the row loop's chain
     poly = TrigPolynomial(cos_coeffs={1: Fraction(1, 2)}, sin_coeffs={2: 1})
-    seq = gen_power(2, -1, 40)
-    ev = PartialSumEvaluator(poly, seq, identity(40), 40)
-    bits = ev.required
-    rng = CounterRng(22, "x")
-    with mpmath.workprec(300):
-        for i in range(5):
-            m = rng.bits(i, bits)
-            got = ev.sum(FixedPointSample(m, bits))
-            x = mpmath.mpf(m) / mpmath.power(2, bits)
-            want = mpmath.mpf(0)
-            for k in range(1, 41):
-                nk = 2**k - 1
-                u = mpmath.frac(mpmath.mpf(nk) * x)
-                want += mpmath.cos(2 * mpmath.pi * u) / 2
-                want += mpmath.sin(2 * mpmath.pi * 2 * u)
-            assert abs(got - float(want)) < 1e-12
+    for seq, strategy in ((gen_power(2, -1, 40), "pow2-window"),
+                          (gen_power(3, -1, 25), "power-chain")):
+        n = len(seq)
+        ev = PartialSumEvaluator(poly, seq, identity(n), n)
+        assert ev.engine.strategy == strategy
+        bits = ev.required
+        rng = CounterRng(22, "x")
+        with mpmath.workprec(300):
+            for i in range(5):
+                m = rng.bits(i, bits)
+                got = ev.sum(FixedPointSample(m, bits))
+                x = mpmath.mpf(m) / mpmath.power(2, bits)
+                want = mpmath.mpf(0)
+                for k in range(1, n + 1):
+                    u = mpmath.frac(mpmath.mpf(seq.term(k)) * x)
+                    want += mpmath.cos(2 * mpmath.pi * u) / 2
+                    want += mpmath.sin(2 * mpmath.pi * 2 * u)
+                assert abs(got - float(want)) < 1e-12
 
 
 def test_evaluator_rows_on_random_subwindow():
@@ -169,7 +172,7 @@ def test_evaluator_rank_pass_matches_sort_oracle(perm, count):
 
 def _matmul_slot_values(ev, x):
     """slot_values by the one-column-per-frequency matmul for every F."""
-    angles = ev._engine(x.bits).tops(x.mantissa).astype(np.float64) * (2.0 * math.pi * 2.0**-64)
+    angles = ev.engine.tops(x.mantissa, x.bits).astype(np.float64) * (2.0 * math.pi * 2.0**-64)
     if not ev._has_cos:
         return (np.sin(angles) @ ev._asin)[ev._rows]
     per_index = np.cos(angles) @ ev._acos
@@ -292,7 +295,7 @@ def test_clt_samples_pinned(strategy):
     n = len(seq)
     perm = random_perm(n, 5)
     ev = PartialSumEvaluator(poly, seq, perm, n)
-    assert ev._engine(ev.required).strategy == strategy
+    assert ev.engine.strategy == strategy
     for workers in (1, 2):
         emp = clt_experiment(poly, seq, perm, n, 48, seed=13, workers=workers)
         assert hashlib.sha256(emp.samples.tobytes()).hexdigest() == digest
