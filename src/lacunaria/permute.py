@@ -320,15 +320,24 @@ def _power_pair_groups(n: int, q: int, a: int, b: int, max_span: int, head: int,
     if min_pairs > 1:
         shared = Counter(cls for _, cls, _ in families)
         families = [f for f in families if f[1] < 0 or shared[f[1]] > 1]
+    zero = [d for d, cls, _ in families if cls < 0]  # at most one d has K_d = 0
+    families = [f for f in families if f[1] >= 0]
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for u in range(1, n):
-        reach = _last_partner(u, n, max_span, head) - u
-        for d, cls, e in families:
-            if d > reach:
-                break
-            key = (cls, u + e) if cls >= 0 else (-1, 0)
-            groups.setdefault(key, []).append((u, u + d))
-    return list(groups.values())
+    if families:
+        for u in range(1, n):
+            reach = _last_partner(u, n, max_span, head) - u
+            for d, cls, e in families:
+                if d > reach:
+                    break
+                groups.setdefault((cls, u + e), []).append((u, u + d))
+    found = list(groups.values())
+    for d in zero:
+        # the walk pairs u with u + d while u + d <= n and, past max_span, u + d <= head
+        last = n - d if d <= max_span else min(n, head) - d
+        if last >= 1:
+            found.append([(u, u + d) for u in range(1, last + 1)])
+            found.sort(key=lambda pairs: pairs[0])  # in the order of their first pair
+    return found
 
 
 def _constant(key: tuple[int, int, bool]) -> int:
@@ -336,29 +345,103 @@ def _constant(key: tuple[int, int, bool]) -> int:
     return -key[1] if key[2] else key[1]
 
 
-def _greedy_pick(pairs: list[tuple[int, int]], want: int, seq: IntegerSequence,
-                 gap_ratio: Fraction, last_value: int | None):
+def _power_sign(q: int, A: int, x: int, B: int, y: int, R: int) -> int:
+    """sign(A*q**x + B*q**y - R), exact, for ints A, B, R and exponents x, y >= 0.
+
+    Take x >= y (swapping the terms if needed, so B is the coefficient of
+    the smaller exponent) and write the value as q**y * D - R with
+    D = A*q**(x - y) + B.  D is formed only when x - y <= bitlen(B) +
+    bitlen(R) + 2: past that |A*q**(x-y)| >= 2**(x-y) >= 8 * 2**bitlen(B) *
+    2**bitlen(R) > |B| + |R|, so sign(D) = sign(A) and |D| > |R|.  q**y is
+    formed only when y < bitlen(R): past that q**y > |R|, so a nonzero D
+    fixes the sign.  So q**e is formed only for e < bitlen(R) + bitlen(B) + 3:
+    the cost depends on the size of B and R, never on the size of the terms.
+    """
+    if x < y:
+        x, y, A, B = y, x, B, A
+    r_bits = R.bit_length()
+    if A and x - y > B.bit_length() + r_bits + 2:
+        return 1 if A > 0 else -1
+    D = A * q ** (x - y) + B if A else B
+    if y < r_bits:
+        value = D * q ** y - R
+    elif D:
+        return 1 if D > 0 else -1
+    else:
+        value = -R
+    return (value > 0) - (value < 0)
+
+
+def term_sign(seq: IntegerSequence):
+    """The exact sign(A*n_x + B*n_y - R) on ``seq``, as a function of (A, x, B, y, R).
+
+    x and y are 1-based indices in range.  On a power form n_k = q**k + o
+    it is :func:`_power_sign` on the exponents with R - (A + B)*o as the
+    constant, so no term is formed; any other sequence compares its terms.
+    """
+    power = seq.power_form()
+    if power is None:
+        terms = seq.terms
+
+        def sign(A: int, x: int, B: int, y: int, R: int) -> int:
+            value = A * terms[x - 1] + B * terms[y - 1] - R
+            return (value > 0) - (value < 0)
+        return sign
+    q, o = power
+    return lambda A, x, B, y, R: _power_sign(q, A, x, B, y, R - (A + B) * o)
+
+
+def _spacing_test(seq: IntegerSequence, gap_ratio: Fraction):
+    """spaced(u, w): n_u >= gap_ratio * n_w, exact; the one spacing test of
+    :func:`build_pairing_counterexample` and :func:`verify_certificate`.
+
+    On a power form n_k = q**k + o it is
+    sign(den*q**u - num*q**w - (num - den)*o) >= 0 by :func:`_power_sign`.
+    Once min(u, w) >= bitlen((num - den)*o) that sign reads u - w alone, so
+    each such result is kept by gap and computed once.
+    """
+    num, den = gap_ratio.numerator, gap_ratio.denominator
+    power = seq.power_form()
+    if power is None:
+        terms = seq.terms
+        return lambda u, w: den * terms[u - 1] >= num * terms[w - 1]
+    q, o = power
+    r = (num - den) * o
+    r_bits = r.bit_length()
+    by_gap: dict[int, bool] = {}
+
+    def spaced(u: int, w: int) -> bool:
+        if u < r_bits or w < r_bits:
+            return _power_sign(q, den, u, -num, w, r) >= 0
+        hit = by_gap.get(u - w)
+        if hit is None:
+            hit = by_gap[u - w] = _power_sign(q, den, u, -num, w, r) >= 0
+        return hit
+    return spaced
+
+
+def _greedy_pick(pairs: list[tuple[int, int]], want: int, spaced,
+                 last: int | None):
     """Left-to-right selection honoring value-ratio spacing.
 
     Returns everything it could pick (possibly fewer than ``want``) and the
-    largest placed value.  Spacing alone keeps the picks disjoint: terms are
-    positive and strictly increasing and ``gap_ratio`` >= 2, so a pick's
-    n_u >= gap_ratio * (last placed n_v) puts u past every index placed
-    before it, and v > u.
+    index of the largest placed value, ``last`` (None before any pick).
+    ``spaced`` is :func:`_spacing_test`, so on a power form each test runs
+    on exponents and is exact: den*n_u >= num*n_last reads as
+    sign(den*q**u - num*q**last - (num - den)*o) >= 0.  Spacing alone keeps
+    the picks disjoint: terms are positive and strictly increasing and
+    ``gap_ratio`` >= 2, so a pick's n_u >= gap_ratio * (last placed n_v)
+    puts u past every index placed before it, and v > u.
     """
     picked = []
-    lv = last_value
-    num, den = gap_ratio.numerator, gap_ratio.denominator
-    terms = seq.terms  # pairs come from _witness_groups, so indices are in range
-    for u, v in pairs:
-        # require n_u >= gap_ratio * (largest value already placed)
-        if lv is not None and terms[u - 1] * den < num * lv:
+    for u, v in pairs:  # pairs come from _witness_groups, so indices are in range
+        if last is not None and not spaced(u, last):
             continue
         picked.append((u, v))
-        lv = terms[v - 1]
+        last = v
         if len(picked) == want:
             break
-    return picked, lv
+    return picked, last
 
 
 def build_pairing_counterexample(
@@ -396,15 +479,16 @@ def build_pairing_counterexample(
     groups = _witness_groups(seq, a, b, allow_zero_c=allow_zero_c, max_span=None,
                              min_pairs=min(schedule.lengths) // 2)
     order = sorted(groups)  # smallest |c| first, c before -c
-    last_value: int | None = None
+    spaced = _spacing_test(seq, gap_ratio)
+    last: int | None = None
     blocks: list[BlockPairing] = []
     for bi, length in enumerate(schedule.lengths, start=1):
         want = length // 2
         best = None
         for key in order:
-            picked, lv = _greedy_pick(groups[key], want, seq, gap_ratio, last_value)
+            picked, end = _greedy_pick(groups[key], want, spaced, last)
             if len(picked) == want:
-                best = (_constant(key), picked, lv)
+                best = (_constant(key), picked, end)
                 break
         if best is None:
             # with no pruned group block 1 fails first, so this is the only
@@ -416,7 +500,7 @@ def build_pairing_counterexample(
                     f"({'including' if allow_zero_c else 'excluding'} c = 0)"
                 )
             supplies = {
-                _constant(key): len(_greedy_pick(pairs, want, seq, gap_ratio, last_value)[0])
+                _constant(key): len(_greedy_pick(pairs, want, spaced, last)[0])
                 for key, pairs in every.items()
             }
             top_c, top = max(supplies.items(), key=lambda kv: (kv[1], -abs(kv[0])))
@@ -429,7 +513,7 @@ def build_pairing_counterexample(
                 f"block {bi} needs {want} disjoint spaced pairs; best candidate "
                 f"c={top_c} supplies only {top}"
             )
-        c, picked, last_value = best
+        c, picked, last = best
         blocks.append(BlockPairing(c=c, pairs=picked))
 
     flat = np.array([i for blk in blocks for pair in blk.pairs for i in pair],
@@ -453,16 +537,22 @@ def verify_certificate(
     """Exact check of pair relations, slot placement, monotonicity, spacing.
 
     Returns (True, None) or (False, description of the first violation).
+    Both comparisons go through :func:`term_sign`, so on a power form
+    n_k = q**k + o they run on exponents and no term is formed:
+    a*n_v - b*n_u = c reads as sign(a*q**v - b*q**u - (c - (a - b)*o)) = 0,
+    and the spacing test is :func:`_spacing_test`, the one the build uses.
+    Each is the same integer comparison with both sides moved to one, so
+    the verdict and message are those of a comparison on the terms.
     """
     # plain ints for the exact comparisons; only the certified slots are read
     images = perm.images[:cert.certified_slots].tolist()
     n = len(seq)
     a, b = cert.a, cert.b
-    num, den = cert.gap_ratio.numerator, cert.gap_ratio.denominator
-    # the first spacing violation, reported only after the checks below pass;
-    # only the previous pair and its n_v are kept, not every certified term
+    sign = term_sign(seq)
+    spaced = _spacing_test(seq, cert.gap_ratio)
+    # the first spacing violation, reported only after the checks below pass
     spacing_problem = None
-    prev_pair = prev_v = None
+    prev_pair = None
     slot = 0
     for m, blk in enumerate(cert.blocks, start=1):
         for u, v in blk.pairs:
@@ -473,14 +563,13 @@ def verify_certificate(
                 return False, f"slots ({slot - 1}, {slot}) do not carry pair ({u}, {v})"
             if not (1 <= u <= n and 1 <= v <= n):
                 return False, f"pair ({u}, {v}) outside the sequence"
-            nu, nv = seq.term(u), seq.term(v)
-            if a * nv - b * nu != blk.c:
+            if sign(a, v, -b, u, blk.c) != 0:
                 return False, (
                     f"block {m}: a*n_{v} - b*n_{u} != {blk.c}"
                 )
-            if spacing_problem is None and prev_v is not None and nu * den < num * prev_v:
+            if spacing_problem is None and prev_pair is not None and not spaced(u, prev_pair[1]):
                 spacing_problem = f"spacing violated between pairs {prev_pair} and {(u, v)}"
-            prev_pair, prev_v = (u, v), nv
+            prev_pair = (u, v)
 
     # strictly increasing images also rule out a reused index
     for i in range(1, slot):

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .permute import PairingCertificate, PermutationWindow, verify_certificate
+from .permute import PairingCertificate, PermutationWindow, term_sign, verify_certificate
 from .seqgen import IntegerSequence
 
 
@@ -277,15 +277,15 @@ def _square_expand(terms: list[tuple[int, int, int]],
 
 
 def _separated_start(degree: int, cert: PairingCertificate,
-                     values: list[tuple[int, int]], freq_cutoff: int) -> int:
+                     seq: IntegerSequence, freq_cutoff: int) -> int:
     """Index of the first pair of the longest tail of separated pairs.
 
-    ``values`` holds (n_u, n_v) of each pair of a verified certificate.
-    Every frequency of a pair's squared expansion is alpha*n_u + beta*n_v
-    with |alpha| + |beta| <= 2 * degree; with n_v = (c + b*n_u) / a it is
-    ((a*alpha + b*beta) * n_u + beta*c) / a.  It is low, beta*c/a, when
-    a*alpha + b*beta = 0, and high otherwise, and then at least
-    (n_u - 2 * degree * |c|) / |a|.  A pair with c != 0 is separated when
+    ``cert`` is verified on ``seq``.  Every frequency of a pair's squared
+    expansion is alpha*n_u + beta*n_v with |alpha| + |beta| <= 2 * degree;
+    with n_v = (c + b*n_u) / a it is ((a*alpha + b*beta) * n_u + beta*c) / a.
+    It is low, beta*c/a, when a*alpha + b*beta = 0, and high otherwise, and
+    then at least (n_u - 2 * degree * |c|) / |a|.  A pair with c != 0 is
+    separated when
       n_u - 2 * degree * |c| > |a| * max(cutoff, 2 * degree * n_v of the
         previous pair): its high frequencies lie above the cutoff and above
         every frequency of an earlier pair;
@@ -293,16 +293,27 @@ def _separated_start(degree: int, cert: PairingCertificate,
         every low frequency of any pair.  This also gives
         n_u > 4 * degree * |c|, so they differ from each other.
     So each high frequency of a separated pair is reached by that pair alone.
+    Both conditions are checked as two comparisons of room =
+    n_u - 2 * degree * |c|: with the larger of |a| * cutoff and
+    2 * degree * max_m |c_m|, and with |a| * 2 * degree * n_v of the previous
+    pair.  Each is a :func:`~lacunaria.permute.term_sign` call, the same
+    integer inequality with every term moved to one side, so on a power
+    form q**k + o it runs on exponents, exactly, and reads no term.
     """
     k = 2 * degree
-    top_c = max(abs(blk.c) for blk in cert.blocks)
+    abs_a = abs(cert.a)
+    floor = max(abs_a * freq_cutoff, k * max(abs(blk.c) for blk in cert.blocks))
     flat_c = [blk.c for blk in cert.blocks for _ in blk.pairs]
-    start = len(values)
+    pairs = cert.all_pairs
+    sign = term_sign(seq)
+    start = len(pairs)
     while start > 0:
         i = start - 1
-        room = values[i][0] - k * abs(flat_c[i])
-        floor = max(freq_cutoff, k * values[i - 1][1] if i else 0)
-        if not (flat_c[i] and room > abs(cert.a) * floor and room > k * top_c):
+        u = pairs[i][0]
+        low = k * abs(flat_c[i])  # room = n_u - low
+        if not (flat_c[i]
+                and sign(1, u, 0, u, low + floor) > 0
+                and (i == 0 or sign(1, u, -abs_a * k, pairs[i - 1][1], low) > 0)):
             break
         start = i
     return start
@@ -325,7 +336,9 @@ def mixture_profile(
     expanded one by one.  A separated pair's high frequencies are its own and
     lie above the cutoff, and its low ones depend on c alone, so every
     separated pair of a block expands alike: the block's tail is expanded
-    once and counted for each of its pairs.
+    once, from its first pair, and counted for each of its pairs.  Only
+    those pairs' terms are formed; the certificate check and the tail's
+    start run on exponents when ``seq`` is a power form.
     """
     ok, problem = verify_certificate(perm, seq, cert)
     if not ok:
@@ -345,11 +358,10 @@ def mixture_profile(
 
     scale, base_terms = _scaled_terms(poly)
 
-    def pair_terms(nu: int, nv: int) -> list[tuple[int, int, int]]:
-        return [(j * n, a, b) for n in (nu, nv) for j, a, b in base_terms]
+    def pair_terms(u: int, v: int) -> list[tuple[int, int, int]]:
+        return [(j * n, a, b) for n in (seq.term(u), seq.term(v)) for j, a, b in base_terms]
 
-    values = [(seq.term(u), seq.term(v)) for u, v in pairs]
-    start = _separated_start(poly.degree, cert, values, freq_cutoff)
+    start = _separated_start(poly.degree, cert, seq, freq_cutoff)
     constant = [0]
     acc: dict[tuple[int, int], list[int]] = {}
     residual = 0
@@ -357,13 +369,13 @@ def mixture_profile(
     i = 0
     for blk in cert.blocks:
         stop = i + len(blk.pairs)
-        for nu, nv in values[i:min(stop, start)]:
-            _square_expand(pair_terms(nu, nv), constant, acc)
+        for u, v in pairs[i:min(stop, start)]:
+            _square_expand(pair_terms(u, v), constant, acc)
         if stop > start:
             count = stop - max(i, start)
             own = [0]
             part: dict[tuple[int, int], list[int]] = {}
-            _square_expand(pair_terms(*values[stop - count]), own, part)
+            _square_expand(pair_terms(*pairs[stop - count]), own, part)
             constant[0] += count * own[0]
             low = 2 * poly.degree * abs(blk.c)  # |a| * f <= low marks a low frequency
             for (_, f), (c, s) in part.items():

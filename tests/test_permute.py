@@ -2,6 +2,7 @@ import functools
 import hashlib
 import json
 import math
+import random
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,7 @@ from lacunaria.permute import (
     BlockSchedule,
     PairingCertificate,
     PermutationWindow,
+    _power_sign,
     _span_bound,
     _witness_groups,
     build_pairing_counterexample,
@@ -498,59 +500,146 @@ def test_witness_work_on_the_pairing_input(monkeypatch):
     assert verify_certificate(perm, seq, cert) == (True, None)
 
 
+# ---------------- signs on exponents ----------------
+
+class RecordingBase(int):
+    """An int base that records every exponent it is raised to."""
+
+    def __new__(cls, value, exponents):
+        self = super().__new__(cls, value)
+        self.exponents = exponents
+        return self
+
+    def __pow__(self, e):
+        self.exponents.append(e)
+        return int(self) ** e
+
+
+def check_power_sign(q, A, x, B, y, R):
+    exponents = []
+    got = _power_sign(RecordingBase(q, exponents), A, x, B, y, R)
+    value = A * q**x + B * q**y - R
+    assert got == (value > 0) - (value < 0), (q, A, x, B, y, R)
+    # q**e is formed only below bitlen(R) + bitlen(coefficient of the smaller exponent) + 3
+    low = B if x >= y else A
+    assert all(e < R.bit_length() + low.bit_length() + 3 for e in exponents), (q, A, x, B, y, R)
+
+
+def test_power_sign_matches_big_ints():
+    rng = random.Random(20260810)
+    span = range(-9, 10)
+    for q in (2, 3, 5, 10):
+        for A in span:
+            for B in span:
+                for _ in range(10):
+                    x, y = rng.randrange(41), rng.randrange(41)
+                    for x, y in ((x, y), (y, x)):
+                        value = A * q**x + B * q**y
+                        for R in (value, value + 1, value - 1, -value, rng.randrange(-999, 1000)):
+                            check_power_sign(q, A, x, B, y, R)
+
+
+def test_power_sign_matches_big_ints_at_large_exponents():
+    rng = random.Random(7)
+    for _ in range(2000):
+        q = rng.choice((2, 3, 5, 10))
+        A, B = rng.randrange(-9, 10), rng.randrange(-9, 10)
+        x, y = rng.randrange(3001), rng.randrange(3001)
+        value = A * q**x + B * q**y
+        for R in (value + rng.randrange(-2, 3), rng.randrange(-999, 1000),
+                  rng.choice((-1, 1)) * rng.getrandbits(rng.randrange(1, 8000))):
+            check_power_sign(q, A, x, B, y, R)
+
+
 # ---------------- verification catches mutations ----------------
 
+POW2M1 = gen_power(2, -1, 64)
+
+
+def verdict(perm, cert, seq=POW2M1):
+    """verify_certificate on a power form, on exponents and on its listed
+    terms: both paths must give the same (ok, problem), message included."""
+    got = verify_certificate(perm, seq, cert)
+    listed = IntegerSequence(list(seq.terms), External("listed"))  # no power form
+    assert verify_certificate(perm, listed, cert) == got
+    return got
+
+
 def build_small():
-    seq = gen_power(2, -1, 64)
     sched = BlockSchedule.geometric_dominant(2, factor=4, base_len=4)
-    perm, cert = build_pairing_counterexample(seq, 1, 2, sched)
-    return seq, perm, cert
+    perm, cert = build_pairing_counterexample(POW2M1, 1, 2, sched)
+    listed = IntegerSequence(list(POW2M1.terms), External("listed"))
+    assert build_pairing_counterexample(listed, 1, 2, sched)[1] == cert
+    return perm, cert
 
 
 def test_verify_detects_swapped_image():
-    seq, perm, cert = build_small()
+    perm, cert = build_small()
     images = perm.images.tolist()
     images[0], images[1] = images[1], images[0]
     mutated = PermutationWindow(images)
-    ok, problem = verify_certificate(mutated, seq, cert)
-    assert not ok
-    assert "slots (1, 2)" in problem
+    assert verdict(mutated, cert) == (False, "slots (1, 2) do not carry pair (1, 2)")
 
 
 def test_verify_detects_wrong_constant():
-    seq, perm, cert = build_small()
+    perm, cert = build_small()
     bad = PairingCertificate(
         a=cert.a, b=cert.b, gap_ratio=cert.gap_ratio,
         blocks=[BlockPairing(c=blk.c + 1, pairs=list(blk.pairs)) for blk in cert.blocks],
     )
-    ok, problem = verify_certificate(perm, seq, bad)
-    assert not ok
-    assert "block 1" in problem
+    assert verdict(perm, bad) == (False, "block 1: a*n_2 - b*n_1 != 2")
 
 
 def test_verify_detects_reused_index():
-    seq = gen_power(2, -1, 64)
     cert = PairingCertificate(
         a=1, b=2, gap_ratio=Fraction(4),
         blocks=[BlockPairing(c=1, pairs=[(1, 2), (1, 2)])],
     )
     perm = PermutationWindow([1, 2] + list(range(3, 65)))
-    ok, problem = verify_certificate(perm, seq, cert)
-    assert not ok
+    assert verdict(perm, cert) == (False, "slots (3, 4) do not carry pair (1, 2)")
 
 
 def test_verify_reports_spacing_after_relation_errors():
-    seq = gen_power(2, -1, 64)
     # n_3 = 7 < 4 * n_2 = 12
     close = PairingCertificate(a=1, b=2, gap_ratio=Fraction(4),
                                blocks=[BlockPairing(c=1, pairs=[(1, 2), (3, 4)])])
-    assert verify_certificate(identity(64), seq, close) == (
+    assert verdict(identity(64), close) == (
         False, "spacing violated between pairs (1, 2) and (3, 4)")
     # the same spacing fault plus a later wrong relation: the relation is reported
     broken = PairingCertificate(a=1, b=2, gap_ratio=Fraction(4),
                                 blocks=[BlockPairing(c=1, pairs=[(1, 2), (3, 4), (5, 7)])])
     perm = PermutationWindow([1, 2, 3, 4, 5, 7, 6] + list(range(8, 65)))
-    assert verify_certificate(perm, seq, broken) == (False, "block 1: a*n_7 - b*n_5 != 1")
+    assert verdict(perm, broken) == (False, "block 1: a*n_7 - b*n_5 != 1")
+
+
+TIGHT_SPACINGS = [
+    # n_5 = 31 = (31/3) * n_2: equality passes, 32/3 asks for 32
+    (POW2M1, 1, [(1, 2), (5, 6)], Fraction(31, 3), (True, None)),
+    (POW2M1, 1, [(1, 2), (5, 6)], Fraction(32, 3),
+     (False, "spacing violated between pairs (1, 2) and (5, 6)")),
+    # n_4 = 15 = 5 * n_2 is tight, yet n_7 = 127 < 5 * n_5 at the same exponent gap
+    (POW2M1, 1, [(1, 2), (4, 5), (7, 8)], Fraction(5),
+     (False, "spacing violated between pairs (4, 5) and (7, 8)")),
+    # 2^k: n_4 = 4 * n_2 and n_7 = 4 * n_5, both tight
+    (gen_power(2, 0, 64), 0, [(1, 2), (4, 5), (7, 8)], Fraction(4), (True, None)),
+]
+
+
+def test_verify_spacing_exactly_tight():
+    for seq, c, pairs, ratio, want in TIGHT_SPACINGS:
+        certified = [i for pair in pairs for i in pair]
+        perm = PermutationWindow(certified + sorted(set(range(1, 65)) - set(certified)))
+        cert = PairingCertificate(a=1, b=2, gap_ratio=ratio,
+                                  blocks=[BlockPairing(c=c, pairs=pairs)])
+        assert verdict(perm, cert, seq) == want
+
+
+def test_verify_reports_a_decreasing_pair_whose_relation_holds():
+    # n_1 - 2 * n_2 = 1 - 6 = -5 holds, but the pair runs backwards
+    cert = PairingCertificate(a=1, b=2, gap_ratio=Fraction(4),
+                              blocks=[BlockPairing(c=-5, pairs=[(2, 1)])])
+    perm = PermutationWindow([2, 1] + list(range(3, 65)))
+    assert verdict(perm, cert) == (False, "certified images not increasing at slot 2")
 
 
 def test_a_equals_b_flagged_experimental():

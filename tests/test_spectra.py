@@ -17,7 +17,14 @@ from lacunaria.permute import (
     random_perm,
     verify_certificate,
 )
-from lacunaria.seqgen import External, IntegerSequence, gen_geometric, gen_power, gen_smooth
+from lacunaria.seqgen import (
+    External,
+    IntegerSequence,
+    _PowerTerms,
+    gen_geometric,
+    gen_power,
+    gen_smooth,
+)
 from lacunaria.simulate import MixtureTarget
 from lacunaria.spectra import (
     MAX_NODES,
@@ -302,9 +309,8 @@ SEPARATED_CASES = {
 def test_mixture_profile_separated_tail_matches_fraction_oracle(case):
     build, poly, start = SEPARATED_CASES[case]
     seq, perm, cert = build()
-    values = [(seq.term(u), seq.term(v)) for u, v in cert.all_pairs]
     cutoff = max(abs(c) for c in cert.constants())
-    assert _separated_start(poly.degree, cert, values, cutoff) == start
+    assert _separated_start(poly.degree, cert, seq, cutoff) == start
     for p in (poly, COS12, RATIONAL):
         for cutoff in ORACLE_CUTOFFS:
             assert_matches_oracle(p, seq, perm, cert, cutoff)
@@ -316,11 +322,31 @@ def test_mixture_profile_pairing_input_tail_starts_at_second_pair():
     seq = gen_power(2, -1, 11000)
     perm, cert = build_pairing_counterexample(
         seq, 1, 2, BlockSchedule.geometric_dominant(6, factor=4, base_len=4), gap_ratio=8)
-    values = [(seq.term(u), seq.term(v)) for u, v in cert.all_pairs]
-    assert len(values) == 2730
-    assert _separated_start(COS12.degree, cert, values, 1) == 1
+    assert len(cert.all_pairs) == 2730
+    assert _separated_start(COS12.degree, cert, seq, 1) == 1
     profile = mixture_profile(COS12, seq, perm, cert)
     assert profile.cosine_terms == {1: Fraction(2731, 5460)} and profile.constant == 1
+
+
+def test_pairing_reads_few_terms_on_a_power_form(monkeypatch):
+    # 21844 certified slots of 2^k - 1 (terms up to 2^43700): the build, the
+    # verifier and the profile decide every comparison on exponents, and
+    # only the first pair and one pair per block are formed
+    reads = []
+    getitem = _PowerTerms.__getitem__
+
+    def counted(terms, i):
+        reads.append(i)
+        return getitem(terms, i)
+    monkeypatch.setattr(_PowerTerms, "__getitem__", counted)
+    seq = gen_power(2, -1, 44000)
+    perm, cert = build_pairing_counterexample(
+        seq, 1, 2, BlockSchedule.geometric_dominant(7, 4, 4), gap_ratio=8)
+    assert verify_certificate(perm, seq, cert) == (True, None)
+    profile = mixture_profile(COS12, seq, perm, cert)
+    assert cert.certified_slots == 21844
+    assert profile.cosine_terms == {1: Fraction(10923, 21844)} and profile.constant == 1
+    assert len(reads) < 64
 
 
 # ---------------- Kac variance ----------------
