@@ -638,14 +638,10 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     if sc == "seq":
         params = {"kind": args.kind, "count": args.count}
         if args.kind == "geometric":
-            if not args.q:
-                raise ValueError("geometric needs --q")
             params.update({"q": args.q, "n1": args.n1})
         elif args.kind == "power":
             params.update({"base": args.base, "offset": args.offset})
         elif args.kind == "smooth":
-            if not args.primes:
-                raise ValueError("smooth needs --primes")
             params.update({"primes": [int(p) for p in args.primes.split(",")],
                            "include_one": not args.exclude_one})
         elif args.kind == "rstar":
@@ -678,16 +674,12 @@ def _params_from_args(args: argparse.Namespace) -> dict:
             return {"mode": "random", "window": args.random[0],
                     "perm_seed": args.random[1]}
         a, b = args.pairing
-        if not args.seq:
-            raise ValueError("pairing needs --seq")
         return {"mode": "pairing", "a": a, "b": b, "seq": args.seq,
                 "blocks": args.blocks, "gap_ratio": args.gap_ratio,
                 "allow_zero_c": args.allow_zero_c, "seed": args.seed}
     if sc == "var":
         params = {"f": args.f, "seed": args.seed}
         if args.seq:
-            if args.count is None:
-                raise ValueError("var over a sequence needs --count")
             params.update({"seq": args.seq, "count": args.count})
             if args.perm:
                 params["perm"] = args.perm
@@ -729,13 +721,22 @@ def _params_from_args(args: argparse.Namespace) -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "dio":  # a flag of another mode would have no effect
+    sc = args.subcommand
+    if sc == "dio":  # a flag of another mode would have no effect
         if args.diagonal is not None and not args.star_profile:
             parser.error("--diagonal applies only to --star-profile")
         if args.require_distinct and args.two_term is None:
             parser.error("--require-distinct applies only to --two-term")
+    if sc == "seq" and args.kind == "geometric" and not args.q:
+        parser.error("geometric needs --q")
+    if sc == "seq" and args.kind == "smooth" and not args.primes:
+        parser.error("smooth needs --primes")
+    if sc == "perm" and args.pairing is not None and not args.seq:
+        parser.error("pairing needs --seq")
+    if sc == "var" and args.seq and args.count is None:
+        parser.error("var over a sequence needs --count")
     try:
-        if args.subcommand == "verify":
+        if sc == "verify":
             ok, problem = verify_manifest(Path(args.manifest))
             if ok:
                 print("verify: OK")
@@ -743,7 +744,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"verify: MISMATCH -- {problem}", file=sys.stderr)
             return EXIT_VERIFY_MISMATCH
         params = _params_from_args(args)
-        manifest = execute(args.subcommand, params, Path(args.out_dir))
+        manifest = execute(sc, params, Path(args.out_dir))
         print(f"wrote {manifest}")
         return EXIT_OK
     except WorkBudgetExceeded as err:

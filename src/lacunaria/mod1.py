@@ -17,7 +17,7 @@ one of two kernels, and either takes any width B per call:
 * a row loop -- y_k = n_k * m mod 2^B one index at a time: power forms
   base^k + offset (``power-chain``) march z_k = base^k * m over the needed
   indices by exact small multiplications; any other sequence (``generic``)
-  takes one full multiplication per term (gmpy2 when available).
+  takes one full multiplication per term.
 
 All kernels produce bit-identical uint64 arrays; tests cross-check them.
 """
@@ -25,13 +25,6 @@ All kernels produce bit-identical uint64 arrays; tests cross-check them.
 from __future__ import annotations
 
 import numpy as np
-
-try:
-    import gmpy2
-
-    _mpz = gmpy2.mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    _mpz = int
 
 MASK64 = (1 << 64) - 1
 
@@ -186,9 +179,8 @@ class FracTopEngine:
             addend = (self.power_form[1] * m) & mask
             ys = self._chain(m, mask, addend)
         else:
-            mm, mmask = _mpz(m), _mpz(mask)
             terms = self.seq.terms
-            ys = (int((_mpz(terms[k - 1]) * mm) & mmask) for k in self.indices.tolist())
+            ys = ((terms[k - 1] * m) & mask for k in self.indices.tolist())
         shift_top = bits - 64
         freqs = self.freqs
         pow2_shift = [j.bit_length() - 1 if j & (j - 1) == 0 else None for j in freqs]

@@ -9,6 +9,7 @@ variance-mixture computations in :mod:`lacunaria.spectra` consume.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import warnings
@@ -395,10 +396,14 @@ def _spacing_test(seq: IntegerSequence, gap_ratio: Fraction):
     """spaced(u, w): n_u >= gap_ratio * n_w, exact; the one spacing test of
     :func:`build_pairing_counterexample` and :func:`verify_certificate`.
 
-    On a power form n_k = q**k + o it is
-    sign(den*q**u - num*q**w - (num - den)*o) >= 0 by :func:`_power_sign`.
-    Once min(u, w) >= bitlen((num - den)*o) that sign reads u - w alone, so
-    each such result is kept by gap and computed once.
+    On a power form n_k = q**k + o it is sign(den*q**u - num*q**w - r) >= 0
+    with r = (num - den)*o, by :func:`_power_sign`.  Once min(u, w) >=
+    bitlen(r) that sign reads g = u - w alone: the value is q**min(u, w) * E
+    - r, where the integer E (den*q**g - num, or den - num*q**-g for g < 0)
+    has the sign of D(g) = den*q**g - num and q**min(u, w) > |r|.  So a
+    nonzero E decides, and E = 0 leaves sign(-r).  D increases with g, so
+    the passing gaps are those from a least one on, found once by bisection;
+    :func:`_power_sign` decides only the pairs below the bit bound.
     """
     num, den = gap_ratio.numerator, gap_ratio.denominator
     power = seq.power_form()
@@ -408,15 +413,15 @@ def _spacing_test(seq: IntegerSequence, gap_ratio: Fraction):
     q, o = power
     r = (num - den) * o
     r_bits = r.bit_length()
-    by_gap: dict[int, bool] = {}
+    n = len(seq)
+    # the least passing gap; n when none of the gaps 1 - n .. n - 1 passes
+    least = 1 - n + bisect.bisect_left(range(1 - n, n), True, key=lambda g: _power_sign(
+        q, den, r_bits + max(g, 0), -num, r_bits - min(g, 0), r) >= 0)
 
     def spaced(u: int, w: int) -> bool:
         if u < r_bits or w < r_bits:
             return _power_sign(q, den, u, -num, w, r) >= 0
-        hit = by_gap.get(u - w)
-        if hit is None:
-            hit = by_gap[u - w] = _power_sign(q, den, u, -num, w, r) >= 0
-        return hit
+        return u - w >= least
     return spaced
 
 

@@ -169,6 +169,9 @@ class IntegerSequence:
     def __post_init__(self):
         if not len(self.terms):
             raise ValueError("sequence must contain at least one term")
+        if isinstance(self.provenance, Power) and (
+                self.power_form() != (self.provenance.base, self.provenance.offset)):
+            raise ValueError(f"{self.provenance} goes only with its own lazy terms (gen_power)")
         if not isinstance(self.terms, _PowerTerms):
             prev = 0
             for t in self.terms:
@@ -194,9 +197,10 @@ class IntegerSequence:
         return list(self.terms[:n])
 
     def power_form(self) -> tuple[int, int] | None:
-        """(base, offset) when terms are known to be base**k + offset."""
-        if isinstance(self.provenance, Power):
-            return (self.provenance.base, self.provenance.offset)
+        """(base, offset) exactly when the terms are the lazy base**k + offset
+        view; every exponent shortcut keys on this, never on the provenance."""
+        if isinstance(self.terms, _PowerTerms):
+            return (self.terms._base, self.terms._offset)
         return None
 
     def __repr__(self) -> str:
@@ -438,8 +442,9 @@ def read_sequence(path) -> IntegerSequence:
                 continue
             terms.append(int(line))
     if isinstance(provenance, Power) and terms:
-        # the pairing and the Monte Carlo engine take power-form terms on trust
-        expected = gen_power(provenance.base, provenance.offset, len(terms)).terms
-        if terms != list(expected):
+        # the lazy view, so a read sequence takes the paths a generated one takes
+        seq = gen_power(provenance.base, provenance.offset, len(terms))
+        if terms != list(seq.terms):
             raise ValueError(f"terms of {path} are not base**k + offset of their provenance")
+        return seq
     return IntegerSequence(terms, provenance)

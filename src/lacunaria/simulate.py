@@ -183,8 +183,7 @@ class PartialSumEvaluator:
         ns = [16 << e for e in range(n_max.bit_length() - 4)]
         starts = [0] + [n // 2 - 15 for n in ns[1:]]
         running = np.maximum.accumulate(np.maximum.reduceat(ratios, starts))
-        return LilTrajectory(checkpoints=[(n, float(r)) for n, r in zip(ns, running)],
-                             variance=variance)
+        return LilTrajectory(checkpoints=[(n, float(r)) for n, r in zip(ns, running)])
 
 
 def partial_sum(poly: TrigPolynomial, seq: IntegerSequence,
@@ -307,12 +306,11 @@ class GaussianTarget:
         if not self.variance >= 0:  # NaN fails too
             raise ValueError("variance must be nonnegative")
 
-    def cdf(self, xs: np.ndarray) -> np.ndarray:
-        if self.variance == 0:
-            return (xs >= 0).astype(np.float64)
+    def cdf_with_tolerance(self, xs: np.ndarray) -> tuple[np.ndarray, float]:
+        """(Phi(x / sigma), 0.0); :func:`ks_distance` compares variance 0, an atom, itself."""
         from scipy.special import ndtr
 
-        return ndtr(xs / math.sqrt(self.variance))
+        return ndtr(xs / math.sqrt(self.variance)), 0.0
 
 
 @dataclass(frozen=True)
@@ -362,10 +360,7 @@ def ks_distance(emp: EmpiricalDistribution, target) -> KsResult:
         below = float(np.mean(xs < 0))
         above = float(np.mean(xs > 0))
         return KsResult(distance=max(below, above), cdf_tolerance=0.0)
-    if isinstance(target, MixtureTarget):
-        cdf, tol = target.cdf_with_tolerance(xs)
-    else:
-        cdf, tol = target.cdf(xs), 0.0
+    cdf, tol = target.cdf_with_tolerance(xs)
     grid = np.arange(m, dtype=np.float64)
     d_plus = np.max((grid + 1) / m - cdf)
     d_minus = np.max(cdf - grid / m)
@@ -412,7 +407,6 @@ class LilTrajectory:
     """
 
     checkpoints: list[tuple[int, float]]
-    variance: float
 
     def final_ratio(self) -> float:
         return self.checkpoints[-1][1]

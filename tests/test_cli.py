@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import lacunaria
-from lacunaria import diophantine, permute, simulate
+from lacunaria import diophantine, permute, simulate, spectra
 from lacunaria.cli import (
     EXIT_DOMAIN,
     EXIT_IO,
@@ -21,6 +22,7 @@ from lacunaria.cli import (
     main,
     resolve_sequence,
 )
+from lacunaria.rng import derive_seed
 from lacunaria.seqgen import read_sequence
 
 
@@ -65,6 +67,33 @@ def test_seq_rstar_reproducible(tmp_path):
         assert run(["seq", "--kind", "rstar", "--alpha", "1.0", "--scale", "50",
                     "--count", "40", "--seed", "11", "--out-dir", d]) == EXIT_OK
     assert (a / "sequence.txt").read_bytes() == (b / "sequence.txt").read_bytes()
+
+
+@pytest.mark.parametrize("flags, terms", [
+    ([], [1, 2, 3, 4, 6, 8]),
+    (["--exclude-one"], [2, 3, 4, 6, 8, 9]),
+], ids=["with-one", "exclude-one"])
+def test_seq_smooth_cli(tmp_path, flags, terms):
+    assert run(["seq", "--kind", "smooth", "--primes", "2,3", "--count", "6", *flags,
+                "--out-dir", tmp_path]) == EXIT_OK
+    seq = read_sequence(tmp_path / "sequence.txt")
+    assert seq.prefix(6) == terms
+    assert seq.provenance.include_one == (not flags)
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command, message", [
+    (["seq", "--kind", "geometric", "--count", "5"], "geometric needs --q"),
+    (["seq", "--kind", "smooth", "--count", "5"], "smooth needs --primes"),
+    (["perm", "--pairing", "1", "2"], "pairing needs --seq"),
+    (["var", "--f", "cos:1", "--seq", "pow2"], "var over a sequence needs --count"),
+], ids=["geometric-q", "smooth-primes", "pairing-seq", "var-count"])
+def test_flag_a_mode_requires_is_usage_error(tmp_path, capsys, command, message):
+    with pytest.raises(SystemExit) as exc:
+        run([*command, "--out-dir", tmp_path])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
 
 
 # ---------------- dio command ----------------
@@ -126,6 +155,37 @@ def test_dio_profile_artifact_is_profile_to_json(tmp_path):
     assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
 
 
+def test_dio_two_term_cli(tmp_path):
+    # 2^k - 1 - 2 (2^l - 1) = 1 exactly when k = l + 1
+    assert run(["dio", "--seq", "pow2m1:20", "--count", "20", "--two-term", "1", "-2", "1",
+                "--out-dir", tmp_path]) == EXIT_OK
+    payload = json.loads((tmp_path / "dio_two_term.json").read_text())
+    assert payload == {"a": 1, "b": -2, "c": "1", "count": 19,
+                       "witnesses": [[l + 1, l] for l in range(1, 20)]}
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("mode, artifact", [
+    (["--multi", "3", "--coeff-bound", "1"], "dio_multi.json"),
+    (["--signed", "3"], "dio_signed.json"),
+], ids=["multi", "signed"])
+def test_dio_multi_term_modes_cli(tmp_path, mode, artifact):
+    assert run(["dio", "--seq", "smooth:2,3:20", "--count", "20", *mode,
+                "--out-dir", tmp_path]) == EXIT_OK
+    payload = json.loads((tmp_path / artifact).read_text())
+    seq = resolve_sequence("smooth:2,3:20", None, None)
+    if artifact == "dio_multi.json":
+        n, wits = diophantine.count_multi_term(
+            seq, diophantine.MultiTermQuery(p=3, coeff_bound=1, count=20))
+        listed = [(tuple(w["indices"]), tuple(w["coefficients"])) for w in payload["witness_sample"]]
+    else:
+        n, wits = diophantine.count_signed_nondegenerate(seq, 3, 20)
+        listed = [(tuple(w["indices"]), tuple(w["signs"])) for w in payload["solutions"]]
+    assert payload["count"] == n > 0
+    assert listed == [(tuple(i), tuple(c)) for i, c in wits]
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("flag, message", [
     (["--diagonal", "literal"], "--diagonal applies only to --star-profile"),
     (["--require-distinct"], "--require-distinct applies only to --two-term"),
@@ -151,6 +211,27 @@ def test_perm_pairing_cli(tmp_path):
     cert = json.loads((perm_dir / "certificate.json").read_text())
     assert cert["a"] == 1 and cert["b"] == 2
     assert all(blk["c"] == "1" for blk in cert["blocks"])
+
+
+@pytest.mark.parametrize("mode, want", [
+    (["--identity", "10"], lambda: permute.identity(10)),
+    (["--random", "10", "3"], lambda: permute.random_perm(10, 3)),
+], ids=["identity", "random"])
+def test_perm_identity_and_random_cli(tmp_path, mode, want):
+    assert run(["perm", *mode, "--out-dir", tmp_path]) == EXIT_OK
+    got = permute.read_permutation(tmp_path / "permutation.txt")
+    assert got.images.tolist() == want().images.tolist()
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
+def test_perm_paper_blocks_cli(tmp_path):
+    # paper:2 is blocks of 2^2 and 2^4 slots: 2 and 8 pairs, all on c = 1
+    assert run(["perm", "--pairing", "1", "2", "--seq", "pow2m1:80", "--blocks", "paper:2",
+                "--out-dir", tmp_path]) == EXIT_OK
+    cert = permute.read_certificate(tmp_path / "certificate.json")
+    assert [len(blk.pairs) for blk in cert.blocks] == [2, 8]
+    assert cert.constants() == [1, 1]
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
 
 
 def test_perm_insufficient_witnesses_exit(tmp_path):
@@ -224,6 +305,21 @@ def test_clt_cli_small(tmp_path):
     payload = json.loads((tmp_path / "clt_summary.json").read_text())
     assert abs(payload["statistics"]["variance"] - 0.5) < 0.2
     assert payload["ks"]["distance"] < 0.2
+
+
+def test_clt_keep_samples_cli(tmp_path):
+    assert run(["clt", "--f", "cos:1", "--seq", "pow2", "--count", "16", "--samples", "5",
+                "--seed", "3", "--keep-samples", "--out-dir", tmp_path]) == EXIT_OK
+    with open(tmp_path / "samples.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["index", "value"]
+    emp = simulate.clt_experiment(spectra.TrigPolynomial.parse("cos:1"),
+                                  resolve_sequence("pow2", 16, 3), permute.identity(16), 16, 5,
+                                  derive_seed(3, "x"))
+    assert rows == [[str(i), repr(float(v))] for i, v in enumerate(emp.samples)]
+    assert set(json.loads((tmp_path / "run.json").read_text())["outputs"]) == {
+        "clt_summary.json", "samples.csv"}
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
 
 
 def test_clt_mixture_summary_is_the_same_from_any_cwd(tmp_path, monkeypatch):
@@ -392,6 +488,20 @@ def pairing_files(tmp_path_factory):
             "--perm", base / "p" / "permutation.txt", "--cert", base / "p" / "certificate.json"]
 
 
+def test_mix_cutoff_cli(tmp_path, pairing_files):
+    # cutoff 3 keeps the pairs' terms at frequencies 2 and 3 that the default
+    # cutoff max |c| = 1 reports as residual mass
+    assert run(["mix", *pairing_files, "--out-dir", tmp_path / "default"]) == EXIT_OK
+    assert run(["mix", *pairing_files, "--cutoff", "3", "--out-dir", tmp_path / "m"]) == EXIT_OK
+    default = json.loads((tmp_path / "default" / "mixture.json").read_text())["profile"]
+    profile = json.loads((tmp_path / "m" / "mixture.json").read_text())["profile"]
+    assert default["freq_cutoff"] == 1 and profile["freq_cutoff"] == 3
+    assert set(default["cosine_terms"]) == {"1"}
+    assert set(profile["cosine_terms"]) == {"1", "2", "3"}
+    assert Fraction(profile["residual_mass"]) < Fraction(default["residual_mass"])
+    assert run(["verify", "--manifest", tmp_path / "m" / "run.json"]) == EXIT_OK
+
+
 @pytest.mark.parametrize("options, message", [
     (["--charfn", "nan"], "s must be finite"),
     (["--charfn", "1,inf"], "s must be finite"),
@@ -527,6 +637,22 @@ def test_verify_mismatch_names_both_versions(tmp_path, capsys):
         assert "replay diverges in sequence.txt" in err
         named = f"made by lacunaria 0.0.1, the replay by {lacunaria.__version__}"
         assert (named in err) == (version == "0.0.1")
+
+
+def test_verify_names_the_first_json_divergence(tmp_path, capsys):
+    assert run(["dio", "--seq", "pow2m1:20", "--count", "20", "--two-term", "1", "-2", "1",
+                "--out-dir", tmp_path]) == EXIT_OK
+    path, manifest_path = tmp_path / "dio_two_term.json", tmp_path / "run.json"
+    payload = json.loads(path.read_text())
+    payload["witnesses"][3][0] = 99
+    path.write_text(json.dumps(payload))
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"]["dio_two_term.json"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run(["verify", "--manifest", manifest_path]) == EXIT_VERIFY_MISMATCH
+    assert ("replay diverges in dio_two_term.json at $.witnesses[3][0]: 99 != 5"
+            in capsys.readouterr().err)
 
 
 def test_verify_missing_input_is_io_error(tmp_path):

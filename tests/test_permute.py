@@ -32,6 +32,7 @@ from lacunaria.permute import (
 from lacunaria.seqgen import (
     External,
     IntegerSequence,
+    Power,
     RStarParams,
     gen_geometric,
     gen_power,
@@ -640,6 +641,44 @@ def test_verify_reports_a_decreasing_pair_whose_relation_holds():
                               blocks=[BlockPairing(c=-5, pairs=[(2, 1)])])
     perm = PermutationWindow([2, 1] + list(range(3, 65)))
     assert verdict(perm, cert) == (False, "certified images not increasing at slot 2")
+
+
+def test_verify_detects_a_short_window_and_a_pair_past_the_sequence():
+    cert = PairingCertificate(a=1, b=2, gap_ratio=Fraction(4),
+                              blocks=[BlockPairing(c=1, pairs=[(1, 2), (4, 5)])])
+    assert verdict(PermutationWindow([1, 2, 3]), cert) == (
+        False, "certificate exceeds window at slot 4")
+    past = PairingCertificate(a=1, b=2, gap_ratio=Fraction(4),
+                              blocks=[BlockPairing(c=1, pairs=[(1, 2), (64, 65)])])
+    perm = PermutationWindow([1, 2, 64, 65] + list(range(3, 64)))
+    assert verdict(perm, past) == (False, "pair (64, 65) outside the sequence")
+
+
+def test_verify_reads_the_terms_not_the_provenance():
+    # a certificate on 2^k - 1 against other terms: tagged Power(2, -1) they
+    # once passed on exponents; now the tag is refused without its lazy terms
+    perm, cert = build_pairing_counterexample(POW2M1, 1, 2, BlockSchedule([4, 8]), gap_ratio=8)
+    terms = sorted({t + k % 3 for k, t in enumerate(POW2M1.prefix(64))})[:64]
+    with pytest.raises(ValueError, match="lazy terms"):
+        IntegerSequence(terms, Power(2, -1))
+    assert verify_certificate(perm, IntegerSequence(terms, External("other")), cert) == (
+        False, "block 1: a*n_2 - b*n_1 != 1")
+
+
+def test_spacing_threshold_matches_big_ints():
+    # past bitlen((num - den) o) the power-form test is one gap threshold;
+    # below it, _power_sign; both against den n_u >= num n_w on the terms
+    for q in (2, 3, 5, 10):
+        for o in (0, -1):
+            seq = gen_power(q, o, 70)
+            for ratio in (Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2),
+                          Fraction(4), Fraction(31, 3), Fraction(q**3), Fraction(2**40 + 1)):
+                spaced = permute._spacing_test(seq, ratio)
+                num, den = ratio.numerator, ratio.denominator
+                got = [spaced(u, w) for u in range(1, 71) for w in range(1, 71)]
+                want = [den * (q**u + o) >= num * (q**w + o)
+                        for u in range(1, 71) for w in range(1, 71)]
+                assert got == want, (q, o, ratio)
 
 
 def test_a_equals_b_flagged_experimental():

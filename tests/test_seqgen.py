@@ -1,10 +1,16 @@
+import ast
 from fractions import Fraction
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lacunaria import seqgen
 from lacunaria.errors import IntervalEmpty
+from lacunaria.mod1 import FracTopEngine
+from lacunaria.permute import BlockSchedule, build_pairing_counterexample
+from lacunaria.rng import CounterRng
 from lacunaria.seqgen import (
     External,
     IntegerSequence,
@@ -20,6 +26,7 @@ from lacunaria.seqgen import (
     _PowerTerms,
     _rstar_intervals,
 )
+from lacunaria.spectra import TrigPolynomial, mixture_profile
 
 
 # ---------------- gen_geometric ----------------
@@ -266,6 +273,25 @@ def test_sequence_file_power_provenance_checked(tmp_path):
         read_sequence(path)
 
 
+def test_power_file_reads_back_the_lazy_view(tmp_path):
+    # a read power form takes exactly the code paths of a generated one
+    seq = gen_power(2, -1, 80)
+    path = tmp_path / "seq.txt"
+    write_sequence(seq, path)
+    back = read_sequence(path)
+    assert isinstance(back.terms, _PowerTerms) and back.power_form() == (2, -1)
+    indices, m = list(range(1, 81)), CounterRng(3, "x").bits(0, 256)
+    engines = [FracTopEngine(s, indices, [1, 2]) for s in (seq, back)]
+    assert [e.strategy for e in engines] == ["pow2-window"] * 2
+    assert np.array_equal(engines[0].tops(m, 256), engines[1].tops(m, 256))
+    schedule = BlockSchedule.geometric_dominant(2, factor=4, base_len=4)
+    (perm, cert), (perm_back, cert_back) = (
+        build_pairing_counterexample(s, 1, 2, schedule, gap_ratio=8) for s in (seq, back))
+    assert cert_back == cert and np.array_equal(perm_back.images, perm.images)
+    poly = TrigPolynomial(cos_coeffs={1: 1, 2: 1})
+    assert mixture_profile(poly, back, perm, cert) == mixture_profile(poly, seq, perm, cert)
+
+
 def test_sequence_file_roundtrip_past_int_str_digit_limit(tmp_path):
     # Python's int <-> str refuses more than 4300 digits by default
     terms = [3, 10**4300 + 7, 2**20000 - 1]
@@ -297,6 +323,37 @@ def test_sequence_file_headerless(tmp_path):
     back = read_sequence(path)
     assert back.prefix(3) == [3, 5, 9]
     assert isinstance(back.provenance, External)
+
+
+def test_power_provenance_goes_only_with_its_lazy_terms():
+    # listed terms tagged 2^k would run the pow2 window kernel on themselves
+    for terms in ([3, 5, 6, 9, 17, 33, 65, 129], [2, 4, 8, 16],
+                  _PowerTerms(2, -1, 4), _PowerTerms(3, 0, 4)):
+        with pytest.raises(ValueError, match="lazy terms"):
+            IntegerSequence(terms, Power(2, 0))
+    assert IntegerSequence(_PowerTerms(2, 0, 4), Power(2, 0)).power_form() == (2, 0)
+    # the terms decide the power form, whatever the provenance
+    assert IntegerSequence(_PowerTerms(3, -1, 4), External("x")).power_form() == (3, -1)
+    assert IntegerSequence([2, 4, 8, 16], External("x")).power_form() is None
+
+
+def _reads_provenance(tree) -> bool:
+    return any(isinstance(node, ast.Attribute) and node.attr == "provenance"
+               for node in ast.walk(tree))
+
+
+def test_only_seqgen_reads_provenance():
+    """No fast path keys on the provenance tag; power_form() reads the terms.
+
+    Parsed with ``ast``, so a read through any name counts."""
+    package = Path(seqgen.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in package.glob("*.py")}
+    assert [name for name, tree in sorted(trees.items()) if _reads_provenance(tree)] == [
+        "seqgen.py"]
+    power_form = [node for node in ast.walk(trees["seqgen.py"])
+                  if isinstance(node, ast.FunctionDef) and node.name == "power_form"]
+    assert len(power_form) == 1 and not _reads_provenance(power_form[0])
 
 
 def test_sequence_validation():

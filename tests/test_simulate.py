@@ -3,6 +3,7 @@ import math
 import os
 import struct
 import tracemalloc
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -109,10 +110,12 @@ def test_partial_sum_matches_mpmath_oracle():
 
 def test_partial_sum_mixed_poly_oracle():
     # degree-2 polynomial on two offset -1 power forms: 2^k - 1 runs the
-    # window kernel with its carry, 3^k - 1 the row loop's chain
-    poly = TrigPolynomial(cos_coeffs={1: Fraction(1, 2)}, sin_coeffs={2: 1})
-    for seq, strategy in ((gen_power(2, -1, 40), "pow2-window"),
-                          (gen_power(3, -1, 25), "power-chain")):
+    # window kernel with its carry, 3^k - 1 the row loop's chain; the second
+    # polynomial takes slot_values' sines-only branch for several frequencies
+    for poly, (seq, strategy) in product(
+            (TrigPolynomial(cos_coeffs={1: Fraction(1, 2)}, sin_coeffs={2: 1}),
+             TrigPolynomial(sin_coeffs={1: Fraction(-2, 3), 2: Fraction(1, 2)})),
+            ((gen_power(2, -1, 40), "pow2-window"), (gen_power(3, -1, 25), "power-chain"))):
         n = len(seq)
         ev = PartialSumEvaluator(poly, seq, identity(n), n)
         assert ev.engine.strategy == strategy
@@ -126,8 +129,10 @@ def test_partial_sum_mixed_poly_oracle():
                 want = mpmath.mpf(0)
                 for k in range(1, n + 1):
                     u = mpmath.frac(mpmath.mpf(seq.term(k)) * x)
-                    want += mpmath.cos(2 * mpmath.pi * u) / 2
-                    want += mpmath.sin(2 * mpmath.pi * 2 * u)
+                    for j, a, b in poly.terms():
+                        angle = 2 * mpmath.pi * j * u
+                        want += mpmath.cos(angle) * a.numerator / a.denominator
+                        want += mpmath.sin(angle) * b.numerator / b.denominator
                 assert abs(got - float(want)) < 1e-12
 
 
@@ -462,12 +467,27 @@ PATH_POLYS = {
     "sin": TrigPolynomial(sin_coeffs={1: Fraction(-2, 3)}),
     "cos+sin": TrigPolynomial(cos_coeffs={1: 1}, sin_coeffs={1: Fraction(1, 2)}),
     "two-freq": TrigPolynomial(cos_coeffs={1: 1, 2: Fraction(1, 2)}, sin_coeffs={2: 1}),
+    "sin-multi": TrigPolynomial(sin_coeffs={1: Fraction(-2, 3), 2: Fraction(1, 2)}),
 }
 PATH_PINNED = {
     ('identity', 'pow2', 'cos'):
         "31f8712c54f8baf4b1970a29b9b473b78f4a8b16922754436ba4e7a724a33cc1",
     ('identity', 'pow2', 'cos+sin'):
         "f673d3533e859aa20859379af127f38a6c28b19c66adcac99e699ebfac782a8a",
+    # the "sin-multi" rows were recorded later, on the code before the
+    # power-form and KS-target cleanup
+    ('identity', 'pow2', 'sin-multi'):
+        "8d3c99fea0da76453a6898566a434954d70b897bbfc605582483bfe3cdddb2e0",
+    ('identity', 'pow2m1', 'sin-multi'):
+        "cab1fc9dff6273444b95f8ba9e787a9eab08a2e00cba025e1e2108469a9549f3",
+    ('shuffled', 'pow2', 'sin-multi'):
+        "a0fb9b491048d1e91218d155ec4ca32a5818033369c42ad8cbe53469a57f3ca2",
+    ('shuffled', 'pow2m1', 'sin-multi'):
+        "50fa9296f586380e71a95dcf280525141d83fa6aa733bd4ef6ed685fad382f0b",
+    ('sub', 'pow2', 'sin-multi'):
+        "550c6b48157d016ec1edf576ea80ffbf4a522f277cb9841e777854fbc3c00178",
+    ('sub', 'pow2m1', 'sin-multi'):
+        "770a923f1af2d7397ee174274fe66adf0176f9b5322bfd074c902a1e38e61d24",
     ('identity', 'pow2', 'sin'):
         "2c678e558182ea5a28bbe3aac43ae4db815913aa92371be30fdb0637dc33e4e4",
     ('identity', 'pow2', 'two-freq'):
