@@ -25,6 +25,7 @@ import re
 import sys
 import tempfile
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -718,6 +719,11 @@ def _params_from_args(args: argparse.Namespace) -> dict:
     raise ValueError(f"unknown subcommand {sc!r}")
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """A warning as one line, ``warning: <message>``, on stderr."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -735,27 +741,29 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("pairing needs --seq")
     if sc == "var" and args.seq and args.count is None:
         parser.error("var over a sequence needs --count")
-    try:
-        if sc == "verify":
-            ok, problem = verify_manifest(Path(args.manifest))
-            if ok:
-                print("verify: OK")
-                return EXIT_OK
-            print(f"verify: MISMATCH -- {problem}", file=sys.stderr)
-            return EXIT_VERIFY_MISMATCH
-        params = _params_from_args(args)
-        manifest = execute(sc, params, Path(args.out_dir))
-        print(f"wrote {manifest}")
-        return EXIT_OK
-    except WorkBudgetExceeded as err:
-        print(f"resource limit: {err}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (LacunariaError, ValueError, KeyError, ZeroDivisionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except OSError as err:
-        print(f"i/o error: {err}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():  # restores the warnings state on return
+        warnings.showwarning = _print_warning
+        try:
+            if sc == "verify":
+                ok, problem = verify_manifest(Path(args.manifest))
+                if ok:
+                    print("verify: OK")
+                    return EXIT_OK
+                print(f"verify: MISMATCH -- {problem}", file=sys.stderr)
+                return EXIT_VERIFY_MISMATCH
+            params = _params_from_args(args)
+            manifest = execute(sc, params, Path(args.out_dir))
+            print(f"wrote {manifest}")
+            return EXIT_OK
+        except WorkBudgetExceeded as err:
+            print(f"resource limit: {err}", file=sys.stderr)
+            return EXIT_RESOURCE
+        except (LacunariaError, ValueError, KeyError, ZeroDivisionError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_DOMAIN
+        except OSError as err:
+            print(f"i/o error: {err}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

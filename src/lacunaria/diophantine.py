@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import chain, combinations, compress, count as count_from, islice, product
 from math import comb, gcd
-from operator import itemgetter, ne, neg, sub
+from operator import itemgetter, ne, sub
 
 from .errors import WorkBudgetExceeded
 from .seqgen import IntegerSequence
@@ -49,30 +49,24 @@ class TwoTermQuery:
 class DioReport:
     """Per-(a, b) profile of ordered-pair solution counts over realized c.
 
-    ``histogram`` is a read-only mapping c -> count that iterates in
-    ascending c and is looked up by bisection rather than hashed.  In a
-    profile, one sorted table of c values and counts serves a whole symmetry
-    class: (a, b) and (b, a) hold the same histogram, and the mirrored pairs
-    (-a, -b) / (-b, -a) hold one that reads the same table with every c
-    negated.  A class with g = gcd(a, b) > 1 reads the table of (a, b)/g
-    with every c multiplied by g.
+    ``histogram`` is a sorted table c -> count that iterates in ascending
+    c and is looked up by bisection rather than hashed.  In a profile, each
+    primitive class (gcd(a, b) = 1) has one table, and every report reads
+    c = f * key from it with f in {1, -1, g, -g}: (a, b) and (b, a) hold the
+    same view, the mirrored pairs (-a, -b) / (-b, -a) one with f < 0, and
+    the class g times it one with |f| = g.
     """
 
     a: int
     b: int
     max_count: int
     argmax_c: int | None
-    histogram: Mapping[int, int]
+    histogram: _SortedHistogram
     witnesses: list[tuple[int, int]]
     prefix_growth: list[tuple[int, int]]  # (prefix length, max count)
 
     def __post_init__(self):
-        hist = self.histogram  # a sorted table knows its largest count
-        if isinstance(hist, _SortedHistogram):
-            top = hist.max_count
-        else:
-            top = max(hist.values(), default=0)
-        if self.max_count != top:
+        if self.max_count != self.histogram.max_count:
             raise ValueError("max_count inconsistent with histogram")
 
     def csv_row(self) -> list:
@@ -155,61 +149,43 @@ class _SortedHistogram(Mapping):
 
     Lookups bisect and iteration is ascending; no c is ever hashed.  (On
     powers of 2 the int hash, the value mod 2^61 - 1, repeats with period 61
-    in the exponent, so a dict keyed by c degenerates there.)  A negated
-    histogram reads the same two tuples with every c negated; a scaled one
-    shares the counts.  ``max_count``, the largest count, is found once per
-    table and carried by every view of it.
+    in the exponent, so a dict keyed by c degenerates there.)  A view made by
+    :meth:`times` reads the same two tuples with every c = factor * key, so
+    a negated or scaled class copies nothing.  ``max_count``, the largest
+    count, is found once per table and carried by every view of it.
     """
 
-    __slots__ = ("_keys", "_counts", "_negated", "max_count")
+    __slots__ = ("_keys", "_counts", "_factor", "max_count")
 
     def __init__(self, keys: Iterable[int], counts: Iterable[int]):
         self._keys = tuple(keys)  # strictly ascending; a tuple is kept, not copied
         self._counts = tuple(counts)
-        self._negated = False
+        self._factor = 1
         self.max_count = max(self._counts, default=0)
 
-    def _view(self, keys: tuple[int, ...], negated: bool) -> _SortedHistogram:
+    def times(self, f: int) -> _SortedHistogram:
+        """This histogram with every c multiplied by ``f`` != 0, sharing its keys and counts."""
         view = object.__new__(_SortedHistogram)
-        view._keys, view._counts, view._negated = keys, self._counts, negated
+        view._keys, view._counts, view._factor = self._keys, self._counts, self._factor * f
         view.max_count = self.max_count
         return view
 
-    def negated(self) -> _SortedHistogram:
-        """This histogram with every c negated, sharing its keys and counts."""
-        return self._view(self._keys, not self._negated)
-
-    def scaled(self, g: int) -> _SortedHistogram:
-        """This histogram with every c multiplied by ``g`` > 0, sharing its counts."""
-        return self._view(tuple(g * c for c in self._keys), self._negated)
-
-    def _index(self, c) -> int:
-        if self._negated:
-            c = -c
-        i = bisect_left(self._keys, c)
-        return i if i < len(self._keys) and self._keys[i] == c else -1
-
     def __getitem__(self, c):
-        i = self._index(c)
-        if i < 0:
+        key, rest = divmod(c, self._factor)
+        i = bisect_left(self._keys, key)
+        if rest or i == len(self._keys) or self._keys[i] != key:
             raise KeyError(c)
         return self._counts[i]
-
-    def get(self, c, default=None):
-        i = self._index(c)
-        return default if i < 0 else self._counts[i]
-
-    def __contains__(self, c):
-        return self._index(c) >= 0
 
     def __len__(self):
         return len(self._keys)
 
     def __iter__(self):
-        return map(neg, reversed(self._keys)) if self._negated else iter(self._keys)
+        keys = self._keys if self._factor > 0 else reversed(self._keys)
+        return map(self._factor.__mul__, keys)
 
     def values(self):
-        return reversed(self._counts) if self._negated else iter(self._counts)
+        return iter(self._counts) if self._factor > 0 else reversed(self._counts)
 
     def items(self):
         return zip(self, self.values())
@@ -292,8 +268,7 @@ def _argmax_c(hist: _SortedHistogram) -> int | None:
         lo = bisect_left(keys, -keys[up], 0, at)  # a c < 0 farther from 0 cannot win
     down = range(at - 1, lo - 1, -1)
     down = next(compress(down, map(top.__eq__, map(counts.__getitem__, down))), None)
-    sign = -1 if hist._negated else 1
-    nearest = (sign * keys[i] for i in (up, down) if i is not None)
+    nearest = (hist._factor * keys[i] for i in (up, down) if i is not None)
     return min(nearest, key=lambda c: (abs(c), c < 0))
 
 
@@ -335,11 +310,11 @@ def _profile(
             growth = list(zip(prefixes, maxima))
         else:
             primitive = reports[(a // g, b // g)]
-            hist, growth = primitive.histogram.scaled(g), primitive.prefix_growth
+            hist, growth = primitive.histogram.times(g), primitive.prefix_growth
         # (a, -a) is its own mirror: its swap (-a, a) already holds the negation
         orientations = [(hist, (a, b), (b, a))]
         if a + b:
-            orientations.append((hist.negated(), (-a, -b), (-b, -a)))
+            orientations.append((hist.times(-1), (-a, -b), (-b, -a)))
         for oriented, *members in orientations:
             arg = _argmax_c(oriented)
             for pa, pb in dict.fromkeys(members):
@@ -561,13 +536,15 @@ _POSITIVE_SEP = ',\n      "'  # the same, c >= 0
 
 
 def _histogram_rows(hist: _SortedHistogram) -> tuple[list[str], list[str], list[str]]:
-    """Rows ``'<|c|>": <n>'`` of the stored table, split into (c < 0, c = 0, c > 0).
+    """Rows ``'<|c|>": <n>'`` of the table at c = |factor| * key, split by the key's sign.
 
-    This is the only place a c is turned into decimal; both orientations of
-    a table are laid out from the same rows by :func:`_histogram_parts`.
+    The groups are (key < 0, key = 0, key > 0).  This is the only place a c
+    is turned into decimal; both signs of a factor are laid out from the
+    same rows by :func:`_histogram_parts`.
     """
     keys = hist._keys
-    rows = list(map('%d": %d'.__mod__, zip(map(abs, keys), hist._counts)))
+    magnitudes = map(abs(hist._factor).__mul__, map(abs, keys))
+    rows = list(map('%d": %d'.__mod__, zip(magnitudes, hist._counts)))
     lo = bisect_left(keys, 0)
     hi = bisect_right(keys, 0, lo)
     return rows[:lo], rows[lo:hi], rows[hi:]
@@ -594,34 +571,31 @@ def _histogram_parts(rows: tuple[list[str], list[str], list[str]], mirrored: boo
 def _profile_json_parts(reports: dict[tuple[int, int], DioReport]) -> Iterator[str]:
     """The text of :func:`profile_to_json` in pieces, in order.
 
-    Each sorted table is turned into rows once, whichever orientations
-    read it, and each histogram object is laid out once: reports that share
-    one object, as the swapped pairs of a profile do, share its text.  A
-    histogram other than a sorted one is sorted into a table first.
+    A table read at scale |factor| is turned into rows once, whichever sign
+    reads it, and each (table, factor) is laid out once: the reports of a
+    profile that read one table with one factor, as swapped pairs do, share
+    its text.  Both caches are keyed by ``id`` of the key tuple, which the
+    reports keep alive.
     """
     if not reports:
         yield "[]"
         return
-    # id(keys) -> (keys, rows); holding keys keeps the id valid after a
-    # temporary table sorted from a plain mapping is gone
-    rows: dict[int, tuple[tuple[int, ...], tuple]] = {}
-    laid_out: dict[int, list[str]] = {}  # id(histogram) -> its parts; reports keeps it alive
+    rows: dict[tuple[int, int], tuple] = {}  # (id(keys), |factor|) -> rows
+    laid_out: dict[tuple[int, int], list[str]] = {}  # (id(keys), factor) -> parts
     lead = "[\n"
     for key in sorted(reports):
         r = reports[key]
         hist = r.histogram
-        if id(hist) not in laid_out:
-            table = hist
-            if not isinstance(table, _SortedHistogram):
-                keys = sorted(hist)
-                table = _SortedHistogram(keys, map(hist.__getitem__, keys))
-            if id(table._keys) not in rows:
-                rows[id(table._keys)] = (table._keys, _histogram_rows(table))
-            laid_out[id(hist)] = _histogram_parts(rows[id(table._keys)][1], table._negated)
+        view = (id(hist._keys), hist._factor)
+        if view not in laid_out:
+            scale = (view[0], abs(hist._factor))
+            if scale not in rows:
+                rows[scale] = _histogram_rows(hist)
+            laid_out[view] = _histogram_parts(rows[scale], hist._factor < 0)
         argmax = "null" if r.argmax_c is None else f'"{r.argmax_c}"'
         yield (f'{lead}  {{\n    "a": {r.a},\n    "b": {r.b},\n    "max_count": {r.max_count},\n'
                f'    "argmax_c": {argmax},\n    "histogram": ')
-        yield from laid_out[id(hist)]
+        yield from laid_out[view]
         yield (f',\n    "witnesses": {_json_pairs(r.witnesses)},\n'
                f'    "prefix_growth": {_json_pairs(r.prefix_growth)}\n  }}')
         lead = ",\n"

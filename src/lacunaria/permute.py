@@ -425,6 +425,21 @@ def _spacing_test(seq: IntegerSequence, gap_ratio: Fraction):
     return spaced
 
 
+def _certificate_problem(a: int, b: int, gap_ratio: Fraction) -> str | None:
+    """Why (a, b, ``gap_ratio``) falls outside the construction's proof, or None.
+
+    The coefficients must be nonzero and ``gap_ratio`` at least
+    2*max(|a|,|b|); the build raises on this message and the verifier
+    returns it.
+    """
+    if a == 0 or b == 0:
+        return "coefficients must be nonzero"
+    floor = 2 * max(abs(a), abs(b))
+    if gap_ratio < floor:
+        return f"gap_ratio {gap_ratio} below the floor 2*max(|a|,|b|) = {floor}"
+    return None
+
+
 def _greedy_pick(pairs: list[tuple[int, int]], want: int, spaced,
                  last: int | None):
     """Left-to-right selection honoring value-ratio spacing.
@@ -466,18 +481,13 @@ def build_pairing_counterexample(
     ``gap_ratio`` (default 2*max(|a|,|b|)); unused indices are appended after
     the certified slots in increasing order.
     """
-    if a == 0 or b == 0:
-        raise ValueError("coefficients must be nonzero")
-    if a == b:
-        warnings.warn("a = b pairing is experimental", stacklevel=2)
     if gap_ratio is None:
         gap_ratio = Fraction(2 * max(abs(a), abs(b)))
     gap_ratio = Fraction(gap_ratio)
-    if gap_ratio < 2 * max(abs(a), abs(b)):
-        raise ValueError(
-            f"gap_ratio {gap_ratio} below the floor 2*max(|a|,|b|) = "
-            f"{2 * max(abs(a), abs(b))}"
-        )
+    if (problem := _certificate_problem(a, b, gap_ratio)) is not None:
+        raise ValueError(problem)
+    if a == b:
+        warnings.warn("a = b pairing is experimental", stacklevel=2)
 
     # a group smaller than the shortest block fills none; only a block that
     # cannot be filled reads every group
@@ -542,17 +552,22 @@ def verify_certificate(
     """Exact check of pair relations, slot placement, monotonicity, spacing.
 
     Returns (True, None) or (False, description of the first violation).
-    Both comparisons go through :func:`term_sign`, so on a power form
-    n_k = q**k + o they run on exponents and no term is formed:
+    Coefficients a, b must be nonzero and ``gap_ratio`` at least
+    2*max(|a|,|b|), as the build requires: below that floor the spacing no
+    longer carries the construction's proof.  Both comparisons go through
+    :func:`term_sign`, so on a power form n_k = q**k + o they run on
+    exponents and no term is formed:
     a*n_v - b*n_u = c reads as sign(a*q**v - b*q**u - (c - (a - b)*o)) = 0,
     and the spacing test is :func:`_spacing_test`, the one the build uses.
     Each is the same integer comparison with both sides moved to one, so
     the verdict and message are those of a comparison on the terms.
     """
+    a, b = cert.a, cert.b
+    if (problem := _certificate_problem(a, b, cert.gap_ratio)) is not None:
+        return False, problem
     # plain ints for the exact comparisons; only the certified slots are read
     images = perm.images[:cert.certified_slots].tolist()
     n = len(seq)
-    a, b = cert.a, cert.b
     sign = term_sign(seq)
     spaced = _spacing_test(seq, cert.gap_ratio)
     # the first spacing violation, reported only after the checks below pass

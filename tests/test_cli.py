@@ -502,6 +502,35 @@ def test_mix_cutoff_cli(tmp_path, pairing_files):
     assert run(["verify", "--manifest", tmp_path / "m" / "run.json"]) == EXIT_OK
 
 
+def test_cli_prints_each_warning_as_one_line(tmp_path, capsys, pairing_files):
+    # cutoff 0 is below the pairing constant 1: the library warns, and the
+    # command and its replay print the message alone, not the source line
+    line = "warning: cutoff 0 below every pairing constant; the retained profile is constant\n"
+    assert run(["mix", *pairing_files, "--cutoff", "0", "--out-dir", tmp_path / "m"]) == EXIT_OK
+    assert capsys.readouterr().err == line
+    assert run(["verify", "--manifest", tmp_path / "m" / "run.json"]) == EXIT_OK
+    assert capsys.readouterr().err == line
+    assert run(["perm", "--pairing", "2", "2", "--seq", "pow2m1:80", "--blocks", "paper:1",
+                "--out-dir", tmp_path / "p"]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("warning: a = b pairing is experimental\nerror: ")
+    assert len(err.splitlines()) == 2 and "cli.py" not in err
+
+
+def test_mix_refuses_a_certificate_below_the_gap_floor(tmp_path, capsys):
+    # the certificate of a valid pairing, edited to a spacing the proof does not cover
+    assert run(["perm", "--pairing", "1", "2", "--seq", "pow2m1:80", "--blocks", "paper:2",
+                "--out-dir", tmp_path / "p"]) == EXIT_OK
+    cert = json.loads((tmp_path / "p" / "certificate.json").read_text())
+    cert["gap_ratio"] = "0"
+    (tmp_path / "edited.json").write_text(json.dumps(cert))
+    assert run(["mix", "--f", "cos:1", "--seq", "pow2m1:80",
+                "--perm", tmp_path / "p" / "permutation.txt", "--cert", tmp_path / "edited.json",
+                "--out-dir", tmp_path / "m"]) == EXIT_DOMAIN
+    assert "gap_ratio 0 below the floor 2*max(|a|,|b|) = 4" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "mixture.json").exists()
+
+
 @pytest.mark.parametrize("options, message", [
     (["--charfn", "nan"], "s must be finite"),
     (["--charfn", "1,inf"], "s must be finite"),

@@ -236,6 +236,7 @@ def test_scaled_class_shares_its_primitive_counts():
     for (a, b), g in (((2, 4), 2), ((4, 4), 4), ((-2, 4), 2), ((3, -3), 3), ((-4, -2), 2)):
         hist, base = reports[(a, b)].histogram, reports[(a // g, b // g)].histogram
         assert hist._counts is base._counts and hist.max_count == base.max_count
+        assert hist._keys is base._keys
         assert list(hist) == [g * c for c in base]
         assert reports[(a, b)].argmax_c == g * reports[(a // g, b // g)].argmax_c
 
@@ -257,13 +258,47 @@ def test_report_checks_max_count_of_sorted_histogram():
     # a sorted table's largest count is found when it is built, and every
     # view of it carries that count; a report is still checked against it
     hist = diophantine._SortedHistogram([-4, 1, 9], [2, 5, 3])
-    for view in (hist, hist.negated(), hist.scaled(3), hist.scaled(3).negated()):
+    for view in (hist, hist.times(-1), hist.times(3), hist.times(3).times(-1)):
         assert view.max_count == 5 == max(view.values())
         fields = dict(a=1, b=-1, argmax_c=None, witnesses=[], prefix_growth=[(1, 0)])
         assert DioReport(max_count=5, histogram=view, **fields).max_count == 5
         with pytest.raises(ValueError, match="max_count inconsistent"):
             DioReport(max_count=3, histogram=view, **fields)
     assert diophantine._SortedHistogram([], []).max_count == 0
+
+
+VIEW_TABLES = [
+    ([-5, -2, 0, 1, 2, 7], [3, 4, 1, 1, 4, 2]),  # top count at key -2 and 2: c > 0 wins
+    ([-6, -1, 3, 8], [5, 2, 1, 5]),  # top count at key -6 and 8: the nearer wins
+    ([-4, 0, 9], [1, 6, 2]),  # top count at c = 0
+    ([], []),
+]
+
+
+@pytest.mark.parametrize("keys, counts", VIEW_TABLES)
+@pytest.mark.parametrize("factors", [(1,), (-1,), (2,), (-3,), (3, -1)])
+def test_times_reads_every_c_as_factor_times_key(keys, counts, factors):
+    table = diophantine._SortedHistogram(keys, counts)
+    view, f = table, 1
+    for step in factors:
+        view, f = view.times(step), f * step
+    want = dict(sorted({f * k: n for k, n in zip(keys, counts)}.items()))
+    assert view._keys is table._keys and view._counts is table._counts
+    assert list(view) == list(want) and len(view) == len(want)
+    assert list(view.values()) == list(want.values())
+    assert list(view.items()) == list(want.items()) and view == want
+    span = max(map(abs, want), default=0) + 2
+    for c in range(-span, span + 1):
+        assert view.get(c) == want.get(c) and (c in view) == (c in want), c
+        if c in want:
+            assert view[c] == want[c]
+        else:
+            with pytest.raises(KeyError):
+                view[c]
+    top = max(want.values(), default=0)
+    brute = min((c for c, n in want.items() if n == top), key=lambda c: (abs(c), c < 0),
+                default=None)
+    assert diophantine._argmax_c(view) == brute and view.max_count == top
 
 
 def test_mirrored_class_keeps_tie_break():
@@ -407,7 +442,7 @@ def test_argmax_reads_outward_from_zero():
     keys = range(-900, 901)
     counts = [4 if c in (-2, 5, -800) else 1 for c in keys]
     hist = diophantine._SortedHistogram(keys, counts)
-    for oriented, want in ((hist, -2), (hist.negated(), 2)):
+    for oriented, want in ((hist, -2), (hist.times(-1), 2)):
         oriented._counts = _ReadCounts(counts)
         oriented._counts.read = []
         assert diophantine._argmax_c(oriented) == want
@@ -415,7 +450,7 @@ def test_argmax_reads_outward_from_zero():
         assert oriented[want] == 4
     # ties at the same |c| go to c > 0 in either orientation
     tied = diophantine._SortedHistogram([-3, -1, 1, 3], [2, 1, 1, 2])
-    assert diophantine._argmax_c(tied) == 3 == diophantine._argmax_c(tied.negated())
+    assert diophantine._argmax_c(tied) == 3 == diophantine._argmax_c(tied.times(-1))
     assert diophantine._argmax_c(diophantine._SortedHistogram([], [])) is None
 
 
@@ -719,11 +754,12 @@ def test_aibe_ratio_single_term():
 
 def test_report_rejects_max_count_of_empty_histogram():
     fields = dict(a=1, b=-1, argmax_c=5, witnesses=[], prefix_growth=[(1, 0)])
+    empty = diophantine._SortedHistogram([], [])
     with pytest.raises(ValueError, match="max_count inconsistent"):
-        DioReport(max_count=7, histogram={}, **fields)
+        DioReport(max_count=7, histogram=empty, **fields)
     with pytest.raises(ValueError, match="max_count inconsistent"):
-        DioReport(max_count=2, histogram={5: 3}, **fields)
-    assert DioReport(max_count=0, histogram={}, **fields).max_count == 0
+        DioReport(max_count=2, histogram=diophantine._SortedHistogram([5], [3]), **fields)
+    assert DioReport(max_count=0, histogram=empty, **fields).max_count == 0
 
 
 def test_profile_csv(tmp_path):
@@ -774,9 +810,10 @@ def test_profile_json_renders_each_histogram_once(monkeypatch):
                         lambda hist: calls.append(id(hist)) or render(hist))
     shared = profile_to_json(reports)
     assert len(calls) == len(set(calls)) == 12
-    # equal but distinct dicts are rendered one by one, to the same text
+    # equal but distinct tables are rendered one by one, to the same text
     calls.clear()
-    copied = {key: dataclasses.replace(r, histogram=dict(r.histogram))
+    copied = {key: dataclasses.replace(r, histogram=diophantine._SortedHistogram(
+                  list(r.histogram), list(r.histogram.values())))
               for key, r in reports.items()}
     assert profile_to_json(copied) == shared
     assert len(calls) == 36

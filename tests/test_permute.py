@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from lacunaria.errors import InsufficientWitnesses, SpacingUnsatisfiable
-from lacunaria import permute
+from lacunaria import permute, spectra
 from lacunaria.permute import (
     BlockPairing,
     BlockSchedule,
@@ -663,6 +664,30 @@ def test_verify_reads_the_terms_not_the_provenance():
         IntegerSequence(terms, Power(2, -1))
     assert verify_certificate(perm, IntegerSequence(terms, External("other")), cert) == (
         False, "block 1: a*n_2 - b*n_1 != 1")
+
+
+@pytest.mark.parametrize("a, b, ratio, message", [
+    # n_2 - 2 n_1 = n_4 - 2 n_3 = n_6 - 2 n_5 = 1 holds, but adjacent pairs
+    # are spaced by 7/3 and 31/15, below the floor 4 the proof needs
+    (1, 2, Fraction(0), "gap_ratio 0 below the floor 2*max(|a|,|b|) = 4"),
+    (1, 2, Fraction(7, 2), "gap_ratio 7/2 below the floor 2*max(|a|,|b|) = 4"),
+    # 0 * n_v - 0 * n_u = 0 holds for every pair
+    (0, 0, Fraction(0), "coefficients must be nonzero"),
+    (1, 0, Fraction(4), "coefficients must be nonzero"),
+])
+def test_verify_refuses_what_the_build_refuses(a, b, ratio, message):
+    pairs = [(1, 2), (3, 4), (5, 6)]
+    c = 0 if a == 0 or b == 0 else a * POW2M1.term(2) - b * POW2M1.term(1)
+    cert = PairingCertificate(a=a, b=b, gap_ratio=ratio,
+                              blocks=[BlockPairing(c=c, pairs=pairs)])
+    assert verdict(identity(64), cert) == (False, message)
+    with pytest.raises(ValueError,
+                       match=re.escape(f"certificate invalid for (seq, perm): {message}")):
+        spectra.mixture_profile(spectra.TrigPolynomial(cos_coeffs={1: 1}), POW2M1,
+                                identity(64), cert)
+    if a and b:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_pairing_counterexample(POW2M1, a, b, BlockSchedule([6]), gap_ratio=ratio)
 
 
 def test_spacing_threshold_matches_big_ints():
