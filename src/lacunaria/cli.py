@@ -161,24 +161,11 @@ def write_manifest(out_dir: Path, subcommand: str, params: dict,
 # ----------------------------------------------------------------------
 
 def run_seq(params: dict, out_dir: Path) -> list[Path]:
-    kind = params["kind"]
-    count = params["count"]
-    if kind == "geometric":
-        seq = seqgen.gen_geometric(Fraction(params["q"]), params["n1"], count)
-    elif kind == "power":
-        seq = seqgen.gen_power(params["base"], params["offset"], count)
-    elif kind == "smooth":
-        seq = seqgen.gen_smooth(set(params["primes"]), count,
-                                include_one=params.get("include_one", True))
-    elif kind == "rstar":
-        seq = seqgen.gen_random_rstar(seqgen.RStarParams(
-            alpha=params["alpha"], a=params["a"], count=count,
-            seed=params["seed"], interval_form=params.get("interval_form", "trailing"),
-        ))
-    else:
-        raise ValueError(f"unknown sequence kind {kind!r}")
+    spec = {key: value for key, value in params.items() if key != "count"}
+    if spec["kind"] == "rstar":
+        spec["kind"] = "random_rstar"
     out = out_dir / "sequence.txt"
-    seqgen.write_sequence(seq, out)
+    seqgen.write_sequence(seqgen.generate(spec, params["count"]), out)
     return [out]
 
 def run_dio(params: dict, out_dir: Path) -> list[Path]:
@@ -233,7 +220,7 @@ def run_dio(params: dict, out_dir: Path) -> list[Path]:
         })
         outputs.append(jpath)
     elif mode == "ratio":
-        ratios = diophantine.aibe_ratio(seq, params["a"], params["b"], count)
+        ratios = diophantine.aibe_ratio(seq, params["a"], params["b"], count, budget=budget)
         jpath = out_dir / "dio_ratio.json"
         _write_json(jpath, {"a": params["a"], "b": params["b"],
                             "ratios": [[n, r] for n, r in ratios]})

@@ -363,17 +363,22 @@ def d2star_profile(
                     budget=budget)
 
 
-def aibe_ratio(seq: IntegerSequence, a: int, b: int, count: int) -> list[tuple[int, float]]:
+def aibe_ratio(seq: IntegerSequence, a: int, b: int, count: int,
+               budget: int = DEFAULT_BUDGET) -> list[tuple[int, float]]:
     """(sup over c != 0 of the solution count) / N at N/4, N/2, N.
 
     A vanishing ratio is the two-term o(N) criterion for the unpermuted CLT;
     a non-decaying ratio pins the obstruction.  It is the ``prefix_growth``
     of the matching ``d2_profile`` report, divided by the prefix length.
+    The count^2 pair sums are checked against ``budget`` before any term
+    is read.
     """
     if a == 0 or b == 0:
         raise ValueError("coefficients must be nonzero")
     if count > len(seq):
         raise ValueError(f"prefix {count} exceeds sequence length {len(seq)}")
+    if count * count > budget:
+        raise WorkBudgetExceeded(count * count, budget)
     prefixes = _growth_prefixes(count)
     _, maxima = _pair_histogram(seq.prefix(count), a, b, prefixes,
                                 include_zero=False, drop_diagonal=False)
@@ -389,7 +394,7 @@ def _estimate_entries(n: int, p: int, n_coeffs: int) -> int:
     return comb(n, h) * n_coeffs**h + comb(n, p - h) * n_coeffs**(p - h)
 
 
-_FIRST_INDEX = itemgetter(1)  # of a right-half entry (rank, first index, indices, coefficients)
+_FIRST_INDEX = itemgetter(0)  # of a right-half entry (first index, indices, coefficients)
 
 
 def count_multi_term(
@@ -406,7 +411,8 @@ def count_multi_term(
     first index exceeds k_h.  Witnesses are (1-based indices, coefficients),
     at most ``WITNESS_CAP`` of them, ordered by the right tuple, then by the
     first left tuple with the hit's (sum, last index), then by the left
-    tuple, each in enumeration order; the count itself is always exact.
+    tuple, each in enumeration order, which is the lexicographic order of
+    (indices, coefficients); the count itself is always exact.
     Nondegenerate signed solutions are counted by
     :func:`count_signed_nondegenerate`.
     """
@@ -422,47 +428,39 @@ def count_multi_term(
 
     terms = seq.prefix(n)
     h = (query.p + 1) // 2
-    # -sum -> right entries in enumeration order, so their first index never decreases
+    # coeffs ascend, so (indices, coefficients) tuples come in lexicographic
+    # order, which is their rank; -sum -> right entries, first index ascending
     right: dict[int, list] = {}
-    rank = 0
     for idx in combinations(range(n), query.p - h):  # p - h >= 1 since p >= 2
         values = [terms[i] for i in idx]
         for cs in product(coeffs, repeat=query.p - h):
-            right.setdefault(-sum(map(int.__mul__, cs, values)), []).append((rank, idx[0], idx, cs))
-            rank += 1
+            right.setdefault(-sum(map(int.__mul__, cs, values)), []).append((idx[0], idx, cs))
 
-    # The left tuple (prefix + (j,), cp + (c,)) has rank (tuple rank, cp, c)
-    # in enumeration order; tuples sharing a prefix are consecutive.
     scaled = [[c * t for t in terms] for c in coeffs]
-    width = len(coeffs)
-    per_tuple = width**h
-    hits = []  # (left rank, (sum, last index), indices, coefficients, right entries it solves with)
-    base = 0  # rank of the first index tuple with this prefix
+    hits = []  # (left tuple, (sum, last index), right entries it solves with)
+    first: dict[tuple[int, int], tuple] = {}  # (sum, last index) -> its least left tuple
     for prefix in combinations(range(n), h - 1):
         lo = prefix[-1] + 1 if prefix else 0
         values = [terms[i] for i in prefix]
-        for cp_rank, cp in enumerate(product(coeffs, repeat=h - 1)):
+        for cp in product(coeffs, repeat=h - 1):
             head = sum(map(int.__mul__, cp, values))
-            for ci, row in enumerate(scaled):
+            for c, row in zip(coeffs, scaled):
                 sums = map(head.__add__, islice(row, lo, None))
                 for j in compress(range(lo, n), map(right.__contains__, sums)):
                     entries = right[head + row[j]]
                     matches = entries[bisect_right(entries, j, key=_FIRST_INDEX):]
                     if matches:
-                        hits.append(((base + j - lo) * per_tuple + cp_rank * width + ci,
-                                     (head + row[j], j), (*prefix, j), (*cp, coeffs[ci]), matches))
-        base += n - lo
+                        left, group = ((*prefix, j), (*cp, c)), (head + row[j], j)
+                        first[group] = min(first.get(group, left), left)
+                        hits.append((left, group, matches))
 
-    hits.sort()  # by left rank
-    first: dict[tuple[int, int], int] = {}  # (sum, last index) -> its smallest left rank
-    for lrank, group, *_ in hits:
-        first.setdefault(group, lrank)
     total = sum(len(matches) for *_, matches in hits)
     best = nsmallest(WITNESS_CAP, (
-        (rrank, first[group], lrank, lidx + ridx, lcs + rcs)
-        for lrank, group, lidx, lcs, matches in hits
-        for rrank, _, ridx, rcs in matches))
-    return total, [(tuple(i + 1 for i in idx), cs) for _, _, _, idx, cs in best]
+        ((ridx, rcs), first[group], left)
+        for left, group, matches in hits
+        for _, ridx, rcs in matches))
+    return total, [(tuple(i + 1 for i in lidx + ridx), lcs + rcs)
+                   for (ridx, rcs), _, (lidx, lcs) in best]
 
 
 def _proper_subsum_zero(values: list[int]) -> bool:

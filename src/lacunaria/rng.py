@@ -22,7 +22,6 @@ class CounterRng:
 
     def __init__(self, seed: int, stream: str = ""):
         self.seed = seed & _MASK64
-        self.stream = stream
         self._prefix = stream.encode("utf-8") + b"\x00"
         # Keyed set-up done once; each block hashes on a copy.  A hashlib
         # object does not pickle, so a CounterRng is not sent to workers.

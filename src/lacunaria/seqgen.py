@@ -1,6 +1,7 @@
 """Generation and validation of the strictly increasing integer sequences.
 
-All generators return an :class:`IntegerSequence` carrying provenance.  Terms
+All generators return an :class:`IntegerSequence` carrying its provenance,
+the JSON object of the file header that :func:`generate` reads back.  Terms
 are arbitrary-precision; indexing in the mathematical sense is 1-based
 (``seq.term(k)`` = n_k), storage is an ordinary 0-based Python sequence.
 """
@@ -19,7 +20,7 @@ from decimal import Context, Decimal, Overflow, getcontext
 from fractions import Fraction
 from itertools import count as count_from
 from pathlib import Path
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .errors import IntervalEmpty
 from .rng import CounterRng
@@ -30,92 +31,6 @@ FILE_HEADER = "# lacunaria-seq v1"
 # evaluated once at this fixed decimal precision so that generation is
 # reproducible across platforms (no dependence on the host libm).
 _ENDPOINT_PRECISION = 50
-
-
-# ----------------------------------------------------------------------
-# Provenance variants
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Geometric:
-    q: Fraction
-    n1: int
-
-    def to_dict(self) -> dict:
-        return {"kind": "geometric", "q": str(self.q), "n1": self.n1}
-
-
-@dataclass(frozen=True)
-class Power:
-    base: int
-    offset: int
-
-    def to_dict(self) -> dict:
-        return {"kind": "power", "base": self.base, "offset": self.offset}
-
-
-@dataclass(frozen=True)
-class Smooth:
-    primes: tuple[int, ...]
-    include_one: bool = True
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "smooth",
-            "primes": list(self.primes),
-            "include_one": self.include_one,
-        }
-
-
-@dataclass(frozen=True)
-class RandomRStar:
-    alpha: float
-    a: int
-    seed: int
-    interval_form: str = "trailing"
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": "random_rstar",
-            "alpha": self.alpha,
-            "a": self.a,
-            "seed": self.seed,
-            "interval_form": self.interval_form,
-        }
-
-
-@dataclass(frozen=True)
-class External:
-    path: str
-
-    def to_dict(self) -> dict:
-        return {"kind": "external", "path": self.path}
-
-
-Provenance = Union[Geometric, Power, Smooth, RandomRStar, External]
-
-
-def provenance_from_dict(data: dict) -> Provenance:
-    kind = data.get("kind")
-    if kind == "geometric":
-        return Geometric(q=Fraction(data["q"]), n1=int(data["n1"]))
-    if kind == "power":
-        return Power(base=int(data["base"]), offset=int(data["offset"]))
-    if kind == "smooth":
-        return Smooth(
-            primes=tuple(int(p) for p in data["primes"]),
-            include_one=bool(data.get("include_one", True)),
-        )
-    if kind == "random_rstar":
-        return RandomRStar(
-            alpha=float(data["alpha"]),
-            a=int(data["a"]),
-            seed=int(data["seed"]),
-            interval_form=data.get("interval_form", "trailing"),
-        )
-    if kind == "external":
-        return External(path=data.get("path", ""))
-    raise ValueError(f"unknown provenance kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -161,16 +76,21 @@ class _PowerTerms(Sequence):
 
 @dataclass
 class IntegerSequence:
-    """Strictly increasing positive integers with provenance metadata."""
+    """Strictly increasing positive integers with their provenance.
+
+    The provenance is the header's JSON object: ``kind`` and the generator's
+    arguments (:func:`generate` turns it back into the terms), or
+    ``{"kind": "external", "path": ...}`` for terms that no generator made.
+    """
 
     terms: Sequence
-    provenance: Provenance
+    provenance: dict
 
     def __post_init__(self):
         if not len(self.terms):
             raise ValueError("sequence must contain at least one term")
-        if isinstance(self.provenance, Power) and (
-                self.power_form() != (self.provenance.base, self.provenance.offset)):
+        if self.provenance["kind"] == "power" and (
+                self.power_form() != (self.provenance["base"], self.provenance["offset"])):
             raise ValueError(f"{self.provenance} goes only with its own lazy terms (gen_power)")
         if not isinstance(self.terms, _PowerTerms):
             prev = 0
@@ -247,7 +167,7 @@ def gen_geometric(q, n1: int, count: int) -> IntegerSequence:
     num, den = q.numerator, q.denominator
     for _ in range(count - 1):
         terms.append(-((-num * terms[-1]) // den))  # ceil(q * n_k)
-    return IntegerSequence(terms, Geometric(q=q, n1=n1))
+    return IntegerSequence(terms, {"kind": "geometric", "q": str(q), "n1": n1})
 
 
 def gen_power(base: int, offset: int, count: int) -> IntegerSequence:
@@ -260,7 +180,8 @@ def gen_power(base: int, offset: int, count: int) -> IntegerSequence:
         raise ValueError("first term would be < 1")
     if count < 1:
         raise ValueError("count must be positive")
-    return IntegerSequence(_PowerTerms(base, offset, count), Power(base, offset))
+    return IntegerSequence(_PowerTerms(base, offset, count),
+                           {"kind": "power", "base": base, "offset": offset})
 
 
 def gen_smooth(primes, count: int, include_one: bool = True) -> IntegerSequence:
@@ -294,7 +215,7 @@ def gen_smooth(primes, count: int, include_one: bool = True) -> IntegerSequence:
             heapq.heappush(heap, (value * ps[j], j))
     if not include_one:
         out = out[1:]
-    return IntegerSequence(out, Smooth(primes=tuple(ps), include_one=include_one))
+    return IntegerSequence(out, {"kind": "smooth", "primes": ps, "include_one": include_one})
 
 
 def _rstar_right(k: int, alpha: Decimal, a: Decimal,
@@ -374,15 +295,35 @@ def gen_random_rstar(params: RStarParams) -> IntegerSequence:
                 f"increase a (a={params.a})"
             )
         terms.append(value)
-    return IntegerSequence(
-        terms,
-        RandomRStar(
-            alpha=params.alpha,
-            a=params.a,
-            seed=params.seed,
-            interval_form=params.interval_form,
-        ),
-    )
+    return IntegerSequence(terms, {
+        "kind": "random_rstar", "alpha": params.alpha, "a": params.a,
+        "seed": params.seed, "interval_form": params.interval_form})
+
+
+def generate(spec: dict, count: int) -> IntegerSequence:
+    """The first ``count`` terms of the sequence a provenance names.
+
+    ``spec`` is a ``kind`` and the generator's arguments, as a generator
+    stores them (``q`` may be any exact form ``gen_geometric`` takes); the
+    generator's own checks apply.  ``external`` names no generator.
+    """
+    kind = spec["kind"]
+    try:
+        if kind == "geometric":
+            return gen_geometric(spec["q"], spec["n1"], count)
+        if kind == "power":
+            return gen_power(spec["base"], spec["offset"], count)
+        if kind == "smooth":
+            return gen_smooth(spec["primes"], count, spec.get("include_one", True))
+        if kind == "random_rstar":
+            return gen_random_rstar(RStarParams(
+                spec["alpha"], spec["a"], count, spec["seed"],
+                spec.get("interval_form", "trailing")))
+    except KeyError as err:
+        raise ValueError(f"{kind} provenance has no field {err}") from None
+    except TypeError as err:
+        raise ValueError(f"{kind} provenance has a field of the wrong type: {err}") from None
+    raise ValueError(f"unknown provenance kind {kind!r}")
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +356,7 @@ def write_sequence(seq: IntegerSequence, path) -> None:
     try:
         with open(partial, "w", encoding="utf-8") as fh, _any_int_digits():
             fh.write(FILE_HEADER + "\n")
-            fh.write("# provenance: " + json.dumps(seq.provenance.to_dict()) + "\n")
+            fh.write("# provenance: " + json.dumps(seq.provenance) + "\n")
             for t in seq.terms:
                 fh.write(f"{t}\n")
         os.replace(partial, path)
@@ -425,8 +366,14 @@ def write_sequence(seq: IntegerSequence, path) -> None:
 
 
 def read_sequence(path) -> IntegerSequence:
-    """Read a sequence file; the header is optional."""
-    provenance: Provenance = External(path=str(path))
+    """Read a sequence file; the header is optional.
+
+    A headerless file reads as ``external``, and keeps its terms as read, as
+    an ``external`` header does.  A ``power`` header reads back as the lazy
+    view, whose terms must equal the file's.  Any other header must be one
+    its generator accepts (:func:`generate` at count 1).
+    """
+    provenance = {"kind": "external", "path": str(path)}
     terms: list[int] = []
     with open(path, "r", encoding="utf-8") as fh, _any_int_digits():
         for line in fh:
@@ -436,15 +383,18 @@ def read_sequence(path) -> IntegerSequence:
             if line.startswith("#"):
                 body = line[1:].strip()
                 if body.startswith("provenance:"):
-                    provenance = provenance_from_dict(
-                        json.loads(body[len("provenance:"):])
-                    )
+                    provenance = json.loads(body[len("provenance:"):])
+                    if not isinstance(provenance, dict) or "kind" not in provenance:
+                        raise ValueError(f"provenance header of {path} is not a JSON "
+                                         f"object with a kind")
                 continue
             terms.append(int(line))
-    if isinstance(provenance, Power) and terms:
+    if provenance["kind"] == "power" and terms:
         # the lazy view, so a read sequence takes the paths a generated one takes
-        seq = gen_power(provenance.base, provenance.offset, len(terms))
+        seq = generate(provenance, len(terms))
         if terms != list(seq.terms):
             raise ValueError(f"terms of {path} are not base**k + offset of their provenance")
         return seq
+    if provenance["kind"] != "external":
+        generate(provenance, 1)
     return IntegerSequence(terms, provenance)

@@ -87,7 +87,6 @@ class PartialSumEvaluator:
         top = int(images.max())
         if top > len(seq):
             raise ValueError("permutation window exceeds sequence length")
-        self.poly = poly
         self.count = count
         # a window of a bijection has distinct images
         if top == count:

@@ -69,6 +69,64 @@ def test_seq_rstar_reproducible(tmp_path):
     assert (a / "sequence.txt").read_bytes() == (b / "sequence.txt").read_bytes()
 
 
+# SHA-256 of sequence.txt for 40 terms, recorded before provenance became
+# the plain header dict; the header and terms must keep every byte.
+SEQ_PINNED = [
+    (["power", "--base", "2", "--offset", "0"],
+     "9314f7273b35b0de923a63c7a94dbff9c82e348ca06c35dc3ca9867ec8169d17"),
+    (["power", "--base", "3", "--offset", "-1"],
+     "a094e2ec5ba92d526cb07fad47c604c9ad1a48028c5c095cd52228177b5828b8"),
+    (["geometric", "--q", "3/2", "--n1", "2"],
+     "04bad96ff7af4511cfe1cd3c17ce2fda3fae62f646a2232a43b15f5bf29299c9"),
+    (["geometric", "--q", "1.5"],
+     "03f7d8b27381f746b8db389c636cff2d8ae0d2778250c58e096db908a4a46b6b"),
+    (["smooth", "--primes", "3,2,5", "--exclude-one"],
+     "a5a677c0205f67cfd1b01931aa34bc284a40de9acc38ad5a65cf139470164eee"),
+    (["rstar", "--interval-form", "current", "--seed", "9"],
+     "656513590f491b99b3a97f010e7d18f6c039f75acdf31f383e3cb7b135ef498a"),
+]
+
+
+@pytest.mark.parametrize("args, sha", SEQ_PINNED, ids=[
+    "pow2", "pow3m1", "geometric-3/2", "geometric-1.5", "smooth-no-one", "rstar-current"])
+def test_seq_cli_pinned(tmp_path, args, sha):
+    assert run(["seq", "--kind", *args, "--count", "40", "--out-dir", tmp_path]) == EXIT_OK
+    assert hashlib.sha256((tmp_path / "sequence.txt").read_bytes()).hexdigest() == sha
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
+def test_seq_manifest_of_version_0_2_0_replays(tmp_path):
+    args, sha = SEQ_PINNED[-1]
+    assert run(["seq", "--kind", *args, "--count", "40", "--out-dir", tmp_path]) == EXIT_OK
+    # run.json exactly as lacunaria 0.2.0 wrote it for the pinned rstar case
+    manifest = {
+        "config_sha256": "2ab9ef4f8d97c873e5590bf311799a0d26c977a421aa993040ffb54afbf7de28",
+        "inputs": {},
+        "outputs": {"sequence.txt": sha},
+        "params": {"a": 50, "alpha": 1.0, "count": 40, "interval_form": "current",
+                   "kind": "rstar", "seed": 9},
+        "subcommand": "seq", "tool": "lacunaria", "version": "0.2.0",
+        "wall_time_s": 0.014,
+    }
+    (tmp_path / "run.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("header, message", [
+    ("[1]", "is not a JSON object with a kind"),
+    ('{"kind": "geometric", "q": "3/2"}', "geometric provenance has no field 'n1'"),
+], ids=["not-an-object", "missing-field"])
+def test_malformed_sequence_header_is_domain_error(tmp_path, capsys, header, message):
+    path = tmp_path / "seq.txt"
+    path.write_text(f"# lacunaria-seq v1\n# provenance: {header}\n1\n2\n")
+    out = tmp_path / "out"
+    assert run(["var", "--f", "cos:1", "--seq", path, "--count", "2",
+                "--out-dir", out]) == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not (out / "run.json").exists()
+
+
 @pytest.mark.parametrize("flags, terms", [
     ([], [1, 2, 3, 4, 6, 8]),
     (["--exclude-one"], [2, 3, 4, 6, 8, 9]),
@@ -78,7 +136,7 @@ def test_seq_smooth_cli(tmp_path, flags, terms):
                 "--out-dir", tmp_path]) == EXIT_OK
     seq = read_sequence(tmp_path / "sequence.txt")
     assert seq.prefix(6) == terms
-    assert seq.provenance.include_one == (not flags)
+    assert seq.provenance["include_one"] == (not flags)
     assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
 
 
@@ -139,6 +197,12 @@ def test_dio_ratio_cli(tmp_path):
                 "--count", "100", "--out-dir", tmp_path]) == EXIT_OK
     payload = json.loads((tmp_path / "dio_ratio.json").read_text())
     assert payload["ratios"][-1][1] > 0.9
+
+
+def test_dio_ratio_budget_exit_code(tmp_path):
+    assert run(["dio", "--seq", "pow2:200", "--ratio", "1", "-2", "--count", "200",
+                "--budget", "10", "--out-dir", tmp_path]) == EXIT_RESOURCE
+    assert not (tmp_path / "dio_ratio.json").exists()
 
 
 def test_dio_profile_artifact_is_profile_to_json(tmp_path):

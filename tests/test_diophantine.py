@@ -22,7 +22,6 @@ from lacunaria.diophantine import (
 )
 from lacunaria.errors import WorkBudgetExceeded
 from lacunaria.seqgen import (
-    External,
     IntegerSequence,
     RStarParams,
     gen_geometric,
@@ -305,7 +304,7 @@ def test_mirrored_class_keeps_tie_break():
     # n_k - 2 n_l = 1 and = -1 both have 3 solutions, the maximum; the
     # mirrored pairs must still pick c = +1, not the negated -1
     terms = [1, 2, 3, 5, 11]
-    seq = IntegerSequence(terms, External("tie"))
+    seq = IntegerSequence(terms, {"kind": "external", "path": "tie"})
     for reports, include_zero in ((d2_profile(seq, 2, 5), False), (d2star_profile(seq, 2, 5), True)):
         for a, b in ((1, -2), (-2, 1), (-1, 2), (2, -1)):
             rep = reports[(a, b)]
@@ -492,7 +491,7 @@ def test_d2star_super_lacunary_all_small():
     # (k, l) counting a symmetric coefficient row (a, a) realizes each
     # off-diagonal c twice ((k, l) and (l, k)); every other row stays at 1.
     terms = [2 ** (k * k) for k in range(1, 21)]
-    seq = IntegerSequence(terms, External("2^(k^2)"))
+    seq = IntegerSequence(terms, {"kind": "external", "path": "2^(k^2)"})
     reports = d2star_profile(seq, 2, 20)
     for (a, b), rep in reports.items():
         assert rep.max_count <= (2 if a == b else 1), (a, b)
@@ -533,7 +532,7 @@ def test_multi_term_pow2_matches_brute():
 
 
 def test_multi_term_small_triple():
-    seq = IntegerSequence([1, 2, 3], External("tiny"))
+    seq = IntegerSequence([1, 2, 3], {"kind": "external", "path": "tiny"})
     count, wits = count_multi_term(seq, MultiTermQuery(p=3, coeff_bound=1, count=3))
     # 1 + 2 - 3 = 0 and its global negation
     assert count == 2
@@ -613,12 +612,17 @@ def test_budget_error_is_explicit():
         d2star_profile(seq, 2, 60, budget=6 * 60 * 60 - 1)
     assert err.value.estimated == 6 * 60 * 60
     assert len(d2star_profile(seq, 2, 60, budget=6 * 60 * 60)) == 16
+    # ratio: N^2 pair sums, refused before any term is read
+    with pytest.raises(WorkBudgetExceeded) as err:
+        aibe_ratio(seq, 1, -2, 60, budget=60 * 60 - 1)
+    assert err.value.estimated == 60 * 60
+    assert len(aibe_ratio(seq, 1, -2, 60, budget=60 * 60)) == 3
 
 
 # ---------------- signed nondegenerate ----------------
 
 def test_signed_nondegenerate_tiny():
-    seq = IntegerSequence([1, 2, 3], External("tiny"))
+    seq = IntegerSequence([1, 2, 3], {"kind": "external", "path": "tiny"})
     count, sols = count_signed_nondegenerate(seq, 3, 3)
     assert count == 1
     assert sols[0] == ((1, 2, 3), (1, 1, -1))
@@ -631,7 +635,7 @@ def test_signed_nondegenerate_pow2_empty():
 
 
 def test_signed_nondegenerate_degeneracy_filter():
-    seq = IntegerSequence([1, 2, 3, 4], External("tiny"))
+    seq = IntegerSequence([1, 2, 3, 4], {"kind": "external", "path": "tiny"})
     count, sols = count_signed_nondegenerate(seq, 4, 4)
     # 1 - 2 - 3 + 4 = 0 is the only relation with s_1 = +1, and none of its
     # 14 proper nonempty subsums vanishes; the inline oracle checks each mask
@@ -659,12 +663,12 @@ def test_signed_nondegenerate_degeneracy_filter():
 
 
 SIGNED_CASES = [
-    ("1..5 p=3", IntegerSequence([1, 2, 3, 4, 5], External("tiny")), 3, None),
-    ("1..4 p=4", IntegerSequence([1, 2, 3, 4], External("tiny")), 4, None),
+    ("1..5 p=3", IntegerSequence([1, 2, 3, 4, 5], {"kind": "external", "path": "tiny"}), 3, None),
+    ("1..4 p=4", IntegerSequence([1, 2, 3, 4], {"kind": "external", "path": "tiny"}), 4, None),
     # p = 6 is the smallest length at which distinct positive terms admit a
     # degenerate relation: 22 zero-sum sign vectors, 20 of them split into two
     # vanishing triples such as (1 + 3 - 4) + (2 + 5 - 7)
-    ("1..8 p=6", IntegerSequence(list(range(1, 9)), External("tiny")), 6, 2),
+    ("1..8 p=6", IntegerSequence(list(range(1, 9)), {"kind": "external", "path": "tiny"}), 6, 2),
     ("smooth 2,3 p=3", gen_smooth({2, 3}, 30), 3, 54),
     ("smooth 2,3 p=4", gen_smooth({2, 3}, 30), 4, 413),
     ("geometric 3/2 p=3", gen_geometric("3/2", 2, 30), 3, 2),

@@ -5,7 +5,7 @@ import pytest
 
 from lacunaria.mod1 import FracTopEngine, required_bits
 from lacunaria.rng import CounterRng
-from lacunaria.seqgen import External, IntegerSequence, gen_geometric, gen_power
+from lacunaria.seqgen import IntegerSequence, gen_geometric, gen_power
 
 
 def reference_tops(terms, indices, freqs, bits, mantissa):
@@ -142,7 +142,7 @@ def test_tops_same_from_list_and_int64_array(strategy):
     freqs = [1, 2] if strategy == "pow2-window" else [1, 3]
     bits = required_bits(seq.term(150), max(freqs))
     if strategy == "generic":
-        seq = IntegerSequence(list(seq.terms), External("2^k - 1"))
+        seq = IntegerSequence(list(seq.terms), {"kind": "external", "path": "2^k - 1"})
     arr = np.array(indices, dtype=np.int64)
     from_list = FracTopEngine(seq, indices, freqs)
     from_array = FracTopEngine(seq, arr, freqs)
@@ -198,8 +198,9 @@ def test_strategies_agree_pairwise():
     chain = FracTopEngine(seq, indices, freqs)
     chain.strategy = "power-chain"
     chain._steps = [2 ** (k - p) for k, p in zip(indices, [0] + indices[:-1])]
-    generic = FracTopEngine(IntegerSequence(list(seq.terms), External("2^k - 1")),
-                            indices, freqs)
+    generic = FracTopEngine(
+        IntegerSequence(list(seq.terms), {"kind": "external", "path": "2^k - 1"}),
+        indices, freqs)
     assert window.strategy == "pow2-window" and generic.strategy == "generic"
     rng = CounterRng(13, "x")
     for i in range(15):

@@ -31,9 +31,7 @@ from lacunaria.permute import (
     write_permutation,
 )
 from lacunaria.seqgen import (
-    External,
     IntegerSequence,
-    Power,
     RStarParams,
     gen_geometric,
     gen_power,
@@ -301,7 +299,8 @@ PINNED_PAIRINGS = [
      "803e46479c5e968635f464b0a1fb266870aace82b0fdc67c723f737ae95fd8dd"),
     ("3*2^k - 1 as a plain list (gap profile path)",
      lambda: build_pairing_counterexample(
-         IntegerSequence([3 * 2**k - 1 for k in range(1, 121)], External("3*2^k-1")), 1, 2,
+         IntegerSequence([3 * 2**k - 1 for k in range(1, 121)],
+                         {"kind": "external", "path": "3*2^k-1"}), 1, 2,
          BlockSchedule.geometric_dominant(2, factor=4, base_len=4), gap_ratio=8),
      38, [1, 1],
      "8866de75cfb67e56c6850578e439f5a01b06a527561f8b887a836c00fdc195ed",
@@ -365,8 +364,9 @@ GOLDEN_SEQUENCES = {
     "smooth 2,3": lambda: gen_smooth({2, 3}, 64),
     "rstar": lambda: gen_random_rstar(RStarParams(alpha=1.0, a=50, count=64, seed=5)),
     "3*2^k-1 list": lambda: IntegerSequence([3 * 2**k - 1 for k in range(1, 65)],
-                                            External("3*2^k-1")),
-    "fibonacci list": lambda: IntegerSequence(_fibonacci(64), External("fibonacci")),
+                                            {"kind": "external", "path": "3*2^k-1"}),
+    "fibonacci list": lambda: IntegerSequence(_fibonacci(64),
+                                              {"kind": "external", "path": "fibonacci"}),
 }
 GOLDEN_COEFFS = [(1, 2), (2, 1), (1, 3), (1, -4), (3, 4), (1, 6), (4, 9), (-1, 2),
                  (2, 3), (1, 1)]
@@ -464,7 +464,8 @@ WITNESS_COEFFS = [(1, 2), (2, 1), (1, 3), (1, -4), (3, 4), (1, 6), (4, 9), (-1, 
 @pytest.mark.parametrize("base,offset", [(2, 0), (2, -1), (3, -1)])
 def test_power_witness_groups_match_scan(base, offset):
     seq = gen_power(base, offset, 120)
-    plain = IntegerSequence(list(seq.terms), External("copy"))  # no power form: the scan
+    # no power form: the scan
+    plain = IntegerSequence(list(seq.terms), {"kind": "external", "path": "copy"})
     mixed = 0
     for a, b in WITNESS_COEFFS:
         for max_span in (None, 1, 3, 119):
@@ -562,7 +563,8 @@ def verdict(perm, cert, seq=POW2M1):
     """verify_certificate on a power form, on exponents and on its listed
     terms: both paths must give the same (ok, problem), message included."""
     got = verify_certificate(perm, seq, cert)
-    listed = IntegerSequence(list(seq.terms), External("listed"))  # no power form
+    # no power form
+    listed = IntegerSequence(list(seq.terms), {"kind": "external", "path": "listed"})
     assert verify_certificate(perm, listed, cert) == got
     return got
 
@@ -570,7 +572,7 @@ def verdict(perm, cert, seq=POW2M1):
 def build_small():
     sched = BlockSchedule.geometric_dominant(2, factor=4, base_len=4)
     perm, cert = build_pairing_counterexample(POW2M1, 1, 2, sched)
-    listed = IntegerSequence(list(POW2M1.terms), External("listed"))
+    listed = IntegerSequence(list(POW2M1.terms), {"kind": "external", "path": "listed"})
     assert build_pairing_counterexample(listed, 1, 2, sched)[1] == cert
     return perm, cert
 
@@ -656,14 +658,14 @@ def test_verify_detects_a_short_window_and_a_pair_past_the_sequence():
 
 
 def test_verify_reads_the_terms_not_the_provenance():
-    # a certificate on 2^k - 1 against other terms: tagged Power(2, -1) they
+    # a certificate on 2^k - 1 against other terms: tagged as power 2, -1 they
     # once passed on exponents; now the tag is refused without its lazy terms
     perm, cert = build_pairing_counterexample(POW2M1, 1, 2, BlockSchedule([4, 8]), gap_ratio=8)
     terms = sorted({t + k % 3 for k, t in enumerate(POW2M1.prefix(64))})[:64]
     with pytest.raises(ValueError, match="lazy terms"):
-        IntegerSequence(terms, Power(2, -1))
-    assert verify_certificate(perm, IntegerSequence(terms, External("other")), cert) == (
-        False, "block 1: a*n_2 - b*n_1 != 1")
+        IntegerSequence(terms, {"kind": "power", "base": 2, "offset": -1})
+    other = IntegerSequence(terms, {"kind": "external", "path": "other"})
+    assert verify_certificate(perm, other, cert) == (False, "block 1: a*n_2 - b*n_1 != 1")
 
 
 @pytest.mark.parametrize("a, b, ratio, message", [
@@ -707,7 +709,7 @@ def test_spacing_threshold_matches_big_ints():
 
 
 def test_a_equals_b_flagged_experimental():
-    seq = IntegerSequence([3, 4, 7, 8, 30, 31, 90, 91], External("crafted"))
+    seq = IntegerSequence([3, 4, 7, 8, 30, 31, 90, 91], {"kind": "external", "path": "crafted"})
     # a = b = 1: n_v - n_u = 1 realized by (3,4), (7,8), (30,31), (90,91)
     with pytest.warns(UserWarning):
         perm, cert = build_pairing_counterexample(

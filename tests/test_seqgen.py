@@ -12,9 +12,7 @@ from lacunaria.mod1 import FracTopEngine
 from lacunaria.permute import BlockSchedule, build_pairing_counterexample
 from lacunaria.rng import CounterRng
 from lacunaria.seqgen import (
-    External,
     IntegerSequence,
-    Power,
     RStarParams,
     gen_geometric,
     gen_power,
@@ -255,8 +253,7 @@ def test_sequence_file_roundtrip(tmp_path):
     write_sequence(seq, path)
     back = read_sequence(path)
     assert back.prefix(12) == seq.prefix(12)
-    assert isinstance(back.provenance, Power)
-    assert back.provenance.offset == -1
+    assert back.provenance == {"kind": "power", "base": 2, "offset": -1}
 
 
 def test_sequence_file_power_provenance_checked(tmp_path):
@@ -296,14 +293,14 @@ def test_sequence_file_roundtrip_past_int_str_digit_limit(tmp_path):
     # Python's int <-> str refuses more than 4300 digits by default
     terms = [3, 10**4300 + 7, 2**20000 - 1]
     path = tmp_path / "seq.txt"
-    write_sequence(IntegerSequence(terms, External("big")), path)
+    write_sequence(IntegerSequence(terms, {"kind": "external", "path": "big"}), path)
     assert read_sequence(path).terms == terms
     assert [len(line) for line in path.read_text().splitlines()[2:]] == [1, 4301, 6021]
 
 
 def test_failed_sequence_write_leaves_no_file(tmp_path):
     class Broken:
-        provenance = External("broken")
+        provenance = {"kind": "external", "path": "broken"}
 
         @property
         def terms(self):
@@ -317,12 +314,58 @@ def test_failed_sequence_write_leaves_no_file(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+GENERATED = {
+    "power 2^k": lambda n: gen_power(2, 0, n),
+    "power 3^k - 1": lambda n: gen_power(3, -1, n),
+    "geometric 3/2": lambda n: gen_geometric(Fraction(3, 2), 2, n),
+    "smooth with 1": lambda n: gen_smooth({3, 2, 5}, n),
+    "smooth without 1": lambda n: gen_smooth([5, 2], n, include_one=False),
+    "rstar trailing": lambda n: gen_random_rstar(RStarParams(1.0, 50, n, 9)),
+    "rstar current": lambda n: gen_random_rstar(RStarParams(0.5, 7, n, 4, "current")),
+}
+
+
+@pytest.mark.parametrize("make", GENERATED.values(), ids=GENERATED.keys())
+def test_provenance_regenerates_and_round_trips(tmp_path, make):
+    seq = make(30)
+    again = seqgen.generate(seq.provenance, 30)
+    assert list(again.terms) == list(seq.terms) and again.provenance == seq.provenance
+    assert again.power_form() == seq.power_form()
+    path = tmp_path / "seq.txt"
+    write_sequence(seq, path)
+    back = read_sequence(path)
+    assert back.provenance == seq.provenance and list(back.terms) == list(seq.terms)
+
+
+@pytest.mark.parametrize("header, message", [
+    ('{"kind": "geometric", "q": "1", "n1": 1}', "gap ratio q must exceed 1"),
+    ('{"kind": "geometric", "q": 1.5, "n1": 1}', "not a float"),
+    ('{"kind": "smooth", "primes": [2, 6], "include_one": true}', "not coprime"),
+    ('{"kind": "random_rstar", "alpha": 1.0, "a": 1, "seed": 0, "interval_form": "trailing"}',
+     "scale a must be at least 2"),
+    ('{"kind": "random_rstar", "alpha": 1.0, "seed": 0}', "random_rstar provenance has no field 'a'"),
+    ('{"kind": "power", "base": "2", "offset": 0}', "wrong type"),
+    ('{"kind": "gaussian"}', "unknown provenance kind 'gaussian'"),
+    ('"power"', "not a JSON object"),
+])
+def test_header_no_generator_writes_is_refused(tmp_path, header, message):
+    path = tmp_path / "seq.txt"
+    path.write_text(f"# provenance: {header}\n2\n3\n5\n")
+    with pytest.raises(ValueError, match=message):
+        read_sequence(path)
+
+
+def test_generate_names_no_external_generator():
+    with pytest.raises(ValueError, match="unknown provenance kind 'external'"):
+        seqgen.generate({"kind": "external", "path": "x"}, 3)
+
+
 def test_sequence_file_headerless(tmp_path):
     path = tmp_path / "plain.txt"
     path.write_text("3\n5\n9\n")
     back = read_sequence(path)
     assert back.prefix(3) == [3, 5, 9]
-    assert isinstance(back.provenance, External)
+    assert back.provenance == {"kind": "external", "path": str(path)}
 
 
 def test_power_provenance_goes_only_with_its_lazy_terms():
@@ -330,11 +373,13 @@ def test_power_provenance_goes_only_with_its_lazy_terms():
     for terms in ([3, 5, 6, 9, 17, 33, 65, 129], [2, 4, 8, 16],
                   _PowerTerms(2, -1, 4), _PowerTerms(3, 0, 4)):
         with pytest.raises(ValueError, match="lazy terms"):
-            IntegerSequence(terms, Power(2, 0))
-    assert IntegerSequence(_PowerTerms(2, 0, 4), Power(2, 0)).power_form() == (2, 0)
+            IntegerSequence(terms, {"kind": "power", "base": 2, "offset": 0})
+    pow2 = {"kind": "power", "base": 2, "offset": 0}
+    assert IntegerSequence(_PowerTerms(2, 0, 4), pow2).power_form() == (2, 0)
     # the terms decide the power form, whatever the provenance
-    assert IntegerSequence(_PowerTerms(3, -1, 4), External("x")).power_form() == (3, -1)
-    assert IntegerSequence([2, 4, 8, 16], External("x")).power_form() is None
+    external = {"kind": "external", "path": "x"}
+    assert IntegerSequence(_PowerTerms(3, -1, 4), external).power_form() == (3, -1)
+    assert IntegerSequence([2, 4, 8, 16], external).power_form() is None
 
 
 def _reads_provenance(tree) -> bool:
@@ -358,8 +403,8 @@ def test_only_seqgen_reads_provenance():
 
 def test_sequence_validation():
     with pytest.raises(ValueError):
-        IntegerSequence([3, 3, 5], External("x"))
+        IntegerSequence([3, 3, 5], {"kind": "external", "path": "x"})
     with pytest.raises(ValueError):
-        IntegerSequence([0, 1], External("x"))
+        IntegerSequence([0, 1], {"kind": "external", "path": "x"})
     with pytest.raises(ValueError):
-        IntegerSequence([], External("x"))
+        IntegerSequence([], {"kind": "external", "path": "x"})

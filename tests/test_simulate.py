@@ -14,7 +14,7 @@ from lacunaria.errors import MantissaWidthError
 from lacunaria.mod1 import FracTopEngine, required_bits
 from lacunaria.permute import PermutationWindow, identity, random_perm
 from lacunaria.rng import CounterRng
-from lacunaria.seqgen import External, IntegerSequence, gen_geometric, gen_power
+from lacunaria.seqgen import IntegerSequence, gen_geometric, gen_power
 from lacunaria.simulate import (
     EmpiricalDistribution,
     FixedPointSample,
@@ -66,7 +66,7 @@ def test_frac_part_against_mpmath_oracle():
     bits = 192
     rng = CounterRng(9, "f")
     n = 2**100
-    eng = FracTopEngine(IntegerSequence([n], External("2^100")), [1], [1])
+    eng = FracTopEngine(IntegerSequence([n], {"kind": "external", "path": "2^100"}), [1], [1])
     assert eng.strategy == "generic"
     with mpmath.workprec(300):
         for i in range(10):
@@ -80,11 +80,11 @@ def test_frac_part_against_mpmath_oracle():
 # ---------------- partial sums ----------------
 
 def test_partial_sum_trivial_values():
-    seq = IntegerSequence([1], External("one"))
+    seq = IntegerSequence([1], {"kind": "external", "path": "one"})
     x = FixedPointSample(0, 128)
     assert abs(partial_sum(COS1, seq, identity(1), x, 1) - 1.0) < 1e-15
 
-    seq2 = IntegerSequence([1, 2], External("two"))
+    seq2 = IntegerSequence([1, 2], {"kind": "external", "path": "two"})
     x_quarter = FixedPointSample(1 << 126, 128)  # x = 1/4
     got = partial_sum(COS1, seq2, identity(2), x_quarter, 2)
     assert abs(got - (-1.0)) < 1e-12  # cos(pi/2) + cos(pi)

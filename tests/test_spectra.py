@@ -18,7 +18,6 @@ from lacunaria.permute import (
     verify_certificate,
 )
 from lacunaria.seqgen import (
-    External,
     IntegerSequence,
     _PowerTerms,
     gen_geometric,
@@ -153,7 +152,7 @@ def test_variance_against_quadrature_oracle():
 
 
 def test_variance_small_window():
-    seq = IntegerSequence([1, 2, 3], External("tiny"))
+    seq = IntegerSequence([1, 2, 3], {"kind": "external", "path": "tiny"})
     assert exact_variance(COS1, seq, identity(3), 2) == Fraction(1, 2)
 
 
@@ -265,7 +264,7 @@ def crafted_certificate(a, b, blocks, gap):
             terms += [nu, last]
             pairs.append((len(terms) - 1, len(terms)))
         cert_blocks.append(BlockPairing(c=c, pairs=pairs))
-    seq = IntegerSequence(terms, External("crafted"))
+    seq = IntegerSequence(terms, {"kind": "external", "path": "crafted"})
     perm = identity(len(terms))
     cert = PairingCertificate(a=a, b=b, gap_ratio=Fraction(gap), blocks=cert_blocks)
     assert verify_certificate(perm, seq, cert) == (True, None)
