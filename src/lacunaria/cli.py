@@ -360,6 +360,7 @@ def run_clt(params: dict, out_dir: Path) -> list[Path]:
 def run_lil(params: dict, out_dir: Path) -> list[Path]:
     poly = spectra.TrigPolynomial.parse(params["f"])
     n_max = params["count"]
+    simulate.check_lil_window(n_max)  # before anything of size n_max is built
     seq = resolve_sequence(params["seq"], n_max, params.get("seed"))
     perm = resolve_permutation(params.get("perm"), n_max, params.get("seed"))
     variance = _finite_float(params["variance"], "variance")

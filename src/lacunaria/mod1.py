@@ -64,6 +64,13 @@ def _window64(words: np.ndarray, w: np.ndarray, r: np.ndarray,
     return out
 
 
+def _check_point(mantissa: int, bits: int) -> None:
+    if bits < 64:
+        raise ValueError("need at least 64 bits")
+    if not 0 <= mantissa < (1 << bits):
+        raise ValueError("mantissa outside [0, 2^bits)")
+
+
 class FracTopEngine:
     """Top-64-bit fractional parts {j * n_k * x} for a fixed index/frequency set.
 
@@ -72,7 +79,8 @@ class FracTopEngine:
     indices actually needed, sorted, unique and not empty, as a list or an
     int64 array (kept without a copy); ``freqs`` the polynomial frequencies.
     ``tops(mantissa, bits)`` returns a (len(indices), len(freqs)) uint64
-    array for x = mantissa / 2^bits.
+    array for x = mantissa / 2^bits; ``tops_blocks`` yields the same rows in
+    consecutive blocks.
     """
 
     def __init__(self, seq, indices, freqs: list[int]):
@@ -94,7 +102,7 @@ class FracTopEngine:
         ):
             self.strategy = "pow2-window"
             self._w = ks >> 6
-            self._r = (ks & 63).astype(np.uint64)
+            self._r = (ks & 63).view(np.uint64)
             self._rc = np.uint64(63) - self._r
             self._shifts = [j.bit_length() - 1 for j in self.freqs]
             # the last word _window64 reads; zero padding reaches it
@@ -111,23 +119,41 @@ class FracTopEngine:
     # -- kernels -------------------------------------------------------
 
     def tops(self, mantissa: int, bits: int) -> np.ndarray:
-        if bits < 64:
-            raise ValueError("need at least 64 bits")
-        if not 0 <= mantissa < (1 << bits):
-            raise ValueError("mantissa outside [0, 2^bits)")
+        _check_point(mantissa, bits)
         if self.strategy == "pow2-window":
-            return self._tops_window(mantissa, bits)
-        return self._tops_rows(mantissa, bits)
+            return self._tops_window(*self._words(mantissa, bits), self._w, self._r, self._rc)
+        return next(self._row_blocks(mantissa, bits, len(self.indices)))
 
-    def _tops_window(self, m: int, bits: int) -> np.ndarray:
+    def tops_blocks(self, mantissa: int, bits: int, block: int):
+        """Yield the rows of ``tops(mantissa, bits)`` in consecutive blocks of
+        ``block`` rows (the last may be shorter), each a fresh array equal to
+        that slice of ``tops``; no array spans all the rows."""
+        _check_point(mantissa, bits)
+        n = len(self.indices)
+        if self.strategy == "pow2-window":
+            words = self._words(mantissa, bits)
+            for lo in range(0, n, block):
+                rows = slice(lo, lo + block)
+                yield self._tops_window(*words, self._w[rows], self._r[rows],
+                                        self._rc[rows], lo)
+        else:
+            yield from self._row_blocks(mantissa, bits, block)
+
+    def _words(self, m: int, bits: int) -> tuple[np.ndarray, int, int]:
+        """(words, B, m 2^(B - bits)): the mantissa scaled to B bits and
+        zero-padded through the last word ``_window64`` reads."""
         # m 2^s on B = bits + s bits has the same tops, since
         # (n m 2^s mod 2^(bits + s)) >> (B - 64) = (n m mod 2^bits) >> (bits - 64);
         # B is whole words and leaves room for the carry compare at B - 192
         B = max(192, -(-bits // 64) * 64)
         m <<= B - bits
         raw = m.to_bytes(B // 8, "big") + bytes(max(0, 8 * (self._top_word + 1) - B // 8))
-        words = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
-        w, r, rc = self._w, self._r, self._rc
+        return np.frombuffer(raw, dtype=">u8").astype(np.uint64), B, m
+
+    def _tops_window(self, words: np.ndarray, B: int, m: int, w: np.ndarray,
+                     r: np.ndarray, rc: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Tops of rows lo, lo + 1, ... from the words of m on B bits; w, r
+        and rc are those rows of ``_w``, ``_r`` and ``_rc``."""
         shifts = self._shifts
         offset = self.power_form[1]
         carry_in = offset != 0 and m != 0
@@ -153,7 +179,7 @@ class FracTopEngine:
                 if len(ties):
                     low_mask = (1 << (B - 128)) - 1
                     for i in ties:
-                        x_exact = (m << int(self.indices[i])) & low_mask
+                        x_exact = (m << int(self.indices[lo + i])) & low_mask
                         carry[i] = np.uint64(1 if x_exact >= threshold else 0)
             t = a_lo + c_lo
             c1 = t < a_lo
@@ -171,9 +197,10 @@ class FracTopEngine:
                 out[:, col] = (s_hi << np.uint64(sh)) | (s_lo >> np.uint64(64 - sh))
         return out
 
-    def _tops_rows(self, m: int, bits: int) -> np.ndarray:
-        """One row at a time from y_k = n_k m mod 2^bits: a power form marches
-        y_k along its chain, any other sequence multiplies each term."""
+    def _row_blocks(self, m: int, bits: int, block: int):
+        """Tops in blocks of rows, one row at a time from y_k = n_k m mod 2^bits:
+        a power form marches y_k along its chain, any other sequence
+        multiplies each term."""
         mask = (1 << bits) - 1
         if self.strategy == "power-chain":
             addend = (self.power_form[1] * m) & mask
@@ -184,15 +211,18 @@ class FracTopEngine:
         shift_top = bits - 64
         freqs = self.freqs
         pow2_shift = [j.bit_length() - 1 if j & (j - 1) == 0 else None for j in freqs]
-        out = np.empty((len(self.indices), len(freqs)), dtype=np.uint64)
-        for row, y in enumerate(ys):
-            for col, j in enumerate(freqs):
-                sh = pow2_shift[col]
-                if sh is not None and sh <= shift_top:
-                    out[row, col] = (y >> (shift_top - sh)) & MASK64
-                else:
-                    out[row, col] = ((j * y) & mask) >> shift_top
-        return out
+        n = len(self.indices)
+        for lo in range(0, n, block):
+            out = np.empty((min(block, n - lo), len(freqs)), dtype=np.uint64)
+            # range first: zip stops before it draws a y past the block
+            for row, y in zip(range(len(out)), ys):
+                for col, j in enumerate(freqs):
+                    sh = pow2_shift[col]
+                    if sh is not None and sh <= shift_top:
+                        out[row, col] = (y >> (shift_top - sh)) & MASK64
+                    else:
+                        out[row, col] = ((j * y) & mask) >> shift_top
+            yield out
 
     def _chain(self, m: int, mask: int, addend: int):
         z = m

@@ -51,7 +51,11 @@ class PermutationWindow:
                 or arr.min() < 1 or arr.max() > n):
             raise ValueError("images are not a bijection of {1..N}")
         arr = arr.astype(np.int64, copy=False)
-        if np.bincount(arr).max() > 1:
+        # n images in 1..n are a bijection when they mark every value, and
+        # the marks take 1 byte a slot
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[arr] = True
+        if not seen[1:].all():
             raise ValueError("images are not a bijection of {1..N}")
         arr.flags.writeable = False
         self.images = arr

@@ -24,6 +24,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import methodcaller
 
 import numpy as np
 
@@ -36,6 +37,9 @@ from .spectra import EPS, MixtureProfile, TrigPolynomial, midpoint_rule
 
 _TWO_PI = 2.0 * math.pi
 _INV64 = 2.0 ** -64
+# slots per block of a LIL trajectory: it holds no slot array longer than this
+_LIL_BLOCK = 1 << 16
+_AS_FLOAT = methodcaller("astype", np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -77,7 +81,13 @@ def _points(bits: int, seed: int, start: int, stop: int):
 # ----------------------------------------------------------------------
 
 class PartialSumEvaluator:
-    """S_N(x) = sum_{slots k <= N} f(n_sigma(k) x) on the exact grid."""
+    """S_N(x) = sum_{slots k <= N} f(n_sigma(k) x) on the exact grid.
+
+    It keeps the sorted indices the window reads (an identity window's are
+    ``perm.images`` itself), the row of each slot when the window is not the
+    identity, and the engine's arrays: three of 8N bytes for the pow2-window
+    kernel.
+    """
 
     def __init__(self, poly: TrigPolynomial, seq: IntegerSequence,
                  perm: PermutationWindow, count: int):
@@ -90,10 +100,13 @@ class PartialSumEvaluator:
         self.count = count
         # a window of a bijection has distinct images
         if top == count:
-            # count distinct images in 1..count are all of them; in order,
-            # slot k reads row k - 1 and slot_values needs no gather
-            self.indices = np.arange(1, count + 1, dtype=np.int64)
-            self._rows = None if np.array_equal(images, self.indices) else images - 1
+            # count distinct images in 1..count are all of them; ascending,
+            # they are 1..count, and slot k reads row k - 1 with no gather
+            if np.all(images[1:] > images[:-1]):
+                self.indices, self._rows = images, None
+            else:
+                self.indices = np.arange(1, count + 1, dtype=np.int64)
+                self._rows = images - 1
         else:
             # marking the images lists the sorted indices, and the running
             # count of marks up to an image is that slot's row
@@ -116,14 +129,21 @@ class PartialSumEvaluator:
         # full random window of 2^k took 7-10 us less in k order than in
         # slot order (33-56 against 40-67 us), and the gather costs 4 us.
         self.engine = FracTopEngine(seq, self.indices, self.freqs)
-        # (variance, sqrt(2 variance N ln ln N) for N = 16..count) of the last LIL call
-        self._lil_denom: tuple[float, np.ndarray] | None = None
+
+    def _check_width(self, x: FixedPointSample) -> None:
+        if x.bits < self.required:
+            raise MantissaWidthError(have=x.bits, need=self.required)
 
     def slot_values(self, x: FixedPointSample) -> np.ndarray:
         """f(n_sigma(k) x) for slots k = 1..N, in slot order."""
-        if x.bits < self.required:
-            raise MantissaWidthError(have=x.bits, need=self.required)
-        angles = self.engine.tops(x.mantissa, x.bits).astype(np.float64)
+        self._check_width(x)
+        per_index = self._values(self.engine.tops(x.mantissa, x.bits).astype(np.float64))
+        return per_index if self._rows is None else per_index[self._rows]
+
+    def _values(self, angles: np.ndarray) -> np.ndarray:
+        """f(n_k x) for rows whose tops are given as float64 angles, which it
+        overwrites.  Callers convert in the call itself, so the uint64 tops
+        are freed before the cos."""
         angles *= _TWO_PI * _INV64
         if len(self.freqs) > 1:
             # the matmul's BLAS sum may round differently from an explicit one
@@ -147,7 +167,7 @@ class PartialSumEvaluator:
             else:
                 np.sin(per_index, out=per_index)
                 per_index *= self._asin
-        return per_index if self._rows is None else per_index[self._rows]
+        return per_index
 
     def sum(self, x: FixedPointSample) -> float:
         return float(self.slot_values(x).sum())
@@ -157,32 +177,94 @@ class PartialSumEvaluator:
         values = self.slot_values(x)
         return np.cumsum(values, out=values)
 
+    def _slot_blocks(self, x: FixedPointSample):
+        """Yield the slot values in consecutive blocks of _LIL_BLOCK slots,
+        each writable and not read again by the evaluator.
+
+        An identity window with one frequency computes each block from its own
+        tops.  Otherwise the per-index values come first, in one array: a
+        sum over several frequencies is one matmul over the whole window,
+        since a BLAS product split into row blocks may round a row
+        differently; a permuted window gathers each block from that array.
+        """
+        self._check_width(x)
+        n = self.count
+        if len(self.freqs) > 1:
+            per_index = self._values(self.engine.tops(x.mantissa, x.bits).astype(np.float64))
+        else:
+            tops = self.engine.tops_blocks(x.mantissa, x.bits, _LIL_BLOCK)
+            blocks = map(self._values, map(_AS_FLOAT, tops))
+            if self._rows is None:
+                yield from blocks
+                return
+            per_index = np.empty(n)
+            for lo, values in zip(range(0, n, _LIL_BLOCK), blocks):
+                per_index[lo:lo + len(values)] = values
+        for lo in range(0, n, _LIL_BLOCK):
+            rows = slice(lo, lo + _LIL_BLOCK)
+            yield per_index[rows] if self._rows is None else per_index[self._rows[rows]]
+
     def lil_trajectory(self, x: FixedPointSample, variance: float) -> LilTrajectory:
-        """Running LIL ratio at x over the whole window (N_max = count)."""
-        n_max = self.count
+        """Running LIL ratio at x over the whole window (N_max = count).
+
+        The window is walked in blocks of _LIL_BLOCK slots.  Each block's
+        prefix sums continue the previous block's last one through a single
+        cumsum recurrence, so every S_N is the float one cumsum over the
+        window gives; the block's ratios fold into the maximum over each
+        N' in [16], (16, 32], ..., (n_max / 2, n_max], and the running max
+        over those is the running max at each 2^e.
+
+        Beyond the evaluator's arrays it holds a few arrays of one block,
+        and one array of 8N bytes only for a permuted window or several
+        frequencies: the per-index values.
+        """
         if not (math.isfinite(variance) and variance > 0):
             raise ValueError("variance must be positive and finite")
-        if n_max < 16 or n_max & (n_max - 1):
-            raise ValueError("n_max must be a power of two, at least 16")
-        ratios = self.prefix_sums(x)[15:]
-        if self._lil_denom is None or self._lil_denom[0] != variance:
-            # sqrt(((2 variance) N) ln ln N), in that order, in two buffers
-            denom = np.arange(16, n_max + 1, dtype=np.float64)
-            lnln = np.log(denom)
-            np.log(lnln, out=lnln)
-            denom *= 2.0 * variance
-            denom *= lnln
-            np.sqrt(denom, out=denom)
-            denom.flags.writeable = False
-            self._lil_denom = (variance, denom)
-        np.abs(ratios, out=ratios)
-        ratios /= self._lil_denom[1]
-        # the max over each N' in [16], (16, 32], ..., (n_max / 2, n_max],
-        # then the running max over those: the running max at each 2^e
-        ns = [16 << e for e in range(n_max.bit_length() - 4)]
-        starts = [0] + [n // 2 - 15 for n in ns[1:]]
-        running = np.maximum.accumulate(np.maximum.reduceat(ratios, starts))
+        check_lil_window(self.count)
+        ns = [16 << e for e in range(self.count.bit_length() - 4)]
+        segment_max = np.full(len(ns), -np.inf)
+        total, done = -0.0, 0  # S_done, done = the slots before this block
+        for values in self._slot_blocks(x):
+            # S_done + v_(done+1), then cumsum: the recurrence of one cumsum
+            # (-0.0 + v is v for every float v)
+            values[0] += total
+            np.cumsum(values, out=values)
+            total = values[-1]
+            first, last = max(done + 1, 16), done + len(values)
+            ratios = values[first - done - 1:]  # N' = first..last
+            done = last
+            if not len(ratios):
+                continue
+            np.abs(ratios, out=ratios)
+            ratios /= _lil_denominators(first, last, variance)
+            e0, e1 = _lil_segment(first), _lil_segment(last)
+            starts = [0] + [ns[e] // 2 + 1 - first for e in range(e0 + 1, e1 + 1)]
+            touched = segment_max[e0:e1 + 1]
+            np.maximum(touched, np.maximum.reduceat(ratios, starts), out=touched)
+        running = np.maximum.accumulate(segment_max)
         return LilTrajectory(checkpoints=[(n, float(r)) for n, r in zip(ns, running)])
+
+
+def check_lil_window(n_max: int) -> None:
+    """Raise ValueError unless a LIL trajectory can run to n_max."""
+    if n_max < 16 or n_max & (n_max - 1):
+        raise ValueError("n_max must be a power of two, at least 16")
+
+
+def _lil_segment(n: int) -> int:
+    """e such that N' = n lies in the segment ending at checkpoint 16 * 2^e."""
+    return 0 if n <= 16 else (n - 1).bit_length() - 4
+
+
+def _lil_denominators(first: int, last: int, variance: float) -> np.ndarray:
+    """sqrt(((2 variance) N) ln ln N) for N = first..last, in that order, in two buffers."""
+    denom = np.arange(first, last + 1, dtype=np.float64)
+    lnln = np.log(denom)
+    np.log(lnln, out=lnln)
+    denom *= 2.0 * variance
+    denom *= lnln
+    np.sqrt(denom, out=denom)
+    return denom
 
 
 def partial_sum(poly: TrigPolynomial, seq: IntegerSequence,
@@ -424,4 +506,5 @@ def lil_trajectory(
 ) -> LilTrajectory:
     """One-shot trajectory; a run over many points builds one
     :class:`PartialSumEvaluator` and calls its ``lil_trajectory``."""
+    check_lil_window(n_max)
     return PartialSumEvaluator(poly, seq, perm, n_max).lil_trajectory(x, variance)

@@ -459,6 +459,21 @@ def test_lil_cli_one_evaluator_pinned(tmp_path, monkeypatch, args, csv_sha, summ
     assert got == [csv_sha, summary_sha]
 
 
+@pytest.mark.parametrize("count", ["3145728", "8"])
+def test_lil_n_max_checked_before_anything_is_built(tmp_path, capsys, monkeypatch, count):
+    # 3 * 2^20 once built a 3 * 2^20-slot evaluator and sampled its point
+    # before this check refused it
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before n_max was checked")
+
+    monkeypatch.setattr(simulate.PartialSumEvaluator, "__init__", no_build)
+    monkeypatch.setattr(simulate, "sample_points", no_build)
+    assert run(["lil", "--f", "cos:1", "--seq", "pow2", "--count", count, "--points", "1",
+                "--variance", "1/2", "--seed", "7", "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert "n_max must be a power of two, at least 16" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, message", [
     (["lil", "--f", "cos:1", "--seq", "pow2", "--count", "256", "--points", "2",
       "--variance", "1e400", "--seed", "5"], "variance 1e400 is too large for a float"),

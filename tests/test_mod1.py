@@ -155,6 +155,30 @@ def test_tops_same_from_list_and_int64_array(strategy):
         assert np.array_equal(from_array.tops(m, bits), want), f"m={m:#x}"
 
 
+@pytest.mark.parametrize("strategy", ["pow2-window", "power-chain", "generic"])
+@pytest.mark.parametrize("block", [1, 7, 64, 150, 1000])
+def test_tops_blocks_concatenate_to_tops(strategy, block):
+    # rows in blocks, carry ties included: a tie's exact fallback reads the
+    # index of its row in the whole set, not in its block.  At m = 2^63 the
+    # rows past index 128 tie, their carry is 0, and it reaches the top
+    # bits; an index read from the block's own row number would give 1.
+    seq = gen_power(2, -1, 150)
+    indices = list(range(1, 151))
+    freqs = [1, 2] if strategy == "pow2-window" else [1, 3]
+    bits = required_bits(seq.term(150), max(freqs))
+    if strategy == "generic":
+        seq = IntegerSequence(list(seq.terms), {"kind": "external", "path": "2^k - 1"})
+    eng = FracTopEngine(seq, indices, freqs)
+    assert eng.strategy == strategy
+    rng = CounterRng(15, "x")
+    for m in [rng.bits(i, bits) for i in range(3)] + _carry_tie_patterns(bits) + [1 << 63]:
+        blocks = list(eng.tops_blocks(m, bits, block))
+        assert [len(b) for b in blocks] == [min(block, 150 - lo) for lo in range(0, 150, block)]
+        want = reference_tops(seq.terms, indices, freqs, bits, m)
+        assert np.array_equal(eng.tops(m, bits), want), f"m={m:#x}"
+        assert np.array_equal(np.concatenate(blocks), want), f"m={m:#x}"
+
+
 def test_chain_strategy_matches_reference():
     # frequency 3 is not a power of two, so even base 2 uses the chain
     for base, offset in ((2, -1), (3, 0), (10, -1)):

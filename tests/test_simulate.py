@@ -572,24 +572,68 @@ def test_lil_segment_maxima_match_running_max_oracle():
             n *= 2
 
 
+@pytest.mark.parametrize("block", [64, 48])
+@pytest.mark.parametrize("window", ["identity", "shuffled", "sub"])
+@pytest.mark.parametrize("seq_name", ["pow2", "pow2m1"])
+def test_lil_blocks_straddling_segments_match_oracle(monkeypatch, block, window, seq_name):
+    # blocks of 64 or 48 slots cut segments (and 48 cuts the powers of two)
+    # anywhere; the checkpoints stay those of one cumsum over the window.
+    # 128 slots are two blocks of 64, or two of 48 and part of a third.
+    monkeypatch.setattr(simulate, "_LIL_BLOCK", block)
+    for n in (16, 128, 1 << 12):
+        seq = gen_power(2, 0 if seq_name == "pow2" else -1, 2 * n)
+        perm = {"identity": identity(n), "shuffled": random_perm(n, 20260810),
+                "sub": random_perm(2 * n, 20260810)}[window]
+        for poly_name, poly in sorted(PATH_POLYS.items()):
+            ev = PartialSumEvaluator(poly, seq, perm, n)
+            for x in sample_points(ev.required, 2, seed=n):
+                want = lil_running_max_checkpoints(ev.prefix_sums(x), 0.5)
+                assert ev.lil_trajectory(x, 0.5).checkpoints == want, (n, poly_name)
+
+
+def _peak_buffers(n, build):
+    """Peak of numpy's traced allocations during build(), in buffers of 8n bytes."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (8 * n)
+
+
 def test_lil_trajectory_peak_memory_in_buffers():
-    # numpy's buffers are traced.  An identity window of 2^18 keeps indices
-    # and the engine's three window arrays; one point adds the values (cumsum
-    # and ratios in place) and the two-buffer denominator build: 7 buffers
-    # of 8N bytes.  A gather through rows, a full running-max array and a
-    # fresh output per float step made it 10.
+    # numpy's buffers are traced.  An identity window of 2^18 keeps no index
+    # copy (the images are the indices) and the engine's three window arrays;
+    # one point adds a few arrays of one block of 2^16 slots, a quarter of
+    # 8N each at this size: 3.79 buffers of 8N measured.  Holding the index
+    # copy, prefix sums and denominators for every slot made it 7.0.
     n = 1 << 18
     seq = gen_power(2, 0, n)
     perm = identity(n)
     x = sample_points(required_bits(seq.term(n), 1), 1, seed=1)[0]
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        PartialSumEvaluator(COS1, seq, perm, n).lil_trajectory(x, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - base) / (8 * n) <= 8.5
+    peak = _peak_buffers(n, lambda: PartialSumEvaluator(COS1, seq, perm, n).lil_trajectory(x, 0.5))
+    assert peak <= 4.0
+
+
+def test_lil_trajectory_peak_memory_shuffled_window():
+    # a permuted window adds sorted indices, slot rows and the per-index
+    # values the blocks gather from: 6 buffers of 8N plus the block arrays,
+    # 7.04 measured (8.0 with the whole trajectory held at once)
+    n = 1 << 18
+    seq = gen_power(2, 0, n)
+    perm = PermutationWindow(np.random.default_rng(5).permutation(n) + 1)
+    x = sample_points(required_bits(seq.term(n), 1), 1, seed=1)[0]
+    peak = _peak_buffers(n, lambda: PartialSumEvaluator(COS1, seq, perm, n).lil_trajectory(x, 0.5))
+    assert peak <= 7.25
+
+
+def test_identity_window_peak_memory_in_buffers():
+    # the arange, the window's own copy of it and one byte a slot of marks:
+    # 2.13 measured (3.0 with duplicates counted in 8 bytes a slot)
+    n = 1 << 18
+    assert _peak_buffers(n, lambda: identity(n)) <= 2.2
 
 
 def test_lil_one_evaluator_many_points():
@@ -603,21 +647,17 @@ def test_lil_one_evaluator_many_points():
         assert got.checkpoints == want.checkpoints
 
 
-def test_lil_denominator_cached_per_variance():
+def test_lil_points_and_variances_interleaved():
+    # one evaluator serves any sequence of (point, variance) calls: each
+    # gives the checkpoints of a fresh one-shot call
     n = 1 << 10
     seq = gen_power(2, -1, n)
     perm = identity(n)
     ev = PartialSumEvaluator(COS12, seq, perm, n)
     x, y = sample_points(ev.required, 2, seed=9)
-    first = ev.lil_trajectory(x, 1.0)
-    denom = ev._lil_denom[1]
-    again = ev.lil_trajectory(y, 1.0)
-    assert ev._lil_denom[1] is denom  # same variance: reused
-    other = ev.lil_trajectory(x, 0.5)
-    assert ev._lil_denom[1] is not denom  # another variance: recomputed
-    assert ev.lil_trajectory(x, 1.0).checkpoints == first.checkpoints
-    for point, variance, traj in ((x, 1.0, first), (y, 1.0, again), (x, 0.5, other)):
-        assert traj.checkpoints == lil_trajectory(COS12, seq, perm, point, n, variance).checkpoints
+    for point, variance in ((x, 1.0), (y, 1.0), (x, 0.5), (y, 2.0), (x, 1.0), (y, 0.5)):
+        want = lil_trajectory(COS12, seq, perm, point, n, variance).checkpoints
+        assert ev.lil_trajectory(point, variance).checkpoints == want
 
 
 def test_lil_rejects_bad_args():
