@@ -114,6 +114,17 @@ def resolve_permutation(spec: str | None, window: int, seed: int | None):
     raise ValueError(f"cannot resolve permutation spec {spec!r}")
 
 
+def _window_inputs(params: dict):
+    """(seq, perm, count) of a ``var``, ``clt`` or ``lil`` run.  The window is
+    ``--window``, else ``--count``; an inline sequence without a length and
+    a named permutation both span it."""
+    count = params["count"]
+    window = params.get("window", count)
+    seed = params.get("seed")
+    return (resolve_sequence(params["seq"], window, seed),
+            resolve_permutation(params.get("perm"), window, seed), count)
+
+
 # ----------------------------------------------------------------------
 # Manifest plumbing
 # ----------------------------------------------------------------------
@@ -263,10 +274,7 @@ def run_var(params: dict, out_dir: Path) -> list[Path]:
     payload = {"f": poly.format(), "l2_norm_sq": str(spectra.l2_norm_sq(poly)),
                "kac_variance": str(spectra.kac_variance(poly))}
     if params.get("seq"):
-        count = params["count"]
-        seq = resolve_sequence(params["seq"], count, params.get("seed"))
-        perm = resolve_permutation(params.get("perm"), params.get("window", count),
-                                   params.get("seed"))
+        seq, perm, count = _window_inputs(params)
         value = spectra.exact_variance(poly, seq, perm, count)
         payload.update({"count": count, "exact_variance": str(value),
                         "exact_variance_float": float(value)})
@@ -320,10 +328,7 @@ def _ks_target(spec: str):
 def run_clt(params: dict, out_dir: Path) -> list[Path]:
     poly = spectra.TrigPolynomial.parse(params["f"])
     target, target_name = _ks_target(params["ks"]) if params.get("ks") else (None, None)
-    count = params["count"]
-    seq = resolve_sequence(params["seq"], params.get("window", count), params.get("seed"))
-    perm = resolve_permutation(params.get("perm"), params.get("window", count),
-                               params.get("seed"))
+    seq, perm, count = _window_inputs(params)
     seed = derive_seed(params["seed"], "x")
     emp = simulate.clt_experiment(poly, seq, perm, count, params["samples"], seed,
                                   workers=params.get("threads", 1))
@@ -359,10 +364,8 @@ def run_clt(params: dict, out_dir: Path) -> list[Path]:
 
 def run_lil(params: dict, out_dir: Path) -> list[Path]:
     poly = spectra.TrigPolynomial.parse(params["f"])
-    n_max = params["count"]
-    simulate.check_lil_window(n_max)  # before anything of size n_max is built
-    seq = resolve_sequence(params["seq"], n_max, params.get("seed"))
-    perm = resolve_permutation(params.get("perm"), n_max, params.get("seed"))
+    simulate.check_lil_window(params["count"])  # before anything of size N_max is built
+    seq, perm, n_max = _window_inputs(params)
     variance = _finite_float(params["variance"], "variance")
     evaluator = simulate.PartialSumEvaluator(poly, seq, perm, n_max)
     xs = simulate.sample_points(evaluator.required, params["points"],

@@ -1,9 +1,11 @@
 """Exact fixed-point mod-1 arithmetic on a dyadic grid.
 
-x is represented by a B-bit mantissa (x = m / 2^B).  For sequence terms n_k
-and polynomial frequencies j, the quantity {j * n_k * x} is exact on the
-grid: its numerator is j * n_k * m mod 2^B.  Evaluation only ever consumes
-the top 64 bits of that numerator.  The sequence and the frequencies pick
+A grid point x is a :class:`FixedPointSample`, a B-bit mantissa m with
+x = m / 2^B and B >= 64; the point checks that when it is made, and the
+kernels take it as it is.  For sequence terms n_k and polynomial
+frequencies j, the quantity {j * n_k * x} is exact on the grid: its
+numerator is j * n_k * m mod 2^B.  Evaluation only ever consumes the top
+64 bits of that numerator.  The sequence and the frequencies pick
 one of two kernels, and either takes any width B per call:
 
 * ``pow2-window`` -- terms 2^k + offset with offset in {0, -1} and power-of-
@@ -23,6 +25,8 @@ All kernels produce bit-identical uint64 arrays; tests cross-check them.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,11 +68,18 @@ def _window64(words: np.ndarray, w: np.ndarray, r: np.ndarray,
     return out
 
 
-def _check_point(mantissa: int, bits: int) -> None:
-    if bits < 64:
-        raise ValueError("need at least 64 bits")
-    if not 0 <= mantissa < (1 << bits):
-        raise ValueError("mantissa outside [0, 2^bits)")
+@dataclass(frozen=True)
+class FixedPointSample:
+    """A grid point x = mantissa / 2^bits in [0, 1), with bits >= 64."""
+
+    mantissa: int
+    bits: int
+
+    def __post_init__(self):
+        if self.bits < 64:
+            raise ValueError("need at least 64 bits")
+        if not 0 <= self.mantissa < (1 << self.bits):
+            raise ValueError("mantissa outside [0, 2^bits)")
 
 
 class FracTopEngine:
@@ -78,8 +89,8 @@ class FracTopEngine:
     and ``freqs`` pick the kernel.  ``indices`` are the 1-based sequence
     indices actually needed, sorted, unique and not empty, as a list or an
     int64 array (kept without a copy); ``freqs`` the polynomial frequencies.
-    ``tops(mantissa, bits)`` returns a (len(indices), len(freqs)) uint64
-    array for x = mantissa / 2^bits; ``tops_blocks`` yields the same rows in
+    ``tops(x)`` returns a (len(indices), len(freqs)) uint64 array for the
+    :class:`FixedPointSample` x; ``tops_blocks`` yields the same rows in
     consecutive blocks.
     """
 
@@ -118,26 +129,25 @@ class FracTopEngine:
 
     # -- kernels -------------------------------------------------------
 
-    def tops(self, mantissa: int, bits: int) -> np.ndarray:
-        _check_point(mantissa, bits)
+    def tops(self, x: FixedPointSample) -> np.ndarray:
         if self.strategy == "pow2-window":
-            return self._tops_window(*self._words(mantissa, bits), self._w, self._r, self._rc)
-        return next(self._row_blocks(mantissa, bits, len(self.indices)))
+            return self._tops_window(*self._words(x.mantissa, x.bits),
+                                     self._w, self._r, self._rc)
+        return next(self._row_blocks(x.mantissa, x.bits, len(self.indices)))
 
-    def tops_blocks(self, mantissa: int, bits: int, block: int):
-        """Yield the rows of ``tops(mantissa, bits)`` in consecutive blocks of
-        ``block`` rows (the last may be shorter), each a fresh array equal to
-        that slice of ``tops``; no array spans all the rows."""
-        _check_point(mantissa, bits)
+    def tops_blocks(self, x: FixedPointSample, block: int):
+        """Yield the rows of ``tops(x)`` in consecutive blocks of ``block``
+        rows (the last may be shorter), each a fresh array equal to that
+        slice of ``tops``; no array spans all the rows."""
         n = len(self.indices)
         if self.strategy == "pow2-window":
-            words = self._words(mantissa, bits)
+            words = self._words(x.mantissa, x.bits)
             for lo in range(0, n, block):
                 rows = slice(lo, lo + block)
                 yield self._tops_window(*words, self._w[rows], self._r[rows],
                                         self._rc[rows], lo)
         else:
-            yield from self._row_blocks(mantissa, bits, block)
+            yield from self._row_blocks(x.mantissa, x.bits, block)
 
     def _words(self, m: int, bits: int) -> tuple[np.ndarray, int, int]:
         """(words, B, m 2^(B - bits)): the mantissa scaled to B bits and

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import methodcaller
@@ -29,7 +28,7 @@ from operator import methodcaller
 import numpy as np
 
 from .errors import MantissaWidthError
-from .mod1 import FracTopEngine, required_bits
+from .mod1 import FixedPointSample, FracTopEngine, required_bits
 from .permute import PermutationWindow
 from .rng import CounterRng
 from .seqgen import IntegerSequence
@@ -46,24 +45,10 @@ _AS_FLOAT = methodcaller("astype", np.float64)
 # Grid points
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FixedPointSample:
-    """x = mantissa / 2^bits in [0, 1)."""
-
-    mantissa: int
-    bits: int
-
-    def __post_init__(self):
-        if self.bits < 64:
-            raise ValueError("need at least 64 bits")
-        if not 0 <= self.mantissa < (1 << self.bits):
-            raise ValueError("mantissa outside [0, 2^bits)")
-
-
 def sample_points(bits: int, count: int, seed: int) -> list[FixedPointSample]:
-    """count uniform B-bit mantissas; element i depends only on (seed, i)."""
-    if bits < 64:
-        raise ValueError("need at least 64 bits")
+    """count uniform B-bit mantissas; element i depends only on (seed, i).
+
+    :class:`FixedPointSample` refuses bits below 64."""
     if count < 1:
         raise ValueError("count must be positive")
     return list(_points(bits, seed, 0, count))
@@ -83,10 +68,11 @@ def _points(bits: int, seed: int, start: int, stop: int):
 class PartialSumEvaluator:
     """S_N(x) = sum_{slots k <= N} f(n_sigma(k) x) on the exact grid.
 
-    It keeps the sorted indices the window reads (an identity window's are
-    ``perm.images`` itself), the row of each slot when the window is not the
-    identity, and the engine's arrays: three of 8N bytes for the pow2-window
-    kernel.
+    It keeps the sorted indices the window reads and the engine's arrays
+    (three of 8N bytes for the pow2-window kernel).  A window that is
+    1..count in order reads its rows in slot order, so its indices are
+    ``perm.images`` itself and it keeps nothing more; any other window also
+    keeps the row of each slot, found by one rank pass over its images.
     """
 
     def __init__(self, poly: TrigPolynomial, seq: IntegerSequence,
@@ -98,15 +84,10 @@ class PartialSumEvaluator:
         if top > len(seq):
             raise ValueError("permutation window exceeds sequence length")
         self.count = count
-        # a window of a bijection has distinct images
-        if top == count:
-            # count distinct images in 1..count are all of them; ascending,
-            # they are 1..count, and slot k reads row k - 1 with no gather
-            if np.all(images[1:] > images[:-1]):
-                self.indices, self._rows = images, None
-            else:
-                self.indices = np.arange(1, count + 1, dtype=np.int64)
-                self._rows = images - 1
+        # a window of a bijection has distinct images, so count ascending
+        # images up to count are 1..count: slot k reads row k - 1, no gather
+        if top == count and np.all(images[1:] > images[:-1]):
+            self.indices, self._rows = images, None
         else:
             # marking the images lists the sorted indices, and the running
             # count of marks up to an image is that slot's row
@@ -137,7 +118,7 @@ class PartialSumEvaluator:
     def slot_values(self, x: FixedPointSample) -> np.ndarray:
         """f(n_sigma(k) x) for slots k = 1..N, in slot order."""
         self._check_width(x)
-        per_index = self._values(self.engine.tops(x.mantissa, x.bits).astype(np.float64))
+        per_index = self._values(self.engine.tops(x).astype(np.float64))
         return per_index if self._rows is None else per_index[self._rows]
 
     def _values(self, angles: np.ndarray) -> np.ndarray:
@@ -172,11 +153,6 @@ class PartialSumEvaluator:
     def sum(self, x: FixedPointSample) -> float:
         return float(self.slot_values(x).sum())
 
-    def prefix_sums(self, x: FixedPointSample) -> np.ndarray:
-        """S_1, ..., S_N in slot order."""
-        values = self.slot_values(x)
-        return np.cumsum(values, out=values)
-
     def _slot_blocks(self, x: FixedPointSample):
         """Yield the slot values in consecutive blocks of _LIL_BLOCK slots,
         each writable and not read again by the evaluator.
@@ -190,9 +166,9 @@ class PartialSumEvaluator:
         self._check_width(x)
         n = self.count
         if len(self.freqs) > 1:
-            per_index = self._values(self.engine.tops(x.mantissa, x.bits).astype(np.float64))
+            per_index = self._values(self.engine.tops(x).astype(np.float64))
         else:
-            tops = self.engine.tops_blocks(x.mantissa, x.bits, _LIL_BLOCK)
+            tops = self.engine.tops_blocks(x, _LIL_BLOCK)
             blocks = map(self._values, map(_AS_FLOAT, tops))
             if self._rows is None:
                 yield from blocks
@@ -367,6 +343,9 @@ def clt_experiment(
     if workers <= 1:
         values = _clt_values(evaluator, seed, 0, samples)
     else:
+        # imported here: it loads multiprocessing, which one worker never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = np.linspace(0, samples, workers + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_clt_values, repeat(evaluator), repeat(seed),

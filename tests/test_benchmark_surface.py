@@ -12,6 +12,12 @@ from pathlib import Path
 
 import pytest
 
+from lacunaria.mod1 import FracTopEngine
+from lacunaria.permute import identity, random_perm
+from lacunaria.seqgen import gen_power
+from lacunaria.simulate import PartialSumEvaluator, clt_experiment, sample_points
+from lacunaria.spectra import TrigPolynomial
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 LIBRARY_MODULES = {"diophantine", "mod1", "permute", "seqgen", "simulate", "spectra"}
 
@@ -94,3 +100,22 @@ def test_span_target_resolves(module_name, path):
 def test_workload_reference_resolves(module_name, path):
     owner, attr = _owner(module_name, path)
     assert hasattr(owner, attr)
+
+
+def test_monte_carlo_reaches_the_wrapped_kernel(monkeypatch):
+    # the mod1.tops span wraps FracTopEngine.tops, so the CLT workloads are
+    # counted only while each sample calls it; a LIL trajectory of one
+    # frequency reads the same rows through tops_blocks
+    calls = []
+    for name in ("tops", "tops_blocks"):
+        def counting(self, *args, _name=name, _kernel=getattr(FracTopEngine, name)):
+            calls.append(_name)
+            return _kernel(self, *args)
+
+        monkeypatch.setattr(FracTopEngine, name, counting)
+    seq, poly = gen_power(2, 0, 64), TrigPolynomial.parse("cos:1")
+    clt_experiment(poly, seq, random_perm(64, 3), 64, 5, seed=2)
+    assert calls == ["tops"] * 5
+    evaluator = PartialSumEvaluator(poly, seq, identity(64), 64)
+    evaluator.lil_trajectory(sample_points(evaluator.required, 1, 1)[0], 0.5)
+    assert calls == ["tops"] * 5 + ["tops_blocks"]

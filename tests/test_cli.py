@@ -360,6 +360,21 @@ def test_var_window_beyond_sequence_exit(tmp_path):
     assert not (tmp_path / "variance.json").exists()
 
 
+def test_var_window_sizes_an_inline_sequence(tmp_path, capsys):
+    # 340 slots of random_perm(1360, 1) read indices up to 1360, so pow2
+    # without a length spans the window, as pow2:1360 does
+    common = ["var", "--f", "cos:1,cos:2", "--count", "340", "--window", "1360",
+              "--perm", "random:1"]
+    assert run([*common, "--seq", "pow2", "--out-dir", tmp_path / "window"]) == EXIT_OK
+    assert run([*common, "--seq", "pow2:1360", "--out-dir", tmp_path / "explicit"]) == EXIT_OK
+    got = (tmp_path / "window" / "variance.json").read_bytes()
+    assert json.loads(got)["exact_variance"] == "211/170"
+    assert got == (tmp_path / "explicit" / "variance.json").read_bytes()
+    capsys.readouterr()
+    assert run(["verify", "--manifest", tmp_path / "window" / "run.json"]) == EXIT_OK
+    assert "verify: OK" in capsys.readouterr().out
+
+
 # ---------------- clt command ----------------
 
 def test_clt_cli_small(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lacunaria.mod1 import FracTopEngine, required_bits
+from lacunaria.mod1 import FixedPointSample, FracTopEngine, required_bits
 from lacunaria.rng import CounterRng
 from lacunaria.seqgen import IntegerSequence, gen_geometric, gen_power
 
@@ -35,7 +35,7 @@ def test_window_strategy_matches_reference(offset):
     rng = CounterRng(7, "x")
     for i in range(25):
         m = rng.bits(i, bits)
-        got = eng.tops(m, bits)
+        got = eng.tops(FixedPointSample(m, bits))
         want = reference_tops(seq.terms, indices, freqs, bits, m)
         assert np.array_equal(got, want), f"offset={offset}, sample {i}"
 
@@ -58,7 +58,7 @@ def test_window_word_boundaries_and_largest_index(offset, freqs):
     rng = CounterRng(9, "x")
     patterns = [0, 1, (1 << bits) - 1, int("10" * (bits // 2), 2)]
     for m in [rng.bits(i, bits) for i in range(20)] + patterns:
-        assert np.array_equal(eng.tops(m, bits),
+        assert np.array_equal(eng.tops(FixedPointSample(m, bits)),
                               reference_tops(seq.terms, indices, freqs, bits, m)), f"m={m:#x}"
 
 
@@ -78,8 +78,18 @@ def test_window_any_admissible_width(bits, offset, freqs):
     rng = CounterRng(15, "x")
     patterns = [0, 1, (1 << bits) - 1, 1 << (bits - 1)]
     for m in [rng.bits(i, bits) for i in range(20)] + patterns:
-        assert np.array_equal(eng.tops(m, bits),
+        assert np.array_equal(eng.tops(FixedPointSample(m, bits)),
                               reference_tops(seq.terms, indices, freqs, bits, m)), f"m={m:#x}"
+
+
+@pytest.mark.parametrize("mantissa, bits, message", [
+    (0, 63, "need at least 64 bits"),
+    (-1, 64, "mantissa outside"),
+    (1 << 64, 64, "mantissa outside"),
+])
+def test_grid_point_refuses_narrow_widths_and_outside_mantissas(mantissa, bits, message):
+    with pytest.raises(ValueError, match=message):
+        FixedPointSample(mantissa, bits)
 
 
 def test_engine_rejects_empty_indices():
@@ -101,7 +111,7 @@ def test_window_long_index_set():
     rng = CounterRng(10, "x")
     for i in range(2):
         m = rng.bits(i, bits)
-        got = eng.tops(m, bits)
+        got = eng.tops(FixedPointSample(m, bits))
         want = reference_tops(seq.terms, [indices[r] for r in rows], [1, 2], bits, m)
         assert np.array_equal(got[rows], want), f"sample {i}"
 
@@ -128,7 +138,7 @@ def test_window_strategy_carry_ties():
     eng = FracTopEngine(seq, indices, freqs)
     assert eng.strategy == "pow2-window"
     for m in _carry_tie_patterns(bits):
-        got = eng.tops(m, bits)
+        got = eng.tops(FixedPointSample(m, bits))
         want = reference_tops(seq.terms, indices, freqs, bits, m)
         assert np.array_equal(got, want), f"pattern {m:#x}"
 
@@ -151,8 +161,8 @@ def test_tops_same_from_list_and_int64_array(strategy):
     rng = CounterRng(14, "x")
     for m in [rng.bits(i, bits) for i in range(5)] + _carry_tie_patterns(bits):
         want = reference_tops(seq.terms, indices, freqs, bits, m)
-        assert np.array_equal(from_list.tops(m, bits), want), f"m={m:#x}"
-        assert np.array_equal(from_array.tops(m, bits), want), f"m={m:#x}"
+        assert np.array_equal(from_list.tops(FixedPointSample(m, bits)), want), f"m={m:#x}"
+        assert np.array_equal(from_array.tops(FixedPointSample(m, bits)), want), f"m={m:#x}"
 
 
 @pytest.mark.parametrize("strategy", ["pow2-window", "power-chain", "generic"])
@@ -172,10 +182,10 @@ def test_tops_blocks_concatenate_to_tops(strategy, block):
     assert eng.strategy == strategy
     rng = CounterRng(15, "x")
     for m in [rng.bits(i, bits) for i in range(3)] + _carry_tie_patterns(bits) + [1 << 63]:
-        blocks = list(eng.tops_blocks(m, bits, block))
+        blocks = list(eng.tops_blocks(FixedPointSample(m, bits), block))
         assert [len(b) for b in blocks] == [min(block, 150 - lo) for lo in range(0, 150, block)]
         want = reference_tops(seq.terms, indices, freqs, bits, m)
-        assert np.array_equal(eng.tops(m, bits), want), f"m={m:#x}"
+        assert np.array_equal(eng.tops(FixedPointSample(m, bits)), want), f"m={m:#x}"
         assert np.array_equal(np.concatenate(blocks), want), f"m={m:#x}"
 
 
@@ -191,10 +201,10 @@ def test_chain_strategy_matches_reference():
         rng = CounterRng(3, "x")
         for i in range(10):
             m = rng.bits(i, bits)
-            assert np.array_equal(eng.tops(m, bits),
+            assert np.array_equal(eng.tops(FixedPointSample(m, bits)),
                                   reference_tops(seq.terms, indices, freqs, bits, m))
             m2 = rng.bits(100 + i, bits)
-            assert np.array_equal(eng.tops(m2, bits),
+            assert np.array_equal(eng.tops(FixedPointSample(m2, bits)),
                                   reference_tops(seq.terms, indices, freqs, bits, m2))
 
 
@@ -208,7 +218,7 @@ def test_generic_strategy_matches_reference():
     rng = CounterRng(11, "x")
     for i in range(10):
         m = rng.bits(i, bits)
-        assert np.array_equal(eng.tops(m, bits),
+        assert np.array_equal(eng.tops(FixedPointSample(m, bits)),
                               reference_tops(list(seq.terms), indices, freqs, bits, m))
 
 
@@ -228,8 +238,8 @@ def test_strategies_agree_pairwise():
     assert window.strategy == "pow2-window" and generic.strategy == "generic"
     rng = CounterRng(13, "x")
     for i in range(15):
-        m = rng.bits(i, bits)
-        a, b, c = window.tops(m, bits), chain.tops(m, bits), generic.tops(m, bits)
+        x = FixedPointSample(rng.bits(i, bits), bits)
+        a, b, c = window.tops(x), chain.tops(x), generic.tops(x)
         assert np.array_equal(a, b) and np.array_equal(b, c)
 
 
@@ -239,5 +249,5 @@ def test_non_pow2_frequency_falls_back():
     eng = FracTopEngine(seq, [1, 5, 30], [1, 3])
     assert eng.strategy == "power-chain"
     m = CounterRng(1, "x").bits(0, bits)
-    assert np.array_equal(eng.tops(m, bits),
+    assert np.array_equal(eng.tops(FixedPointSample(m, bits)),
                           reference_tops(seq.terms, [1, 5, 30], [1, 3], bits, m))

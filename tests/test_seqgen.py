@@ -8,7 +8,7 @@ import pytest
 
 from lacunaria import seqgen
 from lacunaria.errors import IntervalEmpty
-from lacunaria.mod1 import FracTopEngine
+from lacunaria.mod1 import FixedPointSample, FracTopEngine
 from lacunaria.permute import BlockSchedule, build_pairing_counterexample
 from lacunaria.rng import CounterRng
 from lacunaria.seqgen import (
@@ -280,7 +280,8 @@ def test_power_file_reads_back_the_lazy_view(tmp_path):
     indices, m = list(range(1, 81)), CounterRng(3, "x").bits(0, 256)
     engines = [FracTopEngine(s, indices, [1, 2]) for s in (seq, back)]
     assert [e.strategy for e in engines] == ["pow2-window"] * 2
-    assert np.array_equal(engines[0].tops(m, 256), engines[1].tops(m, 256))
+    x = FixedPointSample(m, 256)
+    assert np.array_equal(engines[0].tops(x), engines[1].tops(x))
     schedule = BlockSchedule.geometric_dominant(2, factor=4, base_len=4)
     (perm, cert), (perm_back, cert_back) = (
         build_pairing_counterexample(s, 1, 2, schedule, gap_ratio=8) for s in (seq, back))

@@ -1,9 +1,13 @@
+import concurrent.futures
 import hashlib
 import math
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from itertools import product
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -52,6 +56,11 @@ def test_sample_points_mean():
     assert abs(mean - 0.5) < 3 / math.sqrt(12 * 100_000)
 
 
+def test_sample_points_refuse_fewer_than_64_bits():
+    with pytest.raises(ValueError, match="need at least 64 bits"):
+        sample_points(63, 1, 0)
+
+
 def test_sample_points_distinct_seeds():
     a = {p.mantissa for p in sample_points(64, 10_000, 1)}
     b = {p.mantissa for p in sample_points(64, 10_000, 2)}
@@ -71,7 +80,7 @@ def test_frac_part_against_mpmath_oracle():
     with mpmath.workprec(300):
         for i in range(10):
             m = rng.bits(i, bits)
-            got = int(eng.tops(m, bits)[0, 0])
+            got = int(eng.tops(FixedPointSample(m, bits))[0, 0])
             x = mpmath.mpf(m) / mpmath.power(2, bits)
             expected = mpmath.frac(mpmath.mpf(n) * x)
             assert got == int(mpmath.floor(expected * mpmath.power(2, 64)))
@@ -177,7 +186,7 @@ def test_evaluator_rank_pass_matches_sort_oracle(perm, count):
 
 def _matmul_slot_values(ev, x):
     """slot_values by the one-column-per-frequency matmul for every F."""
-    angles = ev.engine.tops(x.mantissa, x.bits).astype(np.float64) * (2.0 * math.pi * 2.0**-64)
+    angles = ev.engine.tops(x).astype(np.float64) * (2.0 * math.pi * 2.0**-64)
     if not ev._has_cos:
         return (np.sin(angles) @ ev._asin)[ev._rows]
     per_index = np.cos(angles) @ ev._acos
@@ -271,13 +280,34 @@ def test_clt_pool_size_capped_by_samples_and_cores(monkeypatch, cores, pool_size
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
     seq = gen_power(2, 0, 64)
     serial = clt_experiment(COS1, seq, identity(64), 64, 8, seed=9)
     wide = clt_experiment(COS1, seq, identity(64), 64, 8, seed=9, workers=10**6)
     assert np.array_equal(serial.samples, wide.samples)
     assert sizes == pool_sizes
+
+
+_POOL_PROBE = """
+import sys
+from lacunaria import permute, seqgen, simulate, spectra
+
+poly = spectra.TrigPolynomial.parse("cos:1")
+simulate.clt_experiment(poly, seqgen.gen_power(2, 0, 64), permute.identity(64), 64, 4,
+                        seed=1, workers=1)
+print(sorted({"multiprocessing", "concurrent.futures.process"} & set(sys.modules)))
+"""
+
+
+def test_one_worker_loads_no_process_pool():
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _POOL_PROBE],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
 
 
 # SHA-256 of clt_experiment(...).samples.tobytes() for one case per
@@ -461,7 +491,7 @@ def test_lil_checkpoints_pinned(key):
 
 # SHA-256 of the partial-sum path's bytes, recorded before that path worked
 # in place: per (window, sequence, polynomial), and for N = 2^10 and 2^16,
-# slot_values and prefix_sums at two points and the packed LIL checkpoints
+# slot_values and their prefix sums at two points and the packed LIL checkpoints
 PATH_POLYS = {
     "cos": TrigPolynomial(cos_coeffs={1: Fraction(3, 4)}),
     "sin": TrigPolynomial(sin_coeffs={1: Fraction(-2, 3)}),
@@ -545,7 +575,7 @@ def _path_digest(window, seq_name, poly_name):
         ev = PartialSumEvaluator(poly, seq, perm, n)
         for x in sample_points(ev.required, 2, seed=n):
             h.update(ev.slot_values(x).tobytes())
-            h.update(ev.prefix_sums(x).tobytes())
+            h.update(np.cumsum(ev.slot_values(x)).tobytes())
             traj = ev.lil_trajectory(x, 0.5)
             h.update(b"".join(struct.pack("<qd", k, r) for k, r in traj.checkpoints))
     return h.hexdigest()
@@ -567,7 +597,7 @@ def test_lil_segment_maxima_match_running_max_oracle():
         while n <= n_top:
             ev = PartialSumEvaluator(poly, seq, perm, n)
             x = sample_points(ev.required, 1, seed=n)[0]
-            want = lil_running_max_checkpoints(ev.prefix_sums(x), 0.5)
+            want = lil_running_max_checkpoints(np.cumsum(ev.slot_values(x)), 0.5)
             assert ev.lil_trajectory(x, 0.5).checkpoints == want
             n *= 2
 
@@ -587,7 +617,7 @@ def test_lil_blocks_straddling_segments_match_oracle(monkeypatch, block, window,
         for poly_name, poly in sorted(PATH_POLYS.items()):
             ev = PartialSumEvaluator(poly, seq, perm, n)
             for x in sample_points(ev.required, 2, seed=n):
-                want = lil_running_max_checkpoints(ev.prefix_sums(x), 0.5)
+                want = lil_running_max_checkpoints(np.cumsum(ev.slot_values(x)), 0.5)
                 assert ev.lil_trajectory(x, 0.5).checkpoints == want, (n, poly_name)
 
 
