@@ -191,14 +191,6 @@ class _SortedHistogram(Mapping):
         return zip(self, self.values())
 
 
-def _run_lengths(values: list[int]) -> tuple[list[int], list[int]]:
-    """(first index, length) of each run of equal entries of the sorted ``values``."""
-    if not values:
-        return [], []
-    starts = [0, *compress(count_from(1), map(ne, islice(values, 1, None), values))]
-    return starts, list(map(sub, chain(islice(starts, 1, None), (len(values),)), starts))
-
-
 def _pair_histogram(
     terms: list[int],
     a: int,
@@ -214,9 +206,11 @@ def _pair_histogram(
     (ascending, the last one ``len(terms)``) is complete: the sums are
     collected in order of max(k, l), so each prefix is a head of one list,
     sorted (a copy, or the list itself for the last prefix) and counted by
-    runs.  c = 0 is left out unless ``include_zero``; ``drop_diagonal``
-    leaves the pairs k = l out of c = 0.  Terms are positive, so k = l
-    gives c = 0 iff a + b = 0.
+    runs.  One mask marks where a run starts; the keys are the entries it
+    marks, and the run lengths are measured only when some run is longer
+    than 1 (pair sums are often all distinct).  c = 0 is left out unless
+    ``include_zero``; ``drop_diagonal`` leaves the pairs k = l out of
+    c = 0.  Terms are positive, so k = l gives c = 0 iff a + b = 0.
     """
     left = [a * t for t in terms]
     right = [b * t for t in terms]
@@ -238,9 +232,14 @@ def _pair_histogram(
         hi = bisect_right(ordered, 0, lo)
         del ordered[lo:hi]  # c = 0, counted apart
         at_zero = (hi - lo - (pfx if drop else 0)) if include_zero else 0
-        starts, counts = _run_lengths(ordered)
+        starts = [True, *map(ne, islice(ordered, 1, None), ordered)]
+        keys = list(compress(ordered, starts))
+        if len(keys) == len(ordered):
+            counts = [1] * len(keys)
+        else:
+            first = list(compress(count_from(), starts))
+            counts = list(map(sub, chain(islice(first, 1, None), (len(ordered),)), first))
         maxima.append(max(max(counts, default=0), at_zero))
-    keys = list(map(ordered.__getitem__, starts))
     if at_zero:
         at = bisect_left(keys, 0)
         keys.insert(at, 0)
@@ -538,14 +537,23 @@ def _histogram_rows(hist: _SortedHistogram) -> tuple[list[str], list[str], list[
 
     The groups are (key < 0, key = 0, key > 0).  This is the only place a c
     is turned into decimal; both signs of a factor are laid out from the
-    same rows by :func:`_histogram_parts`.
+    same rows by :func:`_histogram_parts`.  Each row is one f-string: |c|
+    in decimal, then the table's text for its count (a count is at most N,
+    so those texts are made once per table).  At |factor| = 1 a key is
+    written as it is, and only the keys below 0 are negated.
     """
-    keys = hist._keys
-    magnitudes = map(abs(hist._factor).__mul__, map(abs, keys))
-    rows = list(map('%d": %d'.__mod__, zip(magnitudes, hist._counts)))
+    keys, counts = hist._keys, hist._counts
     lo = bisect_left(keys, 0)
     hi = bisect_right(keys, 0, lo)
-    return rows[:lo], rows[lo:hi], rows[hi:]
+    tail = [f'": {n}' for n in range(hist.max_count + 1)]
+    g = abs(hist._factor)
+    if g == 1:
+        below = [f"{-k}{tail[n]}" for k, n in zip(keys[:lo], counts[:lo])]
+        above = [f"{k}{tail[n]}" for k, n in zip(keys[hi:], counts[hi:])]
+    else:
+        below = [f"{-g * k}{tail[n]}" for k, n in zip(keys[:lo], counts[:lo])]
+        above = [f"{g * k}{tail[n]}" for k, n in zip(keys[hi:], counts[hi:])]
+    return below, [f"0{tail[n]}" for n in counts[lo:hi]], above
 
 
 def _histogram_parts(rows: tuple[list[str], list[str], list[str]], mirrored: bool) -> list[str]:
@@ -569,11 +577,13 @@ def _histogram_parts(rows: tuple[list[str], list[str], list[str]], mirrored: boo
 def _profile_json_parts(reports: dict[tuple[int, int], DioReport]) -> Iterator[str]:
     """The text of :func:`profile_to_json` in pieces, in order.
 
-    A table read at scale |factor| is turned into rows once, whichever sign
-    reads it, and each (table, factor) is laid out once: the reports of a
-    profile that read one table with one factor, as swapped pairs do, share
-    its text.  Both caches are keyed by ``id`` of the key tuple, which the
-    reports keep alive.
+    :func:`_histogram_rows` writes the rows of a table at scale |factor|
+    once, for both signs, and :func:`_histogram_parts` lays them out once
+    per (table, factor), for every report that reads that view (swapped
+    pairs do).  A profile holds one table per primitive class, so its text
+    costs one decimal conversion per entry and class scale.  Rows and
+    layouts are keyed by ``id`` of the key tuple, which the reports keep
+    alive.
     """
     if not reports:
         yield "[]"

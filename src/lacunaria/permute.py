@@ -67,7 +67,13 @@ class PermutationWindow:
 def identity(n: int) -> PermutationWindow:
     if n < 1:
         raise ValueError("window length must be positive")
-    return PermutationWindow(np.arange(1, n + 1, dtype=np.int64))
+    # 1..n is a bijection by construction: the window keeps this array as
+    # it is, with no copy and no mark pass
+    images = np.arange(1, n + 1, dtype=np.int64)
+    images.flags.writeable = False
+    window = object.__new__(PermutationWindow)
+    window.images = images
+    return window
 
 
 def random_perm(n: int, seed: int) -> PermutationWindow:

@@ -8,10 +8,12 @@ parsed with ``ast``, not imported, so nothing under ``perfbench/`` is touched.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
+from lacunaria import diophantine
 from lacunaria.mod1 import FracTopEngine
 from lacunaria.permute import identity, random_perm
 from lacunaria.seqgen import gen_power
@@ -119,3 +121,17 @@ def test_monte_carlo_reaches_the_wrapped_kernel(monkeypatch):
     evaluator = PartialSumEvaluator(poly, seq, identity(64), 64)
     evaluator.lil_trajectory(sample_points(evaluator.required, 1, 1)[0], 0.5)
     assert calls == ["tops"] * 5 + ["tops_blocks"]
+
+
+def test_pair_histogram_keeps_the_shape_its_span_reads():
+    # the diophantine.pair_evals counter reads len(args[0]) of each
+    # _pair_histogram call: the term list must stay the first positional
+    # argument, and the call must return (table, maxima)
+    params = list(inspect.signature(diophantine._pair_histogram).parameters.values())
+    assert params[0].name == "terms"
+    assert params[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD
+    terms = gen_power(2, -1, 8).prefix(8)
+    table, maxima = diophantine._pair_histogram(terms, 1, -2, [2, 4, 8],
+                                                include_zero=False, drop_diagonal=False)
+    assert isinstance(table, diophantine._SortedHistogram)
+    assert maxima == [1, 3, 7] and table.max_count == 7

@@ -172,6 +172,54 @@ def test_d2star_profile_matches_brute_force():
             assert rep.histogram == oracle, (seq.provenance, a, b)
 
 
+PAIR_HISTOGRAM_SEQS = {
+    "pow3": gen_power(3, 0, 7),  # base-3 digits: a*n_k + 2*n_l never repeats
+    "geometric": gen_geometric("3/2", 2, 7),
+    "smooth": gen_smooth({2, 3}, 7),  # many collisions
+    "pow2m1": gen_power(2, -1, 7),
+}
+
+
+@pytest.mark.parametrize("include_zero", [False, True])
+@pytest.mark.parametrize("diagonal", ["sum_zero", "literal"])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 7])
+@pytest.mark.parametrize("name", sorted(PAIR_HISTOGRAM_SEQS))
+def test_pair_histogram_matches_brute_force(name, n, diagonal, include_zero):
+    # the table at N and the largest count at every growth prefix (N/4, N/2
+    # and N coincide in part at these N) against pair-by-pair enumeration
+    terms = PAIR_HISTOGRAM_SEQS[name].prefix(n)
+    prefixes = diophantine._growth_prefixes(n)
+    for a, b in diophantine._coefficient_pairs(3):
+        drop = a + b == 0 if diagonal == "sum_zero" else a == b
+        hist, maxima = diophantine._pair_histogram(terms, a, b, prefixes,
+                                                   include_zero=include_zero, drop_diagonal=drop)
+        want = brute_two_term_histogram(terms, a, b, include_zero, drop)
+        assert list(hist.items()) == sorted(want.items()), (a, b)
+        assert hist.max_count == max(want.values(), default=0)
+        assert maxima == [max(brute_two_term_histogram(terms[:p], a, b, include_zero,
+                                                       drop).values(), default=0)
+                          for p in prefixes], (a, b)
+
+
+def test_pair_histogram_reaches_its_edges():
+    pow3, smooth = PAIR_HISTOGRAM_SEQS["pow3"], PAIR_HISTOGRAM_SEQS["smooth"]
+
+    def counts(seq, n, a, b, include_zero=False):
+        hist, _ = diophantine._pair_histogram(seq.prefix(n), a, b, diophantine._growth_prefixes(n),
+                                              include_zero=include_zero, drop_diagonal=a + b == 0)
+        return sorted(hist.values())
+
+    # N = 1, a + b = 0: the only pair solves c = 0, so no entry is left
+    assert counts(pow3, 1, 1, -1) == []
+    assert counts(pow3, 1, 2, -2, include_zero=True) == []
+    # every pair sum distinct, then (1, 1): each off-diagonal sum counts twice
+    assert counts(pow3, 7, 1, 2) == [1] * 49
+    assert counts(pow3, 7, 1, 1) == [1] * 7 + [2] * 21
+    # runs longer than 2 (1 + 3 = 2 + 2 = 4)
+    assert counts(smooth, 7, 1, 1)[-1] > 2
+    assert counts(smooth, 7, 1, -1, include_zero=True)[-1] > 2
+
+
 def _fields(rep):
     return {"histogram": rep.histogram, "max_count": rep.max_count,
             "argmax_c": rep.argmax_c, "prefix_growth": rep.prefix_growth,
@@ -791,6 +839,8 @@ def test_profile_json_is_json_dumps_text():
         "negative and big c": d2_profile(gen_power(2, 0, 80), 2, 80),
         "d2star sum_zero": d2star_profile(star, 2, 40),
         "d2star literal": d2star_profile(star, 2, 40, diagonal="literal"),
+        "bound 4": d2_profile(gen_smooth({2, 3}, 40), 4, 40),
+        "d2star bound 4": d2star_profile(gen_smooth({2, 3}, 40), 4, 40),
     }
     for name, reports in cases.items():
         want = json.dumps([report_json_dict(reports[k]) for k in sorted(reports)], indent=2)
@@ -800,8 +850,13 @@ def test_profile_json_is_json_dumps_text():
     assert empty.histogram == {} and empty.argmax_c is None and empty.witnesses == []
     values = [c for r in cases["negative and big c"].values() for c in r.histogram]
     assert min(values) < 0 and max(values) > 2**63
-    for name in ("d2star sum_zero", "d2star literal"):
+    for name in ("d2star sum_zero", "d2star literal", "d2star bound 4"):
         assert any(0 in r.histogram for r in cases[name].values()), name
+    # bound 4 reads scaled tables at a negative factor: (4, -2) is the
+    # mirror of (-4, 2) = 2 * (-2, 1), a mixed-sign class
+    for name in ("bound 4", "d2star bound 4"):
+        mirror = cases[name][(4, -2)].histogram
+        assert mirror._factor == -2 and min(mirror) < 0 < max(mirror), name
 
 
 def test_profile_json_renders_each_histogram_once(monkeypatch):

@@ -47,6 +47,16 @@ from oracles import cycle_count
 def test_identity():
     assert identity(3).images.tolist() == [1, 2, 3]
     assert identity(1).images.tolist() == [1]
+    # built without the constructor's copy, it keeps the constructor's contract
+    perm = identity(4)
+    assert isinstance(perm, PermutationWindow) and len(perm) == 4
+    images = perm.images
+    assert images.dtype == np.int64 and images.ndim == 1
+    assert images.flags.c_contiguous and not images.flags.writeable
+    with pytest.raises(ValueError):
+        images[0] = 2
+    with pytest.raises(ValueError, match="positive"):
+        identity(0)
 
 
 def test_random_perm_deterministic():

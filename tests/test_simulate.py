@@ -660,10 +660,10 @@ def test_lil_trajectory_peak_memory_shuffled_window():
 
 
 def test_identity_window_peak_memory_in_buffers():
-    # the arange, the window's own copy of it and one byte a slot of marks:
-    # 2.13 measured (3.0 with duplicates counted in 8 bytes a slot)
+    # the arange alone, kept by the window: 1.00 measured (2.13 while the
+    # window copied it and marked every slot)
     n = 1 << 18
-    assert _peak_buffers(n, lambda: identity(n)) <= 2.2
+    assert _peak_buffers(n, lambda: identity(n)) <= 1.05
 
 
 def test_lil_one_evaluator_many_points():
