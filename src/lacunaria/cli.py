@@ -326,6 +326,8 @@ def _ks_target(spec: str):
 
 
 def run_clt(params: dict, out_dir: Path) -> list[Path]:
+    if params.get("threads", 1) < 1:
+        raise ValueError("--threads must be at least 1")
     poly = spectra.TrigPolynomial.parse(params["f"])
     target, target_name = _ks_target(params["ks"]) if params.get("ks") else (None, None)
     seq, perm, count = _window_inputs(params)
@@ -364,7 +366,10 @@ def run_clt(params: dict, out_dir: Path) -> list[Path]:
 
 def run_lil(params: dict, out_dir: Path) -> list[Path]:
     poly = spectra.TrigPolynomial.parse(params["f"])
-    simulate.check_lil_window(params["count"])  # before anything of size N_max is built
+    # before anything of size N_max is built
+    simulate.check_lil_window(params["count"])
+    if params["points"] < 1:
+        raise ValueError("--points must be at least 1")
     seq, perm, n_max = _window_inputs(params)
     variance = _finite_float(params["variance"], "variance")
     evaluator = simulate.PartialSumEvaluator(poly, seq, perm, n_max)

@@ -68,6 +68,23 @@ def _window64(words: np.ndarray, w: np.ndarray, r: np.ndarray,
     return out
 
 
+def _offset_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uninitialized w, r and rc buffers of n rows for :func:`_window_offsets`."""
+    return np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64), np.empty(n, dtype=np.uint64)
+
+
+def _window_offsets(ks: np.ndarray, w: np.ndarray, r: np.ndarray,
+                    rc: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`_window64` offsets of bit positions ks, written into the
+    buffers of :func:`_offset_buffers`: w = ks >> 6, r = ks & 63 (returned
+    as a uint64 view of its int64 buffer) and rc = 63 - r."""
+    np.right_shift(ks, 6, out=w)
+    np.bitwise_and(ks, 63, out=r)
+    r = r.view(np.uint64)
+    np.subtract(np.uint64(63), r, out=rc)
+    return w, r, rc
+
+
 @dataclass(frozen=True)
 class FixedPointSample:
     """A grid point x = mantissa / 2^bits in [0, 1), with bits >= 64."""
@@ -92,6 +109,11 @@ class FracTopEngine:
     ``tops(x)`` returns a (len(indices), len(freqs)) uint64 array for the
     :class:`FixedPointSample` x; ``tops_blocks`` yields the same rows in
     consecutive blocks.
+
+    The pow2-window kernel reads each row at a bit offset.  ``tops`` keeps
+    the offsets of every row from its first call on (three arrays of 8
+    bytes per row); ``tops_blocks`` holds those of one block at a time, so
+    an engine that only streams keeps no array per row but its indices.
     """
 
     def __init__(self, seq, indices, freqs: list[int]):
@@ -112,9 +134,7 @@ class FracTopEngine:
             and all(j & (j - 1) == 0 and j < (1 << 63) for j in freqs)
         ):
             self.strategy = "pow2-window"
-            self._w = ks >> 6
-            self._r = (ks & 63).view(np.uint64)
-            self._rc = np.uint64(63) - self._r
+            self._offsets = None  # the window offsets of every row, once tops builds them
             self._shifts = [j.bit_length() - 1 for j in self.freqs]
             # the last word _window64 reads; zero padding reaches it
             self._top_word = ((int(ks[-1]) + 128) >> 6) + 1
@@ -131,21 +151,30 @@ class FracTopEngine:
 
     def tops(self, x: FixedPointSample) -> np.ndarray:
         if self.strategy == "pow2-window":
-            return self._tops_window(*self._words(x.mantissa, x.bits),
-                                     self._w, self._r, self._rc)
+            # a Monte Carlo run calls this once per sample on the same rows,
+            # so the first call builds their window offsets and keeps them
+            if self._offsets is None:
+                self._offsets = _window_offsets(self.indices, *_offset_buffers(len(self.indices)))
+            return self._tops_window(*self._words(x.mantissa, x.bits), *self._offsets)
         return next(self._row_blocks(x.mantissa, x.bits, len(self.indices)))
 
     def tops_blocks(self, x: FixedPointSample, block: int):
         """Yield the rows of ``tops(x)`` in consecutive blocks of ``block``
         rows (the last may be shorter), each a fresh array equal to that
-        slice of ``tops``; no array spans all the rows."""
+        slice of ``tops``; no array spans all the rows.
+
+        The pow2-window kernel derives each block's window offsets from its
+        indices into three buffers of one block, made once per call:
+        fresh offset arrays per block cost more in allocation than they
+        save.  Each call has its own buffers, so calls may interleave."""
         n = len(self.indices)
         if self.strategy == "pow2-window":
             words = self._words(x.mantissa, x.bits)
+            buffers = _offset_buffers(min(block, n))
             for lo in range(0, n, block):
-                rows = slice(lo, lo + block)
-                yield self._tops_window(*words, self._w[rows], self._r[rows],
-                                        self._rc[rows], lo)
+                ks = self.indices[lo:lo + block]
+                offsets = _window_offsets(ks, *(buf[:len(ks)] for buf in buffers))
+                yield self._tops_window(*words, *offsets, lo)
         else:
             yield from self._row_blocks(x.mantissa, x.bits, block)
 
@@ -163,7 +192,7 @@ class FracTopEngine:
     def _tops_window(self, words: np.ndarray, B: int, m: int, w: np.ndarray,
                      r: np.ndarray, rc: np.ndarray, lo: int = 0) -> np.ndarray:
         """Tops of rows lo, lo + 1, ... from the words of m on B bits; w, r
-        and rc are those rows of ``_w``, ``_r`` and ``_rc``."""
+        and rc are the window offsets of those rows (:func:`_window_offsets`)."""
         shifts = self._shifts
         offset = self.power_form[1]
         carry_in = offset != 0 and m != 0

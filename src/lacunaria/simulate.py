@@ -68,11 +68,13 @@ def _points(bits: int, seed: int, start: int, stop: int):
 class PartialSumEvaluator:
     """S_N(x) = sum_{slots k <= N} f(n_sigma(k) x) on the exact grid.
 
-    It keeps the sorted indices the window reads and the engine's arrays
-    (three of 8N bytes for the pow2-window kernel).  A window that is
-    1..count in order reads its rows in slot order, so its indices are
-    ``perm.images`` itself and it keeps nothing more; any other window also
-    keeps the row of each slot, found by one rank pass over its images.
+    It keeps the sorted indices the window reads and the engine.  A window
+    that is 1..count in order reads its rows in slot order, so its indices
+    are ``perm.images`` itself and it keeps nothing more; any other window
+    also keeps the row of each slot, found by one rank pass over its images.
+    The LIL streams the engine's tops by block, so the engine adds no array
+    of 8N bytes; the first ``slot_values`` call leaves the pow2-window
+    kernel three of them, the window offsets every later sample reads.
     """
 
     def __init__(self, poly: TrigPolynomial, seq: IntegerSequence,
@@ -127,13 +129,7 @@ class PartialSumEvaluator:
         are freed before the cos."""
         angles *= _TWO_PI * _INV64
         if len(self.freqs) > 1:
-            # the matmul's BLAS sum may round differently from an explicit one
-            if self._has_cos:
-                per_index = np.cos(angles) @ self._acos
-                if self._has_sin:
-                    per_index += np.sin(angles) @ self._asin
-            else:
-                per_index = np.sin(angles) @ self._asin
+            per_index = self._matmul_sum(lambda trig: trig(angles))
         else:
             # a one-column product is one rounded multiply, so this equals
             # the matmul bit for bit, and every step can write into angles
@@ -150,6 +146,29 @@ class PartialSumEvaluator:
                 per_index *= self._asin
         return per_index
 
+    def _matmul_sum(self, table) -> np.ndarray:
+        """Per-row sum over several frequencies: ``table(np.cos) @ a``, plus
+        ``table(np.sin) @ b``, where ``table(fn)`` gives the (rows, k) array of
+        fn at the angles.  The matmul's BLAS sum may round differently from
+        an explicit one or from the same product split into row blocks, so
+        every path takes it whole; each table is used up before the next is
+        asked for."""
+        if not self._has_cos:
+            return table(np.sin) @ self._asin
+        per_index = table(np.cos) @ self._acos
+        if self._has_sin:
+            per_index += table(np.sin) @ self._asin
+        return per_index
+
+    def _stream_table(self, x: FixedPointSample, out: np.ndarray, trig) -> np.ndarray:
+        """out = trig(angles) over all rows at x, written block by block from
+        the engine's ``tops_blocks``, so no tops or angles span the rows."""
+        tops = self.engine.tops_blocks(x, _LIL_BLOCK)
+        for lo, angles in zip(range(0, len(out), _LIL_BLOCK), map(_AS_FLOAT, tops)):
+            angles *= _TWO_PI * _INV64
+            trig(angles, out=out[lo:lo + len(angles)])
+        return out
+
     def sum(self, x: FixedPointSample) -> float:
         return float(self.slot_values(x).sum())
 
@@ -157,16 +176,19 @@ class PartialSumEvaluator:
         """Yield the slot values in consecutive blocks of _LIL_BLOCK slots,
         each writable and not read again by the evaluator.
 
-        An identity window with one frequency computes each block from its own
-        tops.  Otherwise the per-index values come first, in one array: a
-        sum over several frequencies is one matmul over the whole window,
-        since a BLAS product split into row blocks may round a row
-        differently; a permuted window gathers each block from that array.
+        Every tops array it reads is one block of the engine's
+        ``tops_blocks``.  An identity window with one frequency computes each
+        block from its own tops.  Otherwise the per-index values come first,
+        in one array, and a permuted window gathers each block from it.
+        Several frequencies fill one (N, k) array with the cosines block by
+        block, take ``slot_values``' one matmul over it, then refill it with
+        the sines if f has any (a second pass over the tops).
         """
         self._check_width(x)
         n = self.count
         if len(self.freqs) > 1:
-            per_index = self._values(self.engine.tops(x).astype(np.float64))
+            table = np.empty((len(self.indices), len(self.freqs)))
+            per_index = self._matmul_sum(lambda trig: self._stream_table(x, table, trig))
         else:
             tops = self.engine.tops_blocks(x, _LIL_BLOCK)
             blocks = map(self._values, map(_AS_FLOAT, tops))
@@ -192,7 +214,9 @@ class PartialSumEvaluator:
 
         Beyond the evaluator's arrays it holds a few arrays of one block,
         and one array of 8N bytes only for a permuted window or several
-        frequencies: the per-index values.
+        frequencies: the per-index values.  k frequencies add the (N, k)
+        table of cosines or sines, and sines after cosines one more array
+        of 8N, the sines' product before it is summed in.
         """
         if not (math.isfinite(variance) and variance > 0):
             raise ValueError("variance must be positive and finite")

@@ -489,6 +489,35 @@ def test_lil_n_max_checked_before_anything_is_built(tmp_path, capsys, monkeypatc
     assert sorted(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_lil_points_checked_before_anything_is_built(tmp_path, capsys, monkeypatch, points):
+    # --points 0 once built the 2^20-slot evaluator before sample_points
+    # refused it with a message naming --count's word
+    def no_build(*args, **kwargs):
+        raise AssertionError("built before --points was checked")
+
+    monkeypatch.setattr(simulate.PartialSumEvaluator, "__init__", no_build)
+    monkeypatch.setattr(simulate, "sample_points", no_build)
+    assert run(["lil", "--f", "cos:1", "--seq", "pow2", "--count", "1048576",
+                "--points", points, "--variance", "1/2", "--seed", "7",
+                "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert "--points must be at least 1" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_clt_threads_below_one_exits_domain(tmp_path, capsys, monkeypatch, threads):
+    # both once ran one worker and exited 0
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("Monte Carlo ran before --threads was checked")
+
+    monkeypatch.setattr(simulate, "clt_experiment", no_sampling)
+    assert run(["clt", "--f", "cos:1", "--seq", "pow2", "--count", "64", "--samples", "10",
+                "--seed", "7", "--threads", threads, "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert "--threads must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
 @pytest.mark.parametrize("command, message", [
     (["lil", "--f", "cos:1", "--seq", "pow2", "--count", "256", "--points", "2",
       "--variance", "1e400", "--seed", "5"], "variance 1e400 is too large for a float"),

@@ -189,6 +189,69 @@ def test_tops_blocks_concatenate_to_tops(strategy, block):
         assert np.array_equal(np.concatenate(blocks), want), f"m={m:#x}"
 
 
+def _pow2_window_engine(offset, n=300):
+    """(engine, bits, reference): frequencies 1 and 2 over indices 1..n, whose
+    largest crosses several words, and the reference tops of a mantissa."""
+    seq = gen_power(2, offset, n)
+    indices = list(range(1, n + 1))
+    bits = required_bits(seq.term(n), 2)
+    eng = FracTopEngine(seq, indices, [1, 2])
+    assert eng.strategy == "pow2-window"
+    return eng, bits, lambda m: reference_tops(seq.terms, indices, [1, 2], bits, m)
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+def test_tops_blocks_generators_interleave(offset):
+    # each call streams through its own offset buffers: two calls on one
+    # engine, advanced in turn with different block sizes, each give the
+    # tops of their own point, and every yielded block stays as it was
+    eng, bits, reference = _pow2_window_engine(offset)
+    rng = CounterRng(16, "x")
+    x, y = (FixedPointSample(rng.bits(i, bits), bits) for i in range(2))
+    got_x, got_y = [], []
+    for bx, by in zip(eng.tops_blocks(x, 70), eng.tops_blocks(y, 64), strict=True):
+        got_x.append(bx)
+        got_y.append(by)
+    assert [len(b) for b in got_x] == [70, 70, 70, 70, 20]
+    assert [len(b) for b in got_y] == [64, 64, 64, 64, 44]
+    for point, got in ((x, got_x), (y, got_y)):
+        want = reference(point.mantissa)
+        assert np.array_equal(np.concatenate(got), want)
+        assert np.array_equal(eng.tops(point), want)
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("tops_first", [True, False])
+def test_tops_before_between_and_after_tops_blocks(offset, tops_first):
+    # tops keeps the offsets of every row from its first call; streaming
+    # neither reads nor disturbs them, whichever of the two runs first
+    eng, bits, reference = _pow2_window_engine(offset)
+    rng = CounterRng(17, "x")
+    points = [FixedPointSample(rng.bits(i, bits), bits) for i in range(3)]
+    if tops_first:
+        assert np.array_equal(eng.tops(points[2]), reference(points[2].mantissa))
+    for x in points:
+        want = reference(x.mantissa)
+        blocks = eng.tops_blocks(x, 100)
+        first = next(blocks)
+        assert np.array_equal(eng.tops(x), want)
+        assert np.array_equal(np.concatenate([first, *blocks]), want)
+        assert np.array_equal(eng.tops(x), want)
+
+
+@pytest.mark.parametrize("offset", [0, -1])
+@pytest.mark.parametrize("block", [37, 100])
+def test_tops_blocks_off_word_multiples_with_carry_ties(offset, block):
+    # blocks that are no multiple of 64 start mid-word in the window
+    # offsets, over indices that span five words; the tie patterns and
+    # m = 2^63 send offset -1 rows to the exact fallback
+    eng, bits, reference = _pow2_window_engine(offset)
+    for m in _carry_tie_patterns(bits) + [1 << 63]:
+        blocks = list(eng.tops_blocks(FixedPointSample(m, bits), block))
+        assert all(len(b) == block for b in blocks[:-1])
+        assert np.array_equal(np.concatenate(blocks), reference(m)), f"m={m:#x}"
+
+
 def test_chain_strategy_matches_reference():
     # frequency 3 is not a power of two, so even base 2 uses the chain
     for base, offset in ((2, -1), (3, 0), (10, -1)):

@@ -489,6 +489,48 @@ def test_lil_checkpoints_pinned(key):
     assert hashlib.sha256(packed).hexdigest() == LIL_PINNED[key]
 
 
+# SHA-256 of the packed (N, ratio) checkpoints at n_max = 2^17, two blocks of
+# the trajectory, with two frequencies; recorded while the LIL still formed
+# the whole window's tops, angles and cosines at once:
+# (offset, window, polynomial)
+MULTI_LIL_POLYS = {
+    "cos+cos": COS12,
+    "cos+sin": TrigPolynomial(cos_coeffs={1: 1}, sin_coeffs={2: Fraction(1, 2)}),
+}
+MULTI_LIL_PINNED = {
+    (0, "identity", "cos+cos"):
+        "92a707017a48b576695658bcd84fc5df2f8c35ea93e0336f3e9afc79ac99b11c",
+    (0, "identity", "cos+sin"):
+        "0accb5b59723393ae2052fc7b373599a4d3998584ed3ed47079b050e63f63015",
+    (0, "permuted", "cos+cos"):
+        "cf75b695903e9f90b0abe13b60c7cf7e68d0b8e9d72aff5a31e35d9544c055b1",
+    (0, "permuted", "cos+sin"):
+        "afe0264b4fff052415d342ffecc70d16b8a06585acb70f292443464c3bad717c",
+    (-1, "identity", "cos+cos"):
+        "fb4e133894c283beb5c385a371f3c4d48058dbbcc8764f8fc9f08c7ae2da766f",
+    (-1, "identity", "cos+sin"):
+        "22f4c490d97775aa95e94a96a819d6d382adab1547bce95077fcfe8950b7d384",
+    (-1, "permuted", "cos+cos"):
+        "e70cc89e6b2898a932cd2c3ab4deae1b5b369238e965d09eb9b40e80bfccad32",
+    (-1, "permuted", "cos+sin"):
+        "82eda735720e908d4dd8985c7f6bfb4676032287a08bb53117b07e85e2fcfd34",
+}
+
+
+@pytest.mark.parametrize("key", sorted(MULTI_LIL_PINNED))
+def test_multi_frequency_lil_checkpoints_pinned(key):
+    offset, window, poly_name = key
+    n = 1 << 17
+    seq = gen_power(2, offset, n)
+    perm = identity(n) if window == "identity" else PermutationWindow(
+        np.random.default_rng(5).permutation(n) + 1)
+    ev = PartialSumEvaluator(MULTI_LIL_POLYS[poly_name], seq, perm, n)
+    x = sample_points(ev.required, 1, seed=3)[0]
+    traj = ev.lil_trajectory(x, 0.5)
+    packed = b"".join(struct.pack("<qd", k, r) for k, r in traj.checkpoints)
+    assert hashlib.sha256(packed).hexdigest() == MULTI_LIL_PINNED[key]
+
+
 # SHA-256 of the partial-sum path's bytes, recorded before that path worked
 # in place: per (window, sequence, polynomial), and for N = 2^10 and 2^16,
 # slot_values and their prefix sums at two points and the packed LIL checkpoints
@@ -635,28 +677,52 @@ def _peak_buffers(n, build):
 
 def test_lil_trajectory_peak_memory_in_buffers():
     # numpy's buffers are traced.  An identity window of 2^18 keeps no index
-    # copy (the images are the indices) and the engine's three window arrays;
-    # one point adds a few arrays of one block of 2^16 slots, a quarter of
-    # 8N each at this size: 3.79 buffers of 8N measured.  Holding the index
-    # copy, prefix sums and denominators for every slot made it 7.0.
+    # copy (the images are the indices) and the engine streams its window
+    # offsets; one point adds a few arrays of one block of 2^16 slots, a
+    # quarter of 8N each at this size: 1.54 buffers of 8N measured.  The
+    # engine's three whole-window offset arrays made it 3.79, and holding the
+    # index copy, prefix sums and denominators for every slot 7.0.
     n = 1 << 18
     seq = gen_power(2, 0, n)
     perm = identity(n)
     x = sample_points(required_bits(seq.term(n), 1), 1, seed=1)[0]
     peak = _peak_buffers(n, lambda: PartialSumEvaluator(COS1, seq, perm, n).lil_trajectory(x, 0.5))
-    assert peak <= 4.0
+    assert peak <= 1.6
 
 
 def test_lil_trajectory_peak_memory_shuffled_window():
     # a permuted window adds sorted indices, slot rows and the per-index
-    # values the blocks gather from: 6 buffers of 8N plus the block arrays,
-    # 7.04 measured (8.0 with the whole trajectory held at once)
+    # values the blocks gather from: 3 buffers of 8N plus the block arrays,
+    # 4.79 measured (7.04 with the engine's whole-window offsets, 8.0 with
+    # the whole trajectory held at once)
     n = 1 << 18
     seq = gen_power(2, 0, n)
     perm = PermutationWindow(np.random.default_rng(5).permutation(n) + 1)
     x = sample_points(required_bits(seq.term(n), 1), 1, seed=1)[0]
     peak = _peak_buffers(n, lambda: PartialSumEvaluator(COS1, seq, perm, n).lil_trajectory(x, 0.5))
-    assert peak <= 7.25
+    assert peak <= 4.85
+
+
+@pytest.mark.parametrize("window, poly_name, bound", [
+    # the (N, 2) table of cosines and the matmul's per-index values, plus
+    # the blocks: 4.79 measured (9.03 while the whole window's tops, angles
+    # and cosines existed at once, with the engine's offsets)
+    ("identity", "cos+cos", 4.85),
+    # the sines' matmul adds one array before it is summed in: 5.79
+    ("identity", "cos+sin", 5.85),
+    # sorted indices and slot rows on top: 6.79 and 7.79 (11.03 before)
+    ("permuted", "cos+cos", 6.85),
+    ("permuted", "cos+sin", 7.85),
+])
+def test_lil_trajectory_peak_memory_two_frequencies(window, poly_name, bound):
+    n = 1 << 18
+    seq = gen_power(2, 0, n)
+    perm = identity(n) if window == "identity" else PermutationWindow(
+        np.random.default_rng(5).permutation(n) + 1)
+    poly = MULTI_LIL_POLYS[poly_name]
+    x = sample_points(required_bits(seq.term(n), 2), 1, seed=1)[0]
+    peak = _peak_buffers(n, lambda: PartialSumEvaluator(poly, seq, perm, n).lil_trajectory(x, 0.5))
+    assert peak <= bound
 
 
 def test_identity_window_peak_memory_in_buffers():
