@@ -283,6 +283,8 @@ def run_var(params: dict, out_dir: Path) -> list[Path]:
     return [out]
 
 def run_mix(params: dict, out_dir: Path) -> list[Path]:
+    if not 0 < params["quad_tol"] < math.inf:
+        raise ValueError("--quad-tol must be positive and finite")
     poly = spectra.TrigPolynomial.parse(params["f"])
     seq = resolve_sequence(params["seq"], None, params.get("seed"))
     perm = permute.read_permutation(params["perm"])
@@ -291,9 +293,8 @@ def run_mix(params: dict, out_dir: Path) -> list[Path]:
                                       freq_cutoff=params.get("cutoff"))
     payload = {"profile": profile.to_json_dict()}
     if params.get("charfn"):
-        tol = params.get("quad_tol", 1e-10)
         payload["charfn"] = {
-            str(s): spectra.mixture_charfn(profile, float(s), tol)
+            str(s): spectra.mixture_charfn(profile, float(s), params["quad_tol"])
             for s in params["charfn"]
         }
     out = out_dir / "mixture.json"
@@ -326,14 +327,14 @@ def _ks_target(spec: str):
 
 
 def run_clt(params: dict, out_dir: Path) -> list[Path]:
-    if params.get("threads", 1) < 1:
+    if params["threads"] < 1:
         raise ValueError("--threads must be at least 1")
     poly = spectra.TrigPolynomial.parse(params["f"])
     target, target_name = _ks_target(params["ks"]) if params.get("ks") else (None, None)
     seq, perm, count = _window_inputs(params)
     seed = derive_seed(params["seed"], "x")
     emp = simulate.clt_experiment(poly, seq, perm, count, params["samples"], seed,
-                                  workers=params.get("threads", 1))
+                                  workers=params["threads"])
     stats = emp.summary()
     coeff_mass = sum(abs(float(a)) + abs(float(b)) for _, a, b in poly.terms())
     per_term_bound = 2 * math.pi * (2.0**-64 + 2.0**-53) * coeff_mass
@@ -526,6 +527,10 @@ def verify_manifest(manifest_path: Path) -> tuple[bool, str | None]:
 # Argument parsing
 # ----------------------------------------------------------------------
 
+def _float_list(text: str) -> list[float]:
+    return [float(s) for s in text.split(",")]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lacunaria",
@@ -597,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perm", required=True)
     p.add_argument("--cert", required=True)
     p.add_argument("--cutoff", type=int)
-    p.add_argument("--charfn", help="comma separated s values")
+    p.add_argument("--charfn", type=_float_list, help="comma separated s values")
     p.add_argument("--quad-tol", type=float, default=1e-10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
@@ -631,6 +636,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _params_from_args(args: argparse.Namespace) -> dict:
+    """The params that run.json records and ``verify`` replays: for var, mix, clt
+    and lil every flag as parsed, less ``--out-dir`` and those not given."""
     sc = args.subcommand
     if sc == "seq":
         params = {"kind": args.kind, "count": args.count}
@@ -674,45 +681,8 @@ def _params_from_args(args: argparse.Namespace) -> dict:
         return {"mode": "pairing", "a": a, "b": b, "seq": args.seq,
                 "blocks": args.blocks, "gap_ratio": args.gap_ratio,
                 "allow_zero_c": args.allow_zero_c, "seed": args.seed}
-    if sc == "var":
-        params = {"f": args.f, "seed": args.seed}
-        if args.seq:
-            params.update({"seq": args.seq, "count": args.count})
-            if args.perm:
-                params["perm"] = args.perm
-            if args.window is not None:
-                params["window"] = args.window
-        return params
-    if sc == "mix":
-        params = {"f": args.f, "seq": args.seq, "perm": args.perm,
-                  "cert": args.cert, "seed": args.seed,
-                  "quad_tol": args.quad_tol}
-        if not 0 < args.quad_tol < math.inf:
-            raise ValueError("--quad-tol must be positive and finite")
-        if args.cutoff is not None:
-            params["cutoff"] = args.cutoff
-        if args.charfn:
-            params["charfn"] = [float(s) for s in args.charfn.split(",")]
-        return params
-    if sc == "clt":
-        params = {"f": args.f, "seq": args.seq, "count": args.count,
-                  "samples": args.samples, "seed": args.seed,
-                  "threads": args.threads, "keep_samples": args.keep_samples}
-        if args.perm:
-            params["perm"] = args.perm
-        if args.window is not None:
-            params["window"] = args.window
-        if args.ks:
-            params["ks"] = args.ks
-        return params
-    if sc == "lil":
-        params = {"f": args.f, "seq": args.seq, "count": args.count,
-                  "points": args.points, "variance": args.variance,
-                  "seed": args.seed}
-        if args.perm:
-            params["perm"] = args.perm
-        return params
-    raise ValueError(f"unknown subcommand {sc!r}")
+    return {key: value for key, value in vars(args).items()
+            if key not in ("subcommand", "out_dir") and value not in (None, "")}
 
 
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -737,6 +707,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("pairing needs --seq")
     if sc == "var" and args.seq and args.count is None:
         parser.error("var over a sequence needs --count")
+    if sc == "var" and not args.seq and (args.perm or (args.count, args.window) != (None, None)):
+        parser.error("--count, --window and --perm apply only with --seq")
     with warnings.catch_warnings():  # restores the warnings state on return
         warnings.showwarning = _print_warning
         try:

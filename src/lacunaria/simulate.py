@@ -361,6 +361,8 @@ def clt_experiment(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     evaluator = PartialSumEvaluator(poly, seq, perm, count)
 
     workers = min(workers, samples, os.cpu_count() or 1)

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,8 +19,13 @@ from lacunaria.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_VERIFY_MISMATCH,
+    _build_parser,
+    _config_sha256,
+    _first_json_divergence,
+    _params_from_args,
     _write_json,
     main,
+    resolve_permutation,
     resolve_sequence,
 )
 from lacunaria.rng import derive_seed
@@ -46,6 +52,25 @@ def test_resolve_bad_spec():
         resolve_sequence("nope:5", None, None)
     with pytest.raises(ValueError):
         resolve_sequence("pow2", None, None)  # no length anywhere
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("geometric:3/2", "geometric spec is geometric:q:n1[:N]"),
+    ("smooth", "smooth spec is smooth:p1,p2[:N]"),
+    ("rstar:1.0", "rstar spec is rstar:alpha:a[:N[:seed]]"),
+])
+def test_resolve_sequence_spec_missing_a_field(tmp_path, monkeypatch, spec, message):
+    monkeypatch.chdir(tmp_path)  # no file of that name
+    with pytest.raises(ValueError, match=re.escape(message)):
+        resolve_sequence(spec, 8, None)
+
+
+def test_resolve_bad_permutation_spec(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match="random permutation needs a seed"):
+        resolve_permutation("random", 8, None)
+    with pytest.raises(ValueError, match="cannot resolve permutation spec 'shuffle'"):
+        resolve_permutation("shuffle", 8, 0)
 
 
 # ---------------- seq command ----------------
@@ -260,6 +285,17 @@ def test_dio_flag_of_another_mode_is_usage_error(tmp_path, capsys, flag, message
              "--out-dir", tmp_path])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
+@pytest.mark.parametrize("flag", [["--count", "5"], ["--window", "8"], ["--perm", "random:1"]],
+                         ids=["count", "window", "perm"])
+def test_var_window_flag_without_seq_is_usage_error(tmp_path, capsys, flag):
+    # without --seq there is no window, so the flag would have no effect
+    with pytest.raises(SystemExit) as exc:
+        run(["var", "--f", "cos:1", *flag, "--out-dir", tmp_path])
+    assert exc.value.code == 2
+    assert "--count, --window and --perm apply only with --seq" in capsys.readouterr().err
     assert not (tmp_path / "run.json").exists()
 
 
@@ -532,6 +568,13 @@ def test_variance_out_of_float_range_exits_domain(tmp_path, capsys, command, mes
     assert not (tmp_path / "run.json").exists()
 
 
+def test_clt_unknown_ks_target_exits_domain(tmp_path, capsys):
+    assert run(["clt", "--f", "cos:1", "--seq", "pow2", "--count", "64", "--samples", "10",
+                "--seed", "7", "--ks", "foo:1", "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert "ks spec is gaussian:VAR or mixture:FILE" in capsys.readouterr().err
+    assert not (tmp_path / "run.json").exists()
+
+
 @pytest.mark.parametrize("spec", ["gaussian:-1", "gaussian:-1/3"])
 def test_negative_ks_variance_fails_before_sampling(tmp_path, capsys, monkeypatch, spec):
     def no_sampling(*args, **kwargs):
@@ -654,6 +697,26 @@ def test_mix_refuses_a_certificate_below_the_gap_floor(tmp_path, capsys):
     assert not (tmp_path / "m" / "mixture.json").exists()
 
 
+@pytest.mark.parametrize("charfn", ["1,x", "1,,2", ""])
+def test_mix_malformed_charfn_is_usage_error(tmp_path, capsys, pairing_files, charfn):
+    with pytest.raises(SystemExit) as exc:
+        run(["mix", *pairing_files, "--charfn", charfn, "--out-dir", tmp_path / "m"])
+    assert exc.value.code == 2
+    assert "argument --charfn: invalid" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("tol", [0, -1e-10, math.inf])
+def test_verify_refuses_an_edited_quad_tol(tmp_path, capsys, pairing_files, tol):
+    # checked by the run itself, so even a run without --charfn refuses it
+    assert run(["mix", *pairing_files, "--out-dir", tmp_path]) == EXIT_OK
+    manifest = json.loads((tmp_path / "run.json").read_text())
+    manifest["params"]["quad_tol"] = tol
+    (tmp_path / "run.json").write_text(json.dumps(manifest))
+    assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_DOMAIN
+    assert "--quad-tol must be positive and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("options, message", [
     (["--charfn", "nan"], "s must be finite"),
     (["--charfn", "1,inf"], "s must be finite"),
@@ -728,6 +791,148 @@ def test_seq_past_int_str_digit_limit(tmp_path):
     assert read_sequence(tmp_path / "sequence.txt").terms == want.terms
     assert want.term(5).bit_length() > 4300 * math.log2(10)
     assert run(["verify", "--manifest", tmp_path / "run.json"]) == EXIT_OK
+
+
+# ---------------- manifest params ----------------
+
+# (command line, params, config_sha256) recorded before var, mix, clt and
+# lil took their params from the parsed flags: each subcommand with its
+# defaults and with every optional flag.  A run's manifest identity must
+# not move when a flag is added or a parser is reshaped.
+PARAMS_PINNED = [
+    ("seq --kind power --count 40",
+     {"kind": "power", "count": 40, "base": 2, "offset": 0},
+     "4db94d173e4f92e210aef693e81ef00944017f24d35887a08bafff42b75e25e2"),
+    ("seq --kind power --base 3 --offset -1 --count 40",
+     {"kind": "power", "count": 40, "base": 3, "offset": -1},
+     "a8a7d9c48c03297e6a4b699a4080a574d52534005785a21484a0f825a3e1bc76"),
+    ("seq --kind geometric --q 3/2 --count 40",
+     {"kind": "geometric", "count": 40, "q": "3/2", "n1": 1},
+     "e0f78a76cedf7a9dfc737cdb0d64f290d161ca573085d513287f9e23482c3f44"),
+    ("seq --kind geometric --q 3/2 --n1 2 --count 40",
+     {"kind": "geometric", "count": 40, "q": "3/2", "n1": 2},
+     "1a4ec2cc8c89603a31c5e8014923a8a127fbb74d38255d1e5d33a45ac21ed323"),
+    ("seq --kind smooth --primes 3,2,5 --count 40",
+     {"kind": "smooth", "count": 40, "primes": [3, 2, 5], "include_one": True},
+     "9f37b5ccb3b5499eb308a2cad6a258f8d7b3275f23cd27e625acb0bfd827520b"),
+    ("seq --kind smooth --primes 2,3 --exclude-one --count 40",
+     {"kind": "smooth", "count": 40, "primes": [2, 3], "include_one": False},
+     "d95a10a570c8d41403f9d0db236687d93948e91c938ac6b320e1fcc4689925eb"),
+    ("seq --kind rstar --count 40",
+     {"kind": "rstar", "count": 40, "alpha": 1.0, "a": 50, "seed": 0, "interval_form": "trailing"},
+     "b7ed6bc6c89efeedee6dc83543f059f857dc16741e85427bb7b5b4d8b0b83195"),
+    ("seq --kind rstar --alpha 2 --scale 30 --interval-form current --seed 9 --count 40"
+     " --out-dir x",
+     {"kind": "rstar", "count": 40, "alpha": 2.0, "a": 30, "seed": 9, "interval_form": "current"},
+     "0af3f88bac09ecf23fa5dbaca91ebe44bc2024ed5d5459920c259b978d6db9be"),
+    ("dio --seq pow2:20 --count 20 --profile",
+     {"seq": "pow2:20", "count": 20, "seed": 0, "coeff_bound": 2, "budget": 100000000,
+      "mode": "profile"},
+     "6ad193ca8da138b26a6db7d5e3f08f28e7eea1ff691de4934a2bbbdb92b3ab6d"),
+    ("dio --seq pow2:20 --count 20 --profile --coeff-bound 3 --budget 1000 --seed 4",
+     {"seq": "pow2:20", "count": 20, "seed": 4, "coeff_bound": 3, "budget": 1000,
+      "mode": "profile"},
+     "ffdf1864966c72a6f1cb34822e4ffaf22839a58b9052ae722e556fc3db7cc519"),
+    ("dio --seq pow2:20 --count 20 --star-profile",
+     {"seq": "pow2:20", "count": 20, "seed": 0, "coeff_bound": 2, "budget": 100000000,
+      "mode": "star-profile", "diagonal": "sum_zero"},
+     "54178814c05150a967ca601ab8a5356fc844cc32712fdfc5877850ed44c019d2"),
+    ("dio --seq pow2:20 --count 20 --star-profile --diagonal literal",
+     {"seq": "pow2:20", "count": 20, "seed": 0, "coeff_bound": 2, "budget": 100000000,
+      "mode": "star-profile", "diagonal": "literal"},
+     "5083eb3ac5c63d27b112c85bb5f72e6c6c46f1a643ab7a6a4b266ffc6fed6593"),
+    ("dio --seq pow2:20 --count 20 --two-term 1 -2 1",
+     {"seq": "pow2:20", "count": 20, "seed": 0, "coeff_bound": 2, "budget": 100000000,
+      "mode": "two-term", "a": 1, "b": -2, "c": 1, "require_distinct": False},
+     "164c6064204779cd2c9d602cc5ebd266861e45e75e49a3d29059604fad5724cd"),
+    ("dio --seq pow2:20 --count 20 --two-term 1 -2 1 --require-distinct",
+     {"seq": "pow2:20", "count": 20, "seed": 0, "coeff_bound": 2, "budget": 100000000,
+      "mode": "two-term", "a": 1, "b": -2, "c": 1, "require_distinct": True},
+     "562f2ff2d123610a17b8caeda9298b43623270aadea255049f2aa9b907bf8f46"),
+    ("dio --seq pow2:20 --count 20 --multi 3",
+     {"seq": "pow2:20", "count": 20, "seed": 0, "coeff_bound": 2, "budget": 100000000,
+      "mode": "multi", "p": 3},
+     "47cbec7a704774e61245a1abaad36284309d8b57e4c9b71108317169f0031824"),
+    ("dio --seq pow2:20 --count 20 --signed 4",
+     {"seq": "pow2:20", "count": 20, "seed": 0, "coeff_bound": 2, "budget": 100000000,
+      "mode": "signed", "p": 4},
+     "ef2a1ef6fd7f5d8b5f4e9d8569122041867194856f5f0e33b8daf17172dd24b9"),
+    ("dio --seq pow2:20 --count 20 --ratio 1 -2",
+     {"seq": "pow2:20", "count": 20, "seed": 0, "coeff_bound": 2, "budget": 100000000,
+      "mode": "ratio", "a": 1, "b": -2},
+     "82de666abc21c29be6886b4088f5d0d63251d831c7e3cf8fb59647741bd142ea"),
+    ("perm --identity 16",
+     {"mode": "identity", "window": 16},
+     "f14ec4974797f810a941d673cf6f186c27fce730f33a1572826360c5015c6ff5"),
+    ("perm --random 16 5",
+     {"mode": "random", "window": 16, "perm_seed": 5},
+     "4c6f8cd5a68dc24b611534e9eea5a71dc0bdb020676e4900650c3e91c7d213fd"),
+    ("perm --pairing 1 2 --seq s/sequence.txt",
+     {"mode": "pairing", "a": 1, "b": 2, "seq": "s/sequence.txt", "blocks": "geometric:2",
+      "gap_ratio": None, "allow_zero_c": False, "seed": 0},
+     "78a68a11da5d161eb3c2417b50f47e5bc679619e4aeb38b1875936e28416344f"),
+    ("perm --pairing 1 -2 --seq pow2m1:80 --blocks paper:2 --gap-ratio 8 --allow-zero-c --seed"
+     " 3",
+     {"mode": "pairing", "a": 1, "b": -2, "seq": "pow2m1:80", "blocks": "paper:2",
+      "gap_ratio": "8", "allow_zero_c": True, "seed": 3},
+     "3522346caf5afd1e070dc3b094df1ceea4158fa3f3d7d7c7c91c092b55049fc1"),
+    ("var --f cos:1",
+     {"f": "cos:1", "seed": 0},
+     "418a76e07c16e71277694505fa3592d4b20a639e2148eaf80c3d66ab25b57be7"),
+    ("var --f cos:1 --seed 3",
+     {"f": "cos:1", "seed": 3},
+     "62d193559b6480fcea19a277689c67e2bdd71512bfc3f739dccf44e36c54c240"),
+    ("var --f cos:1,cos:2 --seq pow2:20 --count 8",
+     {"f": "cos:1,cos:2", "seed": 0, "seq": "pow2:20", "count": 8},
+     "3017453681c76abba34e6246e621286d1f331291db22e8cd9dbacd0e546f1e83"),
+    ("var --f cos:1 --seq pow2 --count 8 --window 16 --perm random:5 --seed 2",
+     {"f": "cos:1", "seed": 2, "seq": "pow2", "count": 8, "perm": "random:5", "window": 16},
+     "5bf869c1bf1c8711d6ac83f8635628d3c3f2a37b1c8e6bd24c8cc9b0aa24ca66"),
+    ("var --f cos:1 --seq pow2:20 --count 8 --perm=",
+     {"f": "cos:1", "seed": 0, "seq": "pow2:20", "count": 8},
+     "c775d2a1f37583d8e4a18499a60343e2044103b7614b26e4ec226752b1806ea1"),
+    ("mix --f cos:1,cos:2 --seq s/sequence.txt --perm p/permutation.txt --cert"
+     " p/certificate.json",
+     {"f": "cos:1,cos:2", "seq": "s/sequence.txt", "perm": "p/permutation.txt",
+      "cert": "p/certificate.json", "seed": 0, "quad_tol": 1e-10},
+     "33e78b7c3097edbf7cdea9341c1b991a5be2c2f92f7934b5b5e9105c98f0620c"),
+    ("mix --f cos:1,cos:2 --seq s/sequence.txt --perm p/permutation.txt --cert"
+     " p/certificate.json --cutoff 0 --charfn 1,2.5,-3 --quad-tol 1e-8 --seed 4",
+     {"f": "cos:1,cos:2", "seq": "s/sequence.txt", "perm": "p/permutation.txt",
+      "cert": "p/certificate.json", "seed": 4, "quad_tol": 1e-08, "cutoff": 0,
+      "charfn": [1.0, 2.5, -3.0]},
+     "f44e951e1311c94a4f590c7958bdccb13fb940e9eca533da7f22186d05166d4c"),
+    ("clt --f cos:1 --seq pow2 --count 64 --samples 10 --seed 7",
+     {"f": "cos:1", "seq": "pow2", "count": 64, "samples": 10, "seed": 7, "threads": 1,
+      "keep_samples": False},
+     "39e2b24d4e8c9295191bce3c1160a3a0a2629bfc47d8d60173ea3a21241edc89"),
+    ("clt --f cos:1 --seq pow2 --count 64 --samples 10 --seed 7 --perm random --window 128"
+     " --threads 2 --ks gaussian:1/2 --keep-samples",
+     {"f": "cos:1", "seq": "pow2", "count": 64, "samples": 10, "seed": 7, "threads": 2,
+      "keep_samples": True, "perm": "random", "window": 128, "ks": "gaussian:1/2"},
+     "45ad4fc89d28b376bc124f5c93bbaefe5c53b85aad31c4e2790e65c9800f66ef"),
+    ("clt --f cos:1 --seq pow2:20 --count 8 --samples 4 --seed 7 --window 0",
+     {"f": "cos:1", "seq": "pow2:20", "count": 8, "samples": 4, "seed": 7, "threads": 1,
+      "keep_samples": False, "window": 0},
+     "7a738a995b5802ed0074d7bf9deece3fe52ddce53de9deaf8c85c6217c1aaccc"),
+    ("lil --f cos:1 --seq pow2 --count 256 --variance 1/2 --seed 5",
+     {"f": "cos:1", "seq": "pow2", "count": 256, "points": 10, "variance": "1/2", "seed": 5},
+     "f19c4f3ffe75c97e6f395b880644231fd62efcc9c5beccb75ad44cdb90793ba5"),
+    ("lil --f cos:1,sin:2 --seq pow2m1 --count 256 --variance 1 --seed 5 --perm random:3"
+     " --points 2",
+     {"f": "cos:1,sin:2", "seq": "pow2m1", "count": 256, "points": 2, "variance": "1", "seed": 5,
+      "perm": "random:3"},
+     "e01e19dd49c82e2b94d7d148b13192e28c11752c0a64f4c88fd867de3f2edf55"),
+]
+
+
+@pytest.mark.parametrize("line, params, sha", PARAMS_PINNED,
+                         ids=[line for line, _, _ in PARAMS_PINNED])
+def test_params_pinned(line, params, sha):
+    argv = line.split()
+    got = _params_from_args(_build_parser().parse_args(argv))
+    assert got == params
+    assert _config_sha256(argv[0], got) == sha
 
 
 # ---------------- verify ----------------
@@ -805,6 +1010,17 @@ def test_verify_names_the_first_json_divergence(tmp_path, capsys):
     assert run(["verify", "--manifest", manifest_path]) == EXIT_VERIFY_MISMATCH
     assert ("replay diverges in dio_two_term.json at $.witnesses[3][0]: 99 != 5"
             in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("original, replay, where", [
+    ({"a": 1}, {"a": "1"}, "$.a: type int != str"),
+    ({"a": 1}, {"a": 1, "b": 2}, "$.b: missing in original"),
+    ({"a": 1, "b": 2}, {"a": 1}, "$.b: missing in replay"),
+    ({"w": [[1, 2], [3]]}, {"w": [[1, 2], [3, 4]]}, "$.w[1]: length 1 != 2"),
+    ({"w": [1.5]}, {"w": [1.5]}, None),
+], ids=["type", "missing-in-original", "missing-in-replay", "length", "same"])
+def test_first_json_divergence(original, replay, where):
+    assert _first_json_divergence(original, replay) == where
 
 
 def test_verify_missing_input_is_io_error(tmp_path):

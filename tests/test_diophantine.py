@@ -587,6 +587,12 @@ def test_multi_term_small_triple():
     assert sorted(cs for _, cs in wits) == [(-1, -1, 1), (1, 1, -1)]
 
 
+def test_more_terms_than_the_prefix_has_no_solution():
+    seq = gen_power(2, 0, 10)
+    assert count_multi_term(seq, MultiTermQuery(p=5, coeff_bound=2, count=4)) == (0, [])
+    assert count_signed_nondegenerate(seq, 5, 4) == (0, [])
+
+
 def test_multi_term_matches_exhaustive_on_corpus():
     for seq in corpus():
         for p, bound, n in ((2, 3, 40), (3, 2, 25), (3, 3, 20)):

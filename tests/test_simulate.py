@@ -289,6 +289,18 @@ def test_clt_pool_size_capped_by_samples_and_cores(monkeypatch, cores, pool_size
     assert sizes == pool_sizes
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_clt_workers_below_one_refused_before_the_build(monkeypatch, workers):
+    # both once ran one worker without complaint
+    def no_build(*args, **kwargs):
+        raise AssertionError("evaluator built before workers was checked")
+
+    monkeypatch.setattr(simulate, "PartialSumEvaluator", no_build)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        clt_experiment(COS1, gen_power(2, 0, 64), identity(64), 64, 8, seed=9,
+                       workers=workers)
+
+
 _POOL_PROBE = """
 import sys
 from lacunaria import permute, seqgen, simulate, spectra

@@ -156,6 +156,11 @@ def test_variance_small_window():
     assert exact_variance(COS1, seq, identity(3), 2) == Fraction(1, 2)
 
 
+def test_variance_window_past_the_permutation():
+    with pytest.raises(ValueError, match="window 4 exceeds permutation length 3"):
+        exact_variance(COS1, gen_power(2, 0, 10), identity(3), 4)
+
+
 def test_variance_permutation_invariance_full_window():
     # merged multiset over a full window does not depend on sigma
     seq = gen_power(2, -1, 40)
