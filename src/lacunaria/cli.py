@@ -327,8 +327,11 @@ def _ks_target(spec: str):
 
 
 def run_clt(params: dict, out_dir: Path) -> list[Path]:
+    # before the window is built
     if params["threads"] < 1:
         raise ValueError("--threads must be at least 1")
+    if params["samples"] < 1:
+        raise ValueError("need at least one sample")
     poly = spectra.TrigPolynomial.parse(params["f"])
     target, target_name = _ks_target(params["ks"]) if params.get("ks") else (None, None)
     seq, perm, count = _window_inputs(params)
@@ -367,12 +370,12 @@ def run_clt(params: dict, out_dir: Path) -> list[Path]:
 
 def run_lil(params: dict, out_dir: Path) -> list[Path]:
     poly = spectra.TrigPolynomial.parse(params["f"])
+    variance = _finite_float(params["variance"], "variance")
     # before anything of size N_max is built
-    simulate.check_lil_window(params["count"])
+    simulate.check_lil_inputs(params["count"], variance)
     if params["points"] < 1:
         raise ValueError("--points must be at least 1")
     seq, perm, n_max = _window_inputs(params)
-    variance = _finite_float(params["variance"], "variance")
     evaluator = simulate.PartialSumEvaluator(poly, seq, perm, n_max)
     xs = simulate.sample_points(evaluator.required, params["points"],
                                 derive_seed(params["seed"], "x"))
@@ -694,6 +697,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     sc = args.subcommand
+    # refused, not dropped like an absent flag
+    empty = [key for key in ("f", "seq", "perm", "cert", "ks", "variance")
+             if getattr(args, key, None) == ""]
+    if empty:
+        parser.error(f"argument --{empty[0]}: expected a non-empty value")
     if sc == "dio":  # a flag of another mode would have no effect
         if args.diagonal is not None and not args.star_profile:
             parser.error("--diagonal applies only to --star-profile")

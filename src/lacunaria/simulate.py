@@ -23,7 +23,6 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import methodcaller
 
 import numpy as np
 
@@ -38,7 +37,6 @@ _TWO_PI = 2.0 * math.pi
 _INV64 = 2.0 ** -64
 # slots per block of a LIL trajectory: it holds no slot array longer than this
 _LIL_BLOCK = 1 << 16
-_AS_FLOAT = methodcaller("astype", np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -72,9 +70,10 @@ class PartialSumEvaluator:
     that is 1..count in order reads its rows in slot order, so its indices
     are ``perm.images`` itself and it keeps nothing more; any other window
     also keeps the row of each slot, found by one rank pass over its images.
-    The LIL streams the engine's tops by block, so the engine adds no array
-    of 8N bytes; the first ``slot_values`` call leaves the pow2-window
-    kernel three of them, the window offsets every later sample reads.
+    A window of at most one block reads the engine's ``tops``, so the
+    pow2-window kernel keeps its offsets for every later sample: three
+    arrays of 8N bytes.  A longer LIL window streams ``tops_blocks``, and
+    the engine adds no array of 8N bytes.
     """
 
     def __init__(self, poly: TrigPolynomial, seq: IntegerSequence,
@@ -113,94 +112,75 @@ class PartialSumEvaluator:
         # slot order (33-56 against 40-67 us), and the gather costs 4 us.
         self.engine = FracTopEngine(seq, self.indices, self.freqs)
 
-    def _check_width(self, x: FixedPointSample) -> None:
-        if x.bits < self.required:
-            raise MantissaWidthError(have=x.bits, need=self.required)
-
     def slot_values(self, x: FixedPointSample) -> np.ndarray:
-        """f(n_sigma(k) x) for slots k = 1..N, in slot order."""
-        self._check_width(x)
-        per_index = self._values(self.engine.tops(x).astype(np.float64))
-        return per_index if self._rows is None else per_index[self._rows]
-
-    def _values(self, angles: np.ndarray) -> np.ndarray:
-        """f(n_k x) for rows whose tops are given as float64 angles, which it
-        overwrites.  Callers convert in the call itself, so the uint64 tops
-        are freed before the cos."""
-        angles *= _TWO_PI * _INV64
-        if len(self.freqs) > 1:
-            per_index = self._matmul_sum(lambda trig: trig(angles))
-        else:
-            # a one-column product is one rounded multiply, so this equals
-            # the matmul bit for bit, and every step can write into angles
-            per_index = angles[:, 0]
-            if self._has_cos:
-                sines = np.sin(per_index) if self._has_sin else None
-                np.cos(per_index, out=per_index)
-                per_index *= self._acos
-                if self._has_sin:
-                    sines *= self._asin
-                    per_index += sines
-            else:
-                np.sin(per_index, out=per_index)
-                per_index *= self._asin
-        return per_index
-
-    def _matmul_sum(self, table) -> np.ndarray:
-        """Per-row sum over several frequencies: ``table(np.cos) @ a``, plus
-        ``table(np.sin) @ b``, where ``table(fn)`` gives the (rows, k) array of
-        fn at the angles.  The matmul's BLAS sum may round differently from
-        an explicit one or from the same product split into row blocks, so
-        every path takes it whole; each table is used up before the next is
-        asked for."""
-        if not self._has_cos:
-            return table(np.sin) @ self._asin
-        per_index = table(np.cos) @ self._acos
-        if self._has_sin:
-            per_index += table(np.sin) @ self._asin
-        return per_index
-
-    def _stream_table(self, x: FixedPointSample, out: np.ndarray, trig) -> np.ndarray:
-        """out = trig(angles) over all rows at x, written block by block from
-        the engine's ``tops_blocks``, so no tops or angles span the rows."""
-        tops = self.engine.tops_blocks(x, _LIL_BLOCK)
-        for lo, angles in zip(range(0, len(out), _LIL_BLOCK), map(_AS_FLOAT, tops)):
-            angles *= _TWO_PI * _INV64
-            trig(angles, out=out[lo:lo + len(angles)])
-        return out
+        """f(n_sigma(k) x) for slots k = 1..N, in slot order: the one block
+        of ``_slot_blocks``."""
+        return next(self._slot_blocks(x, self.count))
 
     def sum(self, x: FixedPointSample) -> float:
         return float(self.slot_values(x).sum())
 
-    def _slot_blocks(self, x: FixedPointSample):
-        """Yield the slot values in consecutive blocks of _LIL_BLOCK slots,
-        each writable and not read again by the evaluator.
+    def _slot_blocks(self, x: FixedPointSample, block: int):
+        """An iterator over f(n_sigma(k) x) for slots k = 1..N in consecutive
+        blocks of ``block`` slots, each writable and not read again by the
+        evaluator: the one path from tops to values.
 
-        Every tops array it reads is one block of the engine's
-        ``tops_blocks``.  An identity window with one frequency computes each
-        block from its own tops.  Otherwise the per-index values come first,
-        in one array, and a permuted window gathers each block from it.
-        Several frequencies fill one (N, k) array with the cosines block by
-        block, take ``slot_values``' one matmul over it, then refill it with
-        the sines if f has any (a second pass over the tops).
+        One block reads the engine's ``tops(x)``, more read ``tops_blocks``;
+        each tops block becomes float64 angles and is used up at once.  An
+        identity window with one frequency turns each block's angles into
+        its values in place.  Any other window fills one (N, k) table of
+        angles.  One frequency turns it into the per-index values in place;
+        several take ``cos(table) @ a`` plus ``sin(table) @ b`` whole, since
+        the matmul's BLAS sum may round differently from an explicit one or
+        from the same product in row blocks.  The sines need the angles
+        again: one block keeps them, more refill the table from a second
+        ``tops_blocks`` pass.  Each block gathers its slots from the
+        per-index values.
         """
-        self._check_width(x)
-        n = self.count
-        if len(self.freqs) > 1:
-            table = np.empty((len(self.indices), len(self.freqs)))
-            per_index = self._matmul_sum(lambda trig: self._stream_table(x, table, trig))
+        if x.bits < self.required:
+            raise MantissaWidthError(have=x.bits, need=self.required)
+        n, one = self.count, block >= self.count
+        # map defers the call and keeps no reference to its result, so the
+        # uint64 tops are freed as soon as they are converted
+        tops = map(self.engine.tops, [x]) if one else self.engine.tops_blocks(x, block)
+        if len(self.freqs) == 1 and self._rows is None:
+            return map(self._single_frequency, map(_angles, tops))
+        table = _angles(next(tops)) if one else _fill_angles(
+            np.empty((n, len(self.freqs))), tops)
+        if len(self.freqs) == 1:
+            # by block, so the sines of a cos + sin f span one block
+            for lo in range(0, n, block):
+                self._single_frequency(table[lo:lo + block])
+            per_index = table[:, 0]
+        elif not self._has_cos:
+            # a sines-only f keeps its product: 0.0 + product would turn -0.0 into +0.0
+            per_index = np.sin(table, out=table) @ self._asin
         else:
-            tops = self.engine.tops_blocks(x, _LIL_BLOCK)
-            blocks = map(self._values, map(_AS_FLOAT, tops))
-            if self._rows is None:
-                yield from blocks
-                return
-            per_index = np.empty(n)
-            for lo, values in zip(range(0, n, _LIL_BLOCK), blocks):
-                per_index[lo:lo + len(values)] = values
-        for lo in range(0, n, _LIL_BLOCK):
-            rows = slice(lo, lo + _LIL_BLOCK)
-            yield per_index[rows] if self._rows is None else per_index[self._rows[rows]]
+            keep = one and self._has_sin  # the sines still need these angles
+            per_index = (np.cos(table) if keep else np.cos(table, out=table)) @ self._acos
+            if self._has_sin:
+                if not one:
+                    _fill_angles(table, self.engine.tops_blocks(x, block))
+                per_index += np.sin(table, out=table) @ self._asin
+        return (per_index[lo:lo + block] if self._rows is None
+                else per_index[self._rows[lo:lo + block]] for lo in range(0, n, block))
+
+    def _single_frequency(self, angles: np.ndarray) -> np.ndarray:
+        """f at one frequency over a (rows, 1) table of angles, written into
+        its column, which it returns.  A one-column product is one rounded
+        multiply, so this equals the matmul bit for bit."""
+        values = angles[:, 0]
+        if self._has_cos:
+            sines = np.sin(values) if self._has_sin else None
+            np.cos(values, out=values)
+            values *= self._acos
+            if self._has_sin:
+                sines *= self._asin
+                values += sines
+        else:
+            np.sin(values, out=values)
+            values *= self._asin
+        return values
 
     def lil_trajectory(self, x: FixedPointSample, variance: float) -> LilTrajectory:
         """Running LIL ratio at x over the whole window (N_max = count).
@@ -212,19 +192,17 @@ class PartialSumEvaluator:
         N' in [16], (16, 32], ..., (n_max / 2, n_max], and the running max
         over those is the running max at each 2^e.
 
-        Beyond the evaluator's arrays it holds a few arrays of one block,
-        and one array of 8N bytes only for a permuted window or several
-        frequencies: the per-index values.  k frequencies add the (N, k)
-        table of cosines or sines, and sines after cosines one more array
-        of 8N, the sines' product before it is summed in.
+        Beyond the evaluator's arrays it holds a few arrays of one block.
+        Any window but an identity one with one frequency also holds the
+        (N, k) table of angles and the per-index values (with one frequency,
+        the table's column); several frequencies with sines after cosines
+        hold one more array of 8N, the sines' product before it is summed in.
         """
-        if not (math.isfinite(variance) and variance > 0):
-            raise ValueError("variance must be positive and finite")
-        check_lil_window(self.count)
+        check_lil_inputs(self.count, variance)
         ns = [16 << e for e in range(self.count.bit_length() - 4)]
         segment_max = np.full(len(ns), -np.inf)
         total, done = -0.0, 0  # S_done, done = the slots before this block
-        for values in self._slot_blocks(x):
+        for values in self._slot_blocks(x, _LIL_BLOCK):
             # S_done + v_(done+1), then cumsum: the recurrence of one cumsum
             # (-0.0 + v is v for every float v)
             values[0] += total
@@ -245,10 +223,30 @@ class PartialSumEvaluator:
         return LilTrajectory(checkpoints=[(n, float(r)) for n, r in zip(ns, running)])
 
 
-def check_lil_window(n_max: int) -> None:
-    """Raise ValueError unless a LIL trajectory can run to n_max."""
+def _angles(tops: np.ndarray) -> np.ndarray:
+    """The float64 angles 2 pi tops / 2^64: astype, then an in-place scale."""
+    angles = tops.astype(np.float64)
+    angles *= _TWO_PI * _INV64
+    return angles
+
+
+def _fill_angles(table: np.ndarray, tops_blocks) -> np.ndarray:
+    """Write the angles of the rows of tops_blocks, in order, into table."""
+    lo = 0
+    for tops in tops_blocks:
+        table[lo:lo + len(tops)] = tops
+        lo += len(tops)
+        del tops  # freed before the next block is made
+    table *= _TWO_PI * _INV64
+    return table
+
+
+def check_lil_inputs(n_max: int, variance: float) -> None:
+    """Raise ValueError unless a LIL trajectory can run to n_max at this variance."""
     if n_max < 16 or n_max & (n_max - 1):
         raise ValueError("n_max must be a power of two, at least 16")
+    if not (math.isfinite(variance) and variance > 0):
+        raise ValueError("variance must be positive and finite")
 
 
 def _lil_segment(n: int) -> int:
@@ -453,14 +451,6 @@ def ks_distance(emp: EmpiricalDistribution, target) -> KsResult:
     return KsResult(distance=float(max(d_plus, d_minus)), cdf_tolerance=tol)
 
 
-def kolmogorov_threshold(samples: int, level: float = 0.01) -> float:
-    """Critical KS distance: K_alpha / sqrt(M) for the usual alpha levels."""
-    table = {0.10: 1.224, 0.05: 1.358, 0.02: 1.517, 0.01: 1.628}
-    if level not in table:
-        raise ValueError(f"no tabulated threshold for level {level}")
-    return table[level] / math.sqrt(samples)
-
-
 @dataclass(frozen=True)
 class CharfnPoint:
     s: float
@@ -511,5 +501,5 @@ def lil_trajectory(
 ) -> LilTrajectory:
     """One-shot trajectory; a run over many points builds one
     :class:`PartialSumEvaluator` and calls its ``lil_trajectory``."""
-    check_lil_window(n_max)
+    check_lil_inputs(n_max, variance)
     return PartialSumEvaluator(poly, seq, perm, n_max).lil_trajectory(x, variance)

@@ -6,7 +6,8 @@ exhaustive tuple enumeration (and, for witness order, a table of the whole
 left half), signed nondegenerate solutions with a subset-by-subset
 degeneracy check, and profile reports through ``json.dumps`` of plain dicts.
 The spectral oracles merge ``Fraction`` coefficients under plain frequency
-keys, term by term, where the library merges scaled ints.
+keys, term by term, where the library merges scaled ints.  The tabulated
+Kolmogorov thresholds are the tests' own acceptance levels for a KS distance.
 """
 
 import math
@@ -176,6 +177,14 @@ def lil_running_max_checkpoints(prefix, variance):
         out.append((n, float(running[n - 16])))
         n *= 2
     return out
+
+
+def kolmogorov_threshold(samples: int, level: float = 0.01) -> float:
+    """Critical KS distance: K_alpha / sqrt(M) for the usual alpha levels."""
+    table = {0.10: 1.224, 0.05: 1.358, 0.02: 1.517, 0.01: 1.628}
+    if level not in table:
+        raise ValueError(f"no tabulated threshold for level {level}")
+    return table[level] / math.sqrt(samples)
 
 
 def cycle_count(perm):

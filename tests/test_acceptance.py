@@ -18,7 +18,6 @@ from lacunaria.simulate import (
     GaussianTarget,
     charfn_experiment,
     clt_experiment,
-    kolmogorov_threshold,
     ks_distance,
     lil_trajectory,
     sample_points,
@@ -33,7 +32,7 @@ from lacunaria.spectra import (
     mixture_profile,
 )
 
-from oracles import brute_multi_term, brute_two_term_histogram
+from oracles import brute_multi_term, brute_two_term_histogram, kolmogorov_threshold
 
 COS1 = TrigPolynomial(cos_coeffs={1: 1})
 COS12 = TrigPolynomial(cos_coeffs={1: 1, 2: 1})

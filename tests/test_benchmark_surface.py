@@ -11,12 +11,13 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lacunaria import diophantine
-from lacunaria.mod1 import FracTopEngine
+from lacunaria import diophantine, simulate
+from lacunaria.mod1 import FracTopEngine, required_bits
 from lacunaria.permute import identity, random_perm
-from lacunaria.seqgen import gen_power
+from lacunaria.seqgen import gen_geometric, gen_power
 from lacunaria.simulate import PartialSumEvaluator, clt_experiment, sample_points
 from lacunaria.spectra import TrigPolynomial
 
@@ -106,8 +107,8 @@ def test_workload_reference_resolves(module_name, path):
 
 def test_monte_carlo_reaches_the_wrapped_kernel(monkeypatch):
     # the mod1.tops span wraps FracTopEngine.tops, so the CLT workloads are
-    # counted only while each sample calls it; a LIL trajectory of one
-    # frequency reads the same rows through tops_blocks
+    # counted only while each sample calls it; a LIL window longer than one
+    # block reads the same rows through tops_blocks
     calls = []
     for name in ("tops", "tops_blocks"):
         def counting(self, *args, _name=name, _kernel=getattr(FracTopEngine, name)):
@@ -118,9 +119,24 @@ def test_monte_carlo_reaches_the_wrapped_kernel(monkeypatch):
     seq, poly = gen_power(2, 0, 64), TrigPolynomial.parse("cos:1")
     clt_experiment(poly, seq, random_perm(64, 3), 64, 5, seed=2)
     assert calls == ["tops"] * 5
+    monkeypatch.setattr(simulate, "_LIL_BLOCK", 16)
     evaluator = PartialSumEvaluator(poly, seq, identity(64), 64)
     evaluator.lil_trajectory(sample_points(evaluator.required, 1, 1)[0], 0.5)
     assert calls == ["tops"] * 5 + ["tops_blocks"]
+
+
+def test_tops_keeps_the_shape_its_span_reads():
+    # the mod1.tops.cells and mod1.tops.bytes_computed counters read
+    # result.size and result.nbytes of each tops call: every kernel must
+    # return a (rows, k) uint64 ndarray
+    for seq, freqs, strategy in ((gen_power(2, -1, 8), [1, 2], "pow2-window"),
+                                 (gen_power(3, 0, 8), [1, 3], "power-chain"),
+                                 (gen_geometric("3/2", 2, 8), [1], "generic")):
+        engine = FracTopEngine(seq, [1, 3, 8], freqs)
+        assert engine.strategy == strategy
+        result = engine.tops(sample_points(required_bits(seq.term(8), max(freqs)), 1, 5)[0])
+        assert isinstance(result, np.ndarray) and result.dtype == np.uint64
+        assert result.shape == (3, len(freqs)) and result.nbytes == 8 * result.size
 
 
 def test_pair_histogram_keeps_the_shape_its_span_reads():

@@ -555,6 +555,51 @@ def test_clt_threads_below_one_exits_domain(tmp_path, capsys, monkeypatch, threa
 
 
 @pytest.mark.parametrize("command, message", [
+    (["clt", "--f", "cos:1", "--seq", "pow2", "--count", "1048576", "--perm", "random",
+      "--samples", "0", "--seed", "7"], "need at least one sample"),
+    *((["lil", "--f", "cos:1", "--seq", "pow2", "--count", "1048576", "--perm", "random",
+        f"--variance={variance}", "--seed", "7"], message)
+      for variance, message in (("0", "variance must be positive and finite"),
+                                ("-1/2", "variance must be positive and finite"),
+                                ("nan", "Invalid literal for Fraction: 'nan'"))),
+])
+def test_samples_and_variance_checked_before_the_window(tmp_path, capsys, monkeypatch,
+                                                        command, message):
+    # each once built the whole 2^20-slot random window, about 5 s, and
+    # only then exited 3
+    def no_window(*args, **kwargs):
+        raise AssertionError("window built before the flag was checked")
+
+    monkeypatch.setattr(permute, "random_perm", no_window)
+    assert run([*command, "--out-dir", tmp_path]) == EXIT_DOMAIN
+    assert message in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+_STRING_FLAG_COMMANDS = {
+    "var": ["var", "--f", "cos:1", "--seq", "pow2", "--perm", "random", "--count", "16"],
+    "mix": ["mix", "--f", "cos:1", "--seq", "s.txt", "--perm", "p.txt", "--cert", "c.json"],
+    "clt": ["clt", "--f", "cos:1", "--seq", "pow2", "--perm", "random", "--count", "16",
+            "--samples", "4", "--seed", "7", "--ks", "gaussian:1/2"],
+    "lil": ["lil", "--f", "cos:1", "--seq", "pow2", "--perm", "random", "--count", "16",
+            "--variance", "1/2", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("subcommand, flag", [
+    (sc, flag) for sc, command in sorted(_STRING_FLAG_COMMANDS.items())
+    for flag in command if flag in ("--f", "--seq", "--perm", "--cert", "--ks", "--variance")])
+def test_empty_string_flag_is_usage_error(tmp_path, capsys, subcommand, flag):
+    # an empty value was dropped like an absent flag: a required one exited
+    # 3 with the bare key as its message, and --perm= ran the identity window
+    with pytest.raises(SystemExit) as exc:
+        run([*_STRING_FLAG_COMMANDS[subcommand], f"{flag}=", "--out-dir", tmp_path])
+    assert exc.value.code == 2
+    assert f"argument {flag}: expected a non-empty value" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, message", [
     (["lil", "--f", "cos:1", "--seq", "pow2", "--count", "256", "--points", "2",
       "--variance", "1e400", "--seed", "5"], "variance 1e400 is too large for a float"),
     (["lil", "--f", "cos:1", "--seq", "pow2", "--count", "256", "--points", "2",

@@ -27,7 +27,6 @@ from lacunaria.simulate import (
     PartialSumEvaluator,
     charfn_experiment,
     clt_experiment,
-    kolmogorov_threshold,
     ks_distance,
     lil_trajectory,
     partial_sum,
@@ -36,7 +35,7 @@ from lacunaria.simulate import (
 from lacunaria.spectra import MixtureProfile, TrigPolynomial, exact_variance
 from fractions import Fraction
 
-from oracles import lil_running_max_checkpoints, sorted_index_rows
+from oracles import kolmogorov_threshold, lil_running_max_checkpoints, sorted_index_rows
 
 COS1 = TrigPolynomial(cos_coeffs={1: 1})
 COS12 = TrigPolynomial(cos_coeffs={1: 1, 2: 1})
@@ -643,6 +642,36 @@ def test_partial_sum_path_bytes_pinned(window, seq_name, poly_name):
     assert got == PATH_PINNED[(window, seq_name, poly_name)]
 
 
+# 2^k and 2^k - 1 run the pow2-window kernel, 3^k the row loop's power
+# chain and geometric 3/2 its generic rows
+BLOCK_SEQS = {
+    "pow2": (lambda m: gen_power(2, 0, m), "pow2-window"),
+    "pow2m1": (lambda m: gen_power(2, -1, m), "pow2-window"),
+    "pow3": (lambda m: gen_power(3, 0, m), "power-chain"),
+    "geometric": (lambda m: gen_geometric(Fraction(3, 2), 2, m), "generic"),
+}
+
+
+@pytest.mark.parametrize("seq_name", sorted(BLOCK_SEQS))
+@pytest.mark.parametrize("window", ["identity", "shuffled", "sub"])
+@pytest.mark.parametrize("poly_name", sorted(PATH_POLYS))
+def test_slot_blocks_concatenate_to_slot_values(seq_name, window, poly_name):
+    # slot_values is the one block of _slot_blocks; any other block size
+    # yields consecutive blocks whose bytes are those of the one block
+    n = 150
+    build, strategy = BLOCK_SEQS[seq_name]
+    perm = {"identity": identity(n), "shuffled": random_perm(n, 7),
+            "sub": random_perm(2 * n, 7)}[window]
+    ev = PartialSumEvaluator(PATH_POLYS[poly_name], build(2 * n), perm, n)
+    assert ev.engine.strategy == strategy
+    x = sample_points(ev.required, 1, seed=11)[0]
+    want = ev.slot_values(x).tobytes()
+    for block in (1, 7, 64, n - 1, n, 2 * n):
+        blocks = list(ev._slot_blocks(x, block))
+        assert [len(b) for b in blocks] == [min(block, n - lo) for lo in range(0, n, block)]
+        assert np.concatenate(blocks).tobytes() == want, block
+
+
 def test_lil_segment_maxima_match_running_max_oracle():
     n_top = 1 << 16
     seq = gen_power(2, -1, n_top)
@@ -705,24 +734,26 @@ def test_lil_trajectory_peak_memory_in_buffers():
 def test_lil_trajectory_peak_memory_shuffled_window():
     # a permuted window adds sorted indices, slot rows and the per-index
     # values the blocks gather from: 3 buffers of 8N plus the block arrays,
-    # 4.79 measured (7.04 with the engine's whole-window offsets, 8.0 with
+    # 4.29 measured (4.79 while each block's angles were made apart from the
+    # per-index array, 7.04 with the engine's whole-window offsets, 8.0 with
     # the whole trajectory held at once)
     n = 1 << 18
     seq = gen_power(2, 0, n)
     perm = PermutationWindow(np.random.default_rng(5).permutation(n) + 1)
     x = sample_points(required_bits(seq.term(n), 1), 1, seed=1)[0]
     peak = _peak_buffers(n, lambda: PartialSumEvaluator(COS1, seq, perm, n).lil_trajectory(x, 0.5))
-    assert peak <= 4.85
+    assert peak <= 4.35
 
 
 @pytest.mark.parametrize("window, poly_name, bound", [
-    # the (N, 2) table of cosines and the matmul's per-index values, plus
-    # the blocks: 4.79 measured (9.03 while the whole window's tops, angles
-    # and cosines existed at once, with the engine's offsets)
+    # the (N, 2) table of angles, then cosines, and the matmul's per-index
+    # values, plus the blocks: 4.29 measured (4.79 while a tops block was
+    # still held as the next one was made, 9.03 while the whole window's
+    # tops, angles and cosines existed at once, with the engine's offsets)
     ("identity", "cos+cos", 4.85),
-    # the sines' matmul adds one array before it is summed in: 5.79
+    # the sines' matmul adds one array before it is summed in: 5.29
     ("identity", "cos+sin", 5.85),
-    # sorted indices and slot rows on top: 6.79 and 7.79 (11.03 before)
+    # sorted indices and slot rows on top: 6.29 and 7.29 (11.03 before)
     ("permuted", "cos+cos", 6.85),
     ("permuted", "cos+sin", 7.85),
 ])
